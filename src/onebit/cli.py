@@ -21,13 +21,13 @@ from .embedding import (
     check_one_to_one,
     check_rip,
     code_set_hexdump,
+    differing_bits,
     embed_points,
-    hamming_distance,
     read_code_set,
     sample_map,
     write_code_set,
 )
-from .geometry import geodesic_distance, read_point_set
+from .geometry import geodesic_matrix, read_point_set
 from .montecarlo import (
     TrialConfig,
     default_phase_grid,
@@ -162,11 +162,10 @@ def _cmd_embed(args) -> int:
 
     out = args.out if args.out else str(args.codes) + ".pairs.csv"
     lines = ["i,j,hamming,geodesic,deviation"]
-    pts = [points.point(i) for i in range(points.n)]
-    for i in range(points.n):
-        for j in range(i + 1, points.n):
-            dh = hamming_distance(codes[i], codes[j])
-            dg = geodesic_distance(pts[i], pts[j])
+    geodesic = geodesic_matrix(points)
+    for i, h in enumerate(differing_bits(codes)):
+        row = zip((h / codes.m).tolist(), geodesic[i, i + 1 :].tolist())
+        for j, (dh, dg) in enumerate(row, start=i + 1):
             lines.append(f"{i},{j},{dh:.10g},{dg:.10g},{dh - dg:.10g}")
     _write_text(out, "\n".join(lines) + "\n")
     print(f"wrote {codes.n} codes of length {codes.m} to {args.codes}; pair table to {out}", file=sys.stderr)

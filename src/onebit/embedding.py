@@ -7,14 +7,16 @@ Hamming distance between two codes is popcount(xor)/m, a multiple of 1/m.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from pathlib import Path
-from typing import IO, Iterable, NamedTuple, Union
+from typing import IO, Iterable, Iterator, NamedTuple, Union
 
 import numpy as np
 
-from .geometry import DimensionMismatchError, PointSet, UnitVector, geodesic_distance
+from .geometry import DimensionMismatchError, PointSet, UnitVector, geodesic_distance, geodesic_matrix
 
 WORD_BITS = 64
 _WORD_MASK = (1 << WORD_BITS) - 1
@@ -40,6 +42,25 @@ def words_needed(m: int) -> int:
 def _tail_mask(m: int) -> int:
     r = m % WORD_BITS
     return _WORD_MASK if r == 0 else (1 << r) - 1
+
+
+def pack_bits(bits: np.ndarray) -> np.ndarray:
+    """Pack 0/1 (or bool) bits of shape (..., m) into little-endian uint64 words of shape (..., words_needed(m)).
+
+    Bit j goes to word j // 64 at position j % 64; padding bits past m are zero.
+    """
+    *lead, m = bits.shape
+    packed = np.packbits(bits.reshape(-1, m), axis=1, bitorder="little")
+    padded = np.zeros((packed.shape[0], 8 * words_needed(m)), dtype=np.uint8)
+    padded[:, : packed.shape[1]] = packed
+    return padded.view("<u8").reshape(*lead, -1)
+
+
+def draw_codes(shape: tuple[int, ...], m: int, rng: np.random.Generator) -> np.ndarray:
+    """iid uniform m-bit codes as packed words of shape (*shape, words_needed(m)), padding bits zero."""
+    words = rng.integers(0, 2**WORD_BITS, size=(*shape, words_needed(m)), dtype=np.uint64)
+    words[..., -1] &= np.uint64(_tail_mask(m))
+    return words
 
 
 @dataclass(frozen=True)
@@ -68,14 +89,10 @@ class BitCode:
 
     @classmethod
     def from_bits(cls, bits: Iterable[int]) -> "BitCode":
-        blist = [1 if b else 0 for b in bits]
-        if not blist:
+        row = np.array([1 if b else 0 for b in bits], dtype=np.uint8)
+        if not row.size:
             raise ValueError("code length must be >= 1")
-        value = 0
-        for j, b in enumerate(blist):
-            if b:
-                value |= 1 << j
-        return cls.from_int(value, len(blist))
+        return cls(tuple(pack_bits(row).tolist()), row.size)
 
     @classmethod
     def from_int(cls, value: int, m: int) -> "BitCode":
@@ -114,34 +131,53 @@ class BitCode:
         return cls(words, m)
 
 
-@dataclass(frozen=True, eq=False)
 class CodeSet:
-    """An ordered sequence of codes sharing one length m."""
+    """An ordered sequence of n codes sharing one length m, held as one read-only (n, words_needed(m)) uint64 array.
 
-    codes: tuple[BitCode, ...]
+    Row i is code i's words (bit j in word j // 64, little-endian), padding
+    bits zero.  Built from BitCodes, or wrapped around such an array by
+    ``from_words``; indexing returns the row as a BitCode.
+    """
 
-    def __post_init__(self) -> None:
-        if not self.codes:
+    __slots__ = ("words", "m")
+
+    def __init__(self, codes: Iterable[BitCode]) -> None:
+        codes = tuple(codes)
+        if not codes:
             raise ValueError("code set must contain at least one code")
-        m = self.codes[0].m
-        for i, c in enumerate(self.codes):
+        m = codes[0].m
+        for i, c in enumerate(codes):
             if c.m != m:
                 raise CodeLengthMismatchError(f"code {i} has m={c.m}, expected {m}")
-        object.__setattr__(self, "codes", tuple(self.codes))
+        self._hold(np.array([c.words for c in codes], dtype=np.uint64), m)
+
+    @classmethod
+    def from_words(cls, words: np.ndarray, m: int) -> "CodeSet":
+        """Wrap packed words, e.g. from pack_bits or draw_codes, whose padding bits are already zero."""
+        codes = cls.__new__(cls)
+        codes._hold(words, m)
+        return codes
+
+    def _hold(self, words: np.ndarray, m: int) -> None:
+        if words.ndim != 2 or words.shape[0] < 1 or words.shape[1] != words_needed(m):
+            raise ValueError(f"expected an (n >= 1, {words_needed(m)}) word array for m={m}, got {words.shape}")
+        words.setflags(write=False)
+        self.words = words
+        self.m = m
 
     @property
     def n(self) -> int:
-        return len(self.codes)
-
-    @property
-    def m(self) -> int:
-        return self.codes[0].m
+        return self.words.shape[0]
 
     def __len__(self) -> int:
         return self.n
 
     def __getitem__(self, i: int) -> BitCode:
-        return self.codes[i]
+        # The row is valid by construction, so BitCode's per-word validation is skipped.
+        code = object.__new__(BitCode)
+        object.__setattr__(code, "words", tuple(self.words[i].tolist()))
+        object.__setattr__(code, "m", self.m)
+        return code
 
 
 @dataclass(frozen=True, eq=False)
@@ -189,36 +225,19 @@ def sample_map(m: int, dim: int, seed: int) -> EmbeddingMap:
     return EmbeddingMap(raw / norms[:, None], seed)
 
 
-def _pack_bit_rows(bits: np.ndarray) -> list[BitCode]:
-    """Pack an (n, m) 0/1 array into BitCodes, bit j little-endian in word j//64."""
-    n, m = bits.shape
-    packed = np.packbits(bits.astype(np.uint8), axis=1, bitorder="little")
-    nw = words_needed(m)
-    pad = nw * 8 - packed.shape[1]
-    if pad:
-        packed = np.hstack([packed, np.zeros((n, pad), dtype=np.uint8)])
-    wordmat = packed.reshape(n, nw, 8)
-    out = []
-    for row in wordmat:
-        words = tuple(int.from_bytes(row[w].tobytes(), "little") for w in range(nw))
-        out.append(BitCode(words, m))
-    return out
-
-
 def embed(emap: EmbeddingMap, x: UnitVector) -> BitCode:
     """Apply the one-bit map: bit j = 1 iff x.theta_j >= 0."""
     if x.dim != emap.dim:
         raise DimensionMismatchError(f"point dimension {x.dim} != map dimension {emap.dim}")
     dots = emap.directions @ x.components
-    return _pack_bit_rows((dots >= 0.0).reshape(1, -1))[0]
+    return BitCode(tuple(pack_bits(dots >= 0.0).tolist()), emap.m)
 
 
 def embed_points(emap: EmbeddingMap, points: PointSet) -> CodeSet:
     """Embed every point of a set through one map (order preserved)."""
     if points.dim != emap.dim:
         raise DimensionMismatchError(f"point dimension {points.dim} != map dimension {emap.dim}")
-    dots = points.matrix @ emap.directions.T
-    return CodeSet(tuple(_pack_bit_rows(dots >= 0.0)))
+    return CodeSet.from_words(pack_bits(points.matrix @ emap.directions.T >= 0.0), emap.m)
 
 
 def hamming_distance(a: BitCode, b: BitCode) -> float:
@@ -240,6 +259,12 @@ def hamming_distance_bitloop(a: BitCode, b: BitCode) -> float:
     return diff / a.m
 
 
+def differing_bits(codes: CodeSet) -> Iterator[np.ndarray]:
+    """For each code i < n-1 in turn, its differing-bit counts against codes i+1..n-1, by XOR and popcount."""
+    for i in range(codes.n - 1):
+        yield np.bitwise_count(codes.words[i] ^ codes.words[i + 1 :]).sum(axis=1)
+
+
 def metric_deviation(emap: EmbeddingMap, x: UnitVector, y: UnitVector) -> float:
     """Signed difference (Hamming distance of the images) - (geodesic distance).
 
@@ -253,16 +278,15 @@ def check_one_to_one(codes: CodeSet) -> tuple[bool, list[tuple[int, int]]]:
     """Are all codes pairwise distinct?  Returns the complete, lexicographically sorted collision list."""
     if codes.n < 2:
         raise ValueError("one-to-one check needs at least 2 codes")
-    groups: dict[tuple[int, ...], list[int]] = {}
-    for i, c in enumerate(codes.codes):
-        groups.setdefault(c.words, []).append(i)
-    collisions = []
-    for members in groups.values():
-        for a in range(len(members)):
-            for b in range(a + 1, len(members)):
-                collisions.append((members[a], members[b]))
-    collisions.sort()
-    return (not collisions, collisions)
+    # A stable lexicographic sort puts equal codes next to each other, in index order.
+    order = np.lexsort(codes.words.T)
+    ranked = codes.words[order]
+    same = np.all(ranked[1:] == ranked[:-1], axis=1)
+    if not same.any():
+        return (True, [])
+    groups = np.split(order, np.flatnonzero(~same) + 1)
+    collisions = sorted(pair for g in groups if g.size > 1 for pair in itertools.combinations(sorted(g.tolist()), 2))
+    return (False, collisions)
 
 
 class RipViolation(NamedTuple):
@@ -288,7 +312,7 @@ def check_rip(
     delta: float,
     boundary: str = "strict",
 ) -> RipReport:
-    """Check the distance-preservation property pair by pair.
+    """Check the distance-preservation property on every pair, decided by band_fails.
 
     A pair violates when |d_H - d_geo| > delta under the default ``strict``
     boundary (equality at delta passes); under ``inclusive`` a deviation equal
@@ -304,21 +328,16 @@ def check_rip(
     if boundary not in ("strict", "inclusive"):
         raise ValueError(f"unknown boundary convention {boundary!r}")
 
-    gram = np.clip(points.matrix @ points.matrix.T, -1.0, 1.0)
-    geo = np.arccos(gram) / math.pi
-
+    geo = geodesic_matrix(points)
     violations = []
     max_dev = 0.0
-    for i in range(codes.n):
-        for j in range(i + 1, codes.n):
-            dh = hamming_distance(codes[i], codes[j])
-            dg = float(geo[i, j])
-            dev = dh - dg
-            if abs(dev) > max_dev:
-                max_dev = abs(dev)
-            fails = abs(dev) > delta if boundary == "strict" else abs(dev) >= delta
-            if fails:
-                violations.append(RipViolation((i, j), dh, dg, dev))
+    for i, h in enumerate(differing_bits(codes)):
+        dh = h / codes.m
+        dg = geo[i, i + 1 :]
+        dev = dh - dg
+        max_dev = max(max_dev, float(np.abs(dev).max()))
+        for k in np.flatnonzero(band_fails(h, codes.m, dg, delta, boundary)).tolist():
+            violations.append(RipViolation((i, i + 1 + k), float(dh[k]), float(dg[k]), float(dev[k])))
     return RipReport(delta=delta, violations=tuple(violations), max_deviation=max_dev, passed=not violations)
 
 
@@ -333,41 +352,46 @@ def embed_orthogonal(n: int, m: int, rng: np.random.Generator) -> CodeSet:
         raise ValueError(f"need at least 2 points, got {n}")
     if m < 1:
         raise ValueError(f"code length must be >= 1, got {m}")
-    nw = words_needed(m)
-    raw = rng.integers(0, 2**WORD_BITS, size=(n, nw), dtype=np.uint64)
-    raw[:, -1] &= np.uint64(_tail_mask(m))
-    codes = tuple(BitCode(tuple(int(w) for w in row), m) for row in raw)
-    return CodeSet(codes)
+    return CodeSet.from_words(draw_codes((n,), m, rng), m)
 
 
-def hamming_band_limit(m: int, delta: float, boundary: str) -> int:
-    """Largest integer s = |2*count - m| for which a pair still passes the delta band.
+def band_fails(h, m: int, geodesic, delta: float, boundary: str) -> np.ndarray:
+    """The one delta-band rule: does a pair with h of m bits differing, at geodesic distance g, fail?
 
-    A pair of codes of orthogonal points passes iff its differing-bit count H
-    satisfies |H/m - 1/2| <= delta (``strict``: failure needs a strictly larger
-    deviation) or |H/m - 1/2| < delta (``inclusive``: deviation equal to delta
-    fails).  Stated on the integer s = |2H - m| this is s <= 2*m*delta,
-    respectively s < 2*m*delta.  Centralizing the float-to-integer rounding
-    here keeps the simulator and the exact oracles decision-identical.
+    The pair's deviation |h/m - g| is compared with delta as |2h - 2m*g|
+    against 2m*delta: ``strict`` fails only a larger value (equality passes),
+    ``inclusive`` fails equality too.  delta is read as the decimal it prints
+    as, Fraction(str(delta)), so 2m*delta is exact; at g = 1/2 (orthogonal
+    points) the left side is an exact integer too.  Broadcasts over arrays of
+    h and g.
     """
     if boundary not in ("strict", "inclusive"):
         raise ValueError(f"unknown boundary convention {boundary!r}")
-    t = 2.0 * m * delta
-    if boundary == "strict":
-        return math.floor(t)
-    return math.ceil(t) - 1
+    edge = 2 * m * Fraction(str(delta))
+    dev = np.abs(2 * np.asarray(h) - 2 * m * np.asarray(geodesic, dtype=np.float64))
+    below = float(edge)
+    if Fraction(below) == edge:
+        return dev >= below if boundary == "inclusive" else dev > below
+    if Fraction(below) > edge:
+        below = np.nextafter(below, 0.0)
+    # dev is a double: it exceeds (or reaches) an edge no double equals iff it exceeds the largest double below it.
+    return dev > below
+
+
+def hamming_band_limit(m: int, delta: float, boundary: str) -> int:
+    """Largest integer s = |2*count - m| for which a pair of codes of orthogonal points passes band_fails.
+
+    That is s <= 2*m*delta under ``strict`` and s < 2*m*delta under
+    ``inclusive``; the exact oracles decide their cells through it.
+    """
+    s = math.floor(2 * m * Fraction(str(delta)))
+    return s - 1 if band_fails((m + s) / 2, m, 0.5, delta, boundary) else s
 
 
 def write_code_set(codes: CodeSet, dest: Union[str, Path, IO[bytes]]) -> None:
     """Serialize a code set in the binary format (see CODESET_MAGIC)."""
-    blob = bytearray()
-    blob += CODESET_MAGIC
-    blob.append(CODESET_VERSION)
-    blob += codes.n.to_bytes(8, "little")
-    blob += codes.m.to_bytes(8, "little")
-    for c in codes.codes:
-        blob += c.to_bytes()
-    data = bytes(blob)
+    header = CODESET_MAGIC + bytes([CODESET_VERSION]) + codes.n.to_bytes(8, "little") + codes.m.to_bytes(8, "little")
+    data = header + codes.words.astype("<u8", copy=False).tobytes()
     if hasattr(dest, "write"):
         dest.write(data)
     else:
@@ -394,18 +418,16 @@ def read_code_set(source: Union[str, Path, IO[bytes]]) -> CodeSet:
     expect = 21 + 8 * nw * n
     if len(data) != expect:
         raise CodeSetFormatError(f"expected {expect} bytes for n={n}, m={m}, got {len(data)}")
-    codes = []
-    for i in range(n):
-        chunk = data[21 + 8 * nw * i : 21 + 8 * nw * (i + 1)]
-        try:
-            codes.append(BitCode.from_bytes(chunk, m))
-        except ValueError as exc:
-            raise CodeSetFormatError(f"code {i}: {exc}") from None
-    return CodeSet(tuple(codes))
+    words = np.frombuffer(data, dtype="<u8", offset=21).reshape(n, nw).astype(np.uint64)
+    bad = np.flatnonzero(words[:, -1] & ~np.uint64(_tail_mask(m)))
+    if bad.size:
+        raise CodeSetFormatError(f"code {bad[0]}: padding bits past m must be zero")
+    return CodeSet.from_words(words, m)
 
 
 def code_set_hexdump(codes: CodeSet) -> str:
     """Human-readable dump: one line per code, index then hex bytes (little-endian words)."""
     width = len(str(codes.n - 1))
-    lines = [f"{i:>{width}}: {c.to_bytes().hex()}" for i, c in enumerate(codes.codes)]
+    words = codes.words.astype("<u8", copy=False)
+    lines = [f"{i:>{width}}: {row.tobytes().hex()}" for i, row in enumerate(words)]
     return "\n".join(lines) + "\n"

@@ -136,6 +136,18 @@ def geodesic_distance(x: UnitVector, y: UnitVector) -> float:
     return math.acos(min(1.0, max(-1.0, d))) / math.pi
 
 
+def geodesic_matrix(points: PointSet) -> np.ndarray:
+    """(n, n) matrix of normalized geodesic distances, arccos of the clamped Gram matrix over pi.
+
+    Computed in place in the Gram matrix, so only one n x n array is allocated.
+    """
+    geo = points.matrix @ points.matrix.T
+    np.clip(geo, -1.0, 1.0, out=geo)
+    np.arccos(geo, out=geo)
+    geo /= math.pi
+    return geo
+
+
 def in_wedge(x: UnitVector, y: UnitVector, theta: UnitVector) -> bool:
     """True iff theta's hyperplane separates x from y, i.e. sgn(x.theta) != sgn(y.theta).
 

@@ -8,10 +8,10 @@ and 8 threads produce the same bytes.
 
 Two point sources are supported.  ``orthogonal_fast`` draws the code bits as
 fair coins directly (valid for pairwise orthogonal points, whose sign bits
-are independent fair coins) and makes the boundary decision on integer
-differing-bit counts via hamming_band_limit.  ``explicit`` embeds a concrete
-PointSet through a fresh random map every trial and mirrors check_rip's
-floating-point comparisons.
+are independent fair coins, at geodesic distance 1/2).  ``explicit`` embeds a
+concrete PointSet through a fresh random map every trial.  Both count the
+differing bits of every pair and decide the band with embedding.band_fails,
+the rule check_rip uses.
 """
 
 from __future__ import annotations
@@ -27,13 +27,13 @@ from typing import Optional
 import numpy as np
 
 from .bounds import one_to_one_window, rip_window
-from .embedding import hamming_band_limit, words_needed
-from .geometry import PointSet
+from .embedding import band_fails, draw_codes, pack_bits, words_needed
+from .geometry import PointSet, geodesic_matrix
 
 DEFAULT_PAIR_WORD_BUDGET = 10**10
 
-#: Pair count below which the band check compares bit rows directly; above it
-#: a per-trial Gram matrix (one BLAS matmul) is cheaper.
+#: Point count up to which the band check compares bit rows pair by pair; above
+#: it a per-trial Gram matrix (one BLAS matmul) is cheaper.
 _GRAM_THRESHOLD_N = 8
 
 
@@ -186,97 +186,48 @@ def _count_all_distinct(words: np.ndarray) -> int:
     return int(t - bad.sum())
 
 
-def _pack_words(bits: np.ndarray) -> np.ndarray:
-    """Pack (T, n, m) 0/1 bits into (T, n, w) uint64 words, little-endian bit order."""
-    t, n, m = bits.shape
-    w = words_needed(m)
-    packed = np.packbits(bits.reshape(t * n, m), axis=1, bitorder="little")
-    pad = w * 8 - packed.shape[1]
-    if pad:
-        packed = np.hstack([packed, np.zeros((t * n, pad), dtype=np.uint8)])
-    return np.ascontiguousarray(packed).view(np.uint64).reshape(t, n, w)
+def _direct_counts(bits: np.ndarray) -> np.ndarray:
+    """Differing-bit counts (T, pairs) of every pair i < j, comparing bit rows directly."""
+    n = bits.shape[1]
+    return np.stack(
+        [np.count_nonzero(bits[:, i, :] != bits[:, j, :], axis=1) for i in range(n) for j in range(i + 1, n)], axis=1
+    )
 
 
-def _count_band_ok_direct(bits: np.ndarray, s_max: int) -> int:
-    t, n, m = bits.shape
-    ok = np.ones(t, dtype=bool)
-    for i in range(n):
-        for j in range(i + 1, n):
-            h = np.count_nonzero(bits[:, i, :] != bits[:, j, :], axis=1)
-            ok &= np.abs(2 * h.astype(np.int64) - m) <= s_max
-    return int(ok.sum())
-
-
-def _count_band_ok_gram(bits: np.ndarray, s_max: int) -> int:
-    t, n, m = bits.shape
-    iu = np.triu_indices(n, 1)
-    succ = 0
-    for k in range(t):
-        d = bits[k].astype(np.float64)
-        gram = d @ d.T
+def _gram_counts(bits: np.ndarray):
+    """Per trial, the differing-bit counts (pairs,) of every pair i < j from one Gram matrix (exact in float64)."""
+    iu = np.triu_indices(bits.shape[1], 1)
+    for trial in bits:
+        d = trial.astype(np.float64)
         r = d.sum(axis=1)
-        h = r[:, None] + r[None, :] - 2.0 * gram  # differing-bit counts, exact in float64
-        if np.all(np.abs(2.0 * h[iu] - m) <= s_max):
-            succ += 1
-    return succ
+        yield (r[:, None] + r[None, :] - 2.0 * (d @ d.T))[iu]
 
 
-def _count_rip_ok_explicit(bits: np.ndarray, geo_pairs: np.ndarray, delta: float, boundary: str) -> int:
-    """Band check against arbitrary geodesic distances, mirroring check_rip's float compares."""
+def _count_band_ok(bits: np.ndarray, geo_pairs: float | np.ndarray, config: TrialConfig) -> int:
+    """Number of trials in which every pair passes band_fails; bits is (T, n, m), geo_pairs per pair or 1/2."""
     t, n, m = bits.shape
-    iu = np.triu_indices(n, 1)
     if n <= _GRAM_THRESHOLD_N:
-        devs = np.empty((t, len(geo_pairs)))
-        col = 0
-        for i in range(n):
-            for j in range(i + 1, n):
-                h = np.count_nonzero(bits[:, i, :] != bits[:, j, :], axis=1)
-                devs[:, col] = h / m - geo_pairs[col]
-                col += 1
-        amax = np.abs(devs).max(axis=1)
-        fails = amax > delta if boundary == "strict" else amax >= delta
-        return int(t - fails.sum())
-    succ = 0
-    for k in range(t):
-        d = bits[k].astype(np.float64)
-        gram = d @ d.T
-        r = d.sum(axis=1)
-        h = r[:, None] + r[None, :] - 2.0 * gram
-        dev = np.abs(h[iu] / m - geo_pairs)
-        bad = np.any(dev > delta) if boundary == "strict" else np.any(dev >= delta)
-        if not bad:
-            succ += 1
-    return succ
+        fails = band_fails(_direct_counts(bits), m, geo_pairs, config.delta, config.boundary)
+        return int(t - fails.any(axis=1).sum())
+    return sum(not band_fails(h, m, geo_pairs, config.delta, config.boundary).any() for h in _gram_counts(bits))
 
 
-def _run_chunk(config: TrialConfig, chunk_index: int, count: int, geo_pairs: Optional[np.ndarray]) -> int:
+def _run_chunk(config: TrialConfig, chunk_index: int, count: int, geo_pairs: float | np.ndarray) -> int:
     rng = _chunk_stream(config.base_seed, config.m, chunk_index)
     n, m = config.n, config.m
 
     if config.point_source == "orthogonal_fast":
         if config.mode == "injectivity":
-            w = words_needed(m)
-            raw = rng.integers(0, 2**64, size=(count, n, w), dtype=np.uint64)
-            r = m % 64
-            if r:
-                raw[:, :, -1] &= np.uint64((1 << r) - 1)
-            return _count_all_distinct(raw)
+            return _count_all_distinct(draw_codes((count, n), m, rng))
         bits = rng.integers(0, 2, size=(count, n, m), dtype=np.uint8)
-        s_max = hamming_band_limit(m, config.delta, config.boundary)
-        if s_max < 0:
-            return 0
-        if n <= _GRAM_THRESHOLD_N:
-            return _count_band_ok_direct(bits, s_max)
-        return _count_band_ok_gram(bits, s_max)
-
-    # Explicit path: a fresh map per trial.  Only the signs of the projections
-    # matter, so direction normalization is skipped (it cannot change a sign).
-    dim = config.points.dim
-    normals = rng.standard_normal((count, m, dim))
-    bits = (np.einsum("tmd,nd->tnm", normals, config.points.matrix) >= 0.0).astype(np.uint8)
-    if config.mode == "injectivity":
-        return _count_all_distinct(_pack_words(bits))
-    return _count_rip_ok_explicit(bits, geo_pairs, config.delta, config.boundary)
+    else:
+        # Explicit path: a fresh map per trial.  Only the signs of the projections
+        # matter, so direction normalization is skipped (it cannot change a sign).
+        normals = rng.standard_normal((count, m, config.points.dim))
+        bits = (np.einsum("tmd,nd->tnm", normals, config.points.matrix) >= 0.0).astype(np.uint8)
+        if config.mode == "injectivity":
+            return _count_all_distinct(pack_bits(bits))
+    return _count_band_ok(bits, geo_pairs, config)
 
 
 def run_trials(
@@ -299,12 +250,9 @@ def run_trials(
             "reduce trials or raise pair_word_budget"
         )
 
-    geo_pairs = None
+    geo_pairs = 0.5
     if config.point_source == "explicit" and config.mode == "rip":
-        mat = config.points.matrix
-        gram = np.clip(mat @ mat.T, -1.0, 1.0)
-        geo = np.arccos(gram) / math.pi
-        geo_pairs = geo[np.triu_indices(config.n, 1)]
+        geo_pairs = geodesic_matrix(config.points)[np.triu_indices(config.n, 1)]
 
     size = _chunk_size(config)
     counts = [size] * (config.trials // size)
@@ -353,14 +301,15 @@ def sweep(
     if config.mode == "rip" and eta_form not in (None, "general"):
         raise ValueError("rip windows exist only in the general form")
 
+    # Every window is evaluated first, so that a config they reject (delta >= 1/2
+    # in rip mode) fails before any trial runs.
+    if config.mode == "injectivity":
+        windows = [one_to_one_window(config.n, int(m), eta_form or "pairwise") for m in m_grid]
+    else:
+        windows = [rip_window(config.n, int(m), config.delta) for m in m_grid]
     rows = []
-    for m in m_grid:
-        cfg = dataclasses.replace(config, m=int(m))
-        row = run_trials(cfg, threads=threads, pair_word_budget=pair_word_budget)
-        if config.mode == "injectivity":
-            w = one_to_one_window(config.n, int(m), eta_form or "pairwise")
-        else:
-            w = rip_window(config.n, int(m), config.delta)
+    for m, w in zip(m_grid, windows):
+        row = run_trials(dataclasses.replace(config, m=int(m)), threads=threads, pair_word_budget=pair_word_budget)
         rows.append(dataclasses.replace(row, window_lo=w.lo, window_hi=w.hi, eta_form=w.eta_form))
     return SweepResult(config=config, rows=tuple(rows))
 

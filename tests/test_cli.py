@@ -228,6 +228,12 @@ class TestSimulateSweep:
         r = run_cli("sweep", "--n", "10", "--m-grid", "14:4:2", "--trials", "100", "--seed", "1")
         assert r.returncode == 1
 
+    def test_rip_delta_above_half_is_usage_error(self):
+        r = run_cli("sweep", "--n", "10", "--m-grid", "4:14:2", "--trials", "20000", "--delta", "0.6",
+                    "--seed", "1", "--threads", "1")
+        assert r.returncode == 1
+        assert "delta must lie in (0, 1/2)" in r.stderr
+
 
 class TestFigure:
     def test_small_forced_figure(self, tmp_path):

@@ -1,5 +1,6 @@
 import io
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -13,6 +14,8 @@ from onebit.embedding import (
     CodeSet,
     CodeSetFormatError,
     EmbeddingMap,
+    RipViolation,
+    band_fails,
     check_one_to_one,
     check_rip,
     code_set_hexdump,
@@ -38,6 +41,42 @@ def basis(i: int, dim: int) -> UnitVector:
     v = np.zeros(dim)
     v[i] = 1.0
     return UnitVector(v)
+
+
+def check_rip_loop(codes, points, delta, boundary="strict"):
+    """Reference: the per-pair loop check_rip replaced, with float deviations and a per-bit distance."""
+    geo = np.arccos(np.clip(points.matrix @ points.matrix.T, -1.0, 1.0)) / math.pi
+    violations = []
+    max_dev = 0.0
+    for i in range(codes.n):
+        for j in range(i + 1, codes.n):
+            dh = hamming_distance_bitloop(codes[i], codes[j])
+            dg = float(geo[i, j])
+            dev = dh - dg
+            max_dev = max(max_dev, abs(dev))
+            if abs(dev) > delta if boundary == "strict" else abs(dev) >= delta:
+                violations.append(RipViolation((i, j), dh, dg, dev))
+    return tuple(violations), max_dev, not violations
+
+
+def check_one_to_one_dict(codes):
+    """Reference: the dict-of-words collision finder check_one_to_one replaced."""
+    groups = {}
+    for i in range(codes.n):
+        groups.setdefault(codes[i].words, []).append(i)
+    collisions = sorted(
+        (members[a], members[b]) for members in groups.values()
+        for a in range(len(members)) for b in range(a + 1, len(members))
+    )
+    return (not collisions, collisions)
+
+
+def random_code_set(rng, n, m, duplicates):
+    """n random m-bit codes in which ``duplicates`` rows repeat earlier rows."""
+    bits = rng.integers(0, 2, size=(n, m))
+    for k in range(duplicates):
+        bits[n - 1 - k] = bits[rng.integers(0, n - 1 - k)]
+    return CodeSet(tuple(BitCode.from_bits(row) for row in bits))
 
 
 class TestBitCode:
@@ -214,6 +253,13 @@ class TestCheckOneToOne:
         with pytest.raises(ValueError):
             check_one_to_one(CodeSet((BitCode.from_bits([1]),)))
 
+    @pytest.mark.parametrize("m", [1, 3, 63, 64, 65, 130])
+    def test_matches_dict_reference(self, m):
+        rng = np.random.default_rng(1000 + m)
+        for duplicates in (0, 1, 5):
+            codes = random_code_set(rng, 24, m, duplicates)
+            assert check_one_to_one(codes) == check_one_to_one_dict(codes)
+
 
 class TestCheckRip:
     def test_pass_at_half_distance(self):
@@ -256,6 +302,29 @@ class TestCheckRip:
         # once passing, stays passing at larger delta
         for earlier, later in zip(passed_at, passed_at[1:]):
             assert later or not earlier
+
+    def test_band_edge_decided_exactly(self):
+        # m=10, H=7: the deviation 7/10 - 1/2 is exactly delta=0.2 (the float
+        # difference is 0.19999999999999996), so inclusive fails and strict passes.
+        pts = orthonormal_set(2, 3)
+        codes = CodeSet((BitCode.from_bits([0] * 10), BitCode.from_bits([1] * 7 + [0] * 3)))
+        assert check_rip(codes, pts, delta=0.2, boundary="strict").passed
+        report = check_rip(codes, pts, delta=0.2, boundary="inclusive")
+        assert not report.passed and [v.pair for v in report.violations] == [(0, 1)]
+
+    @pytest.mark.parametrize("m", [1, 63, 64, 65, 130])
+    @pytest.mark.parametrize("boundary", ["strict", "inclusive"])
+    def test_matches_loop_reference(self, m, boundary):
+        rng = np.random.default_rng(2000 + m)
+        raw = rng.standard_normal((14, 5))
+        pts = PointSet(raw / np.linalg.norm(raw, axis=1)[:, None])
+        for duplicates in (0, 3):
+            codes = random_code_set(rng, 14, m, duplicates)
+            for delta in (0.05, 0.2, 0.45):
+                report = check_rip(codes, pts, delta, boundary)
+                assert (report.violations, report.max_deviation, report.passed) == check_rip_loop(
+                    codes, pts, delta, boundary
+                )
 
     def test_misalignment(self):
         pts = orthonormal_set(3, 4)
@@ -320,6 +389,26 @@ class TestBandLimit:
     def test_unknown_boundary(self):
         with pytest.raises(ValueError):
             hamming_band_limit(8, 0.2, "fuzzy")
+
+    def test_delta_read_as_typed(self):
+        # 2*50*0.29 is 28.999999999999996 in floating point; as typed it is 29.
+        assert hamming_band_limit(50, 0.29, "strict") == 29
+        assert hamming_band_limit(50, 0.29, "inclusive") == 28
+
+    def test_rule_matches_exact_lattice(self):
+        # Every (m, delta, boundary, H) cell at geodesic 1/2: the band rule and
+        # the limit derived from it equal the exact rational decision.
+        for m in range(1, 200):
+            h = np.arange(m + 1)
+            s = np.abs(2 * h - m)
+            for k in range(1, 50):
+                delta = k / 100
+                edge = 2 * m * Fraction(k, 100)
+                for boundary in ("strict", "inclusive"):
+                    scaled = s * edge.denominator
+                    exact = scaled > edge.numerator if boundary == "strict" else scaled >= edge.numerator
+                    assert np.array_equal(band_fails(h, m, 0.5, delta, boundary), exact), (m, delta, boundary)
+                    assert np.array_equal(s > hamming_band_limit(m, delta, boundary), exact), (m, delta, boundary)
 
 
 class TestSerialization:

@@ -251,6 +251,16 @@ class TestSweep:
         with pytest.raises(ValueError, match="general"):
             sweep(cfg, [16], eta_form="pairwise")
 
+    def test_rip_delta_rejected_before_simulating(self, monkeypatch):
+        import onebit.montecarlo as mc
+
+        def no_trials(*args, **kwargs):
+            raise AssertionError("run_trials called before the config was validated")
+
+        monkeypatch.setattr(mc, "run_trials", no_trials)
+        with pytest.raises(ValueError, match="1/2"):
+            sweep(rip_config(10, 4, 0.6, 20_000, seed=1), [4, 6, 8])
+
     def test_grid_validation(self):
         cfg = inj_config(10, 4, 100, seed=55)
         with pytest.raises(ValueError):
