@@ -9,73 +9,4 @@ desk scale, and a seeded Monte Carlo engine plus CLI for reproducing the
 phase-transition curves.
 """
 
-from .bounds import (
-    BoundsReport,
-    LambdaBounds,
-    NoCrossingError,
-    OneToOneTransition,
-    PhaseWindow,
-    RipTransition,
-    ValidityRangeError,
-    lambda_bounds,
-    m_injective,
-    m_injective_orthogonal,
-    m_linear_jl,
-    m_rip_union,
-    one_to_one_m_window,
-    one_to_one_window,
-    p_delta_exact,
-    p_delta_float,
-    rip_m_window,
-    rip_window,
-    solve_threshold,
-    stein_chen_eta,
-)
-from .embedding import (
-    BitCode,
-    CodeSet,
-    EmbeddingMap,
-    RipReport,
-    check_one_to_one,
-    check_rip,
-    embed,
-    embed_orthogonal,
-    embed_points,
-    hamming_band_limit,
-    hamming_distance,
-    hamming_distance_bitloop,
-    metric_deviation,
-    read_code_set,
-    sample_map,
-    write_code_set,
-)
-from .geometry import (
-    DimensionMismatchError,
-    PointSet,
-    UnitVector,
-    geodesic_distance,
-    in_wedge,
-    orthonormal_set,
-    read_point_set,
-    sample_direction,
-)
-from .montecarlo import (
-    EstimateRow,
-    ResourceBudgetError,
-    SweepResult,
-    TrialConfig,
-    run_trials,
-    sweep,
-    wilson_interval,
-)
-from .oracles import (
-    EtaComparison,
-    ExactProbability,
-    binomial_tail,
-    binomial_tail_complement,
-    birthday_exact,
-    eta_comparison,
-    rip_exact_three,
-)
-
 __version__ = "0.1.0"

@@ -46,8 +46,9 @@ class BoundsReport:
 
 def _report(formula_id: str, n: int, m_value: float, **kw) -> BoundsReport:
     # Formulas can dip below 1 for tiny n or lax tolerances; one direction is
-    # always needed, so the integer recommendation is clamped there.
-    m_int = max(1, math.ceil(m_value))
+    # always needed, so the integer recommendation is clamped there.  A NaN
+    # value (a threshold with no crossing) gets m_int = 0.
+    m_int = max(1, math.ceil(m_value)) if math.isfinite(m_value) else 0
     return BoundsReport(formula_id=formula_id, n=n, m_value=m_value, m_int=m_int, **kw)
 
 
@@ -112,21 +113,24 @@ def tail_start(m: int, delta: float) -> int:
     return math.ceil(m / 2.0 + m * delta)
 
 
+def tail_probability(m: int, a: int) -> Fraction:
+    """Exact P(Y >= a) for Y ~ Bin(m, 1/2): 2^{-m} * sum_{k=a}^{m} C(m, k), a dyadic rational."""
+    if m < 1:
+        raise ValueError(f"m must be >= 1, got {m}")
+    if not 0 <= a <= m + 1:
+        raise ValueError(f"tail start {a} outside [0, {m + 1}]")
+    return Fraction(sum(math.comb(m, k) for k in range(a, m + 1)), 1 << m)
+
+
 def p_delta_exact(m: int, delta: float) -> Fraction:
     """Exact P(|Y - m/2| >= m*delta as realized by the tail sum), Y ~ Bin(m, 1/2).
 
-    Computed as 2 * 2^{-m} * sum_{k=A}^{m} C(m, k) with A = ceil(m/2 + m*delta),
-    in exact integer arithmetic.  Empty tails (A > m) give 0.
+    Twice the upper tail P(Y >= A) with A = ceil(m/2 + m*delta), in exact
+    integer arithmetic.
     """
-    if m < 1:
-        raise ValueError(f"m must be >= 1, got {m}")
     if not 0.0 < delta < 0.5:
         raise ValueError(f"delta must lie in (0, 1/2), got {delta}")
-    a = tail_start(m, delta)
-    if a > m:
-        return Fraction(0)
-    total = sum(math.comb(m, k) for k in range(a, m + 1))
-    return Fraction(2 * total, 1 << m)
+    return 2 * tail_probability(m, tail_start(m, delta))
 
 
 def p_delta_float(m: int, delta: float) -> float:
@@ -178,20 +182,34 @@ def _log_pairs(n: int) -> float:
     return math.log(n) + math.log(n - 1) - LN2
 
 
+def _log_envelope(which: str, logc: float, m: float, rate: float) -> float:
+    """ln of the lambda1 (lower) or lambda2 (upper) Stirling envelope, with pair term logc = ln C(n,2).
+
+    lambda1 = C(n,2) e^{-1/6} (2 pi m)^{-1/2} e^{m*rate},
+    lambda2 = C(n,2) e^{1/12} (m / 2 pi)^{1/2} e^{m*rate}.
+    """
+    if which == "lambda1":
+        return logc - 1.0 / 6.0 - 0.5 * (LOG_2PI + math.log(m)) + m * rate
+    return logc + 1.0 / 12.0 + 0.5 * (math.log(m) - LOG_2PI) + m * rate
+
+
+def _lambda_targets(eps1: float, eps2: float) -> tuple[float, float]:
+    """The Poisson rates ln(1/(1 - eps/c)) at which P(success) crosses 1 - eps1 (c = 1.01) and 1 - eps2 (c = 0.99)."""
+    return math.log(1.0 / (1.0 - eps1 / 1.01)), math.log(1.0 / (1.0 - eps2 / 0.99))
+
+
 @dataclass(frozen=True)
 class LambdaBounds:
     """Envelopes around the expected number of pairs whose distance leaves the delta band.
 
     lambda_exact = C(n,2) * p_delta_exact(m, delta) is the true expectation;
-    lambda1 <= lambda_exact <= lambda2 are its closed-form Stirling envelopes,
-    and big_lambda is the shared exponential factor C(n,2)/sqrt(2 pi) * e^{m*rate}.
+    lambda1 <= lambda_exact <= lambda2 are its closed-form Stirling envelopes.
     Log fields are kept because the plain floats under/overflow for large m.
     """
 
     lambda_exact: float
     lambda1: float
     lambda2: float
-    big_lambda: float
     log_lambda1: float
     log_lambda2: float
     rate: float
@@ -213,15 +231,13 @@ def lambda_bounds(n: int, m: int, delta: float, taylor: bool = False) -> LambdaB
     else:
         lo_rate, hi_rate = rate, rate
     logc = _log_pairs(n)
-    log_l1 = logc - 1.0 / 6.0 - 0.5 * (LOG_2PI + math.log(m)) + m * lo_rate
-    log_l2 = logc + 1.0 / 12.0 + 0.5 * (math.log(m) - LOG_2PI) + m * hi_rate
-    big = math.exp(logc - 0.5 * LOG_2PI + m * rate)
+    log_l1 = _log_envelope("lambda1", logc, m, lo_rate)
+    log_l2 = _log_envelope("lambda2", logc, m, hi_rate)
     lam_exact = float(math.comb(n, 2) * p_delta_exact(m, delta)) if m <= 2000 else math.exp(logc + log_p_delta(m, delta))
     return LambdaBounds(
         lambda_exact=lam_exact,
         lambda1=math.exp(log_l1),
         lambda2=math.exp(log_l2),
-        big_lambda=big,
         log_lambda1=log_l1,
         log_lambda2=log_l2,
         rate=rate,
@@ -294,11 +310,11 @@ def rip_window(n: int, m: int, delta: float, use_p_bound: bool = False) -> Phase
     Uses the closed-form envelopes lambda1 <= lambda2 from lambda_bounds and
     the general error width eta = C(n,2)(4n-7) p^2.  By default p is the exact
     tail probability; with ``use_p_bound`` the printed upper envelope for p is
-    substituted instead.
+    substituted instead (the lambda2 envelope of a single pair).
     """
     lb = lambda_bounds(n, m, delta)
     if use_p_bound:
-        p = math.exp(1.0 / 12.0 + 0.5 * (math.log(m) - LOG_2PI) + m * lb.rate)
+        p = math.exp(_log_envelope("lambda2", 0.0, m, lb.rate))
     else:
         p = p_delta_float(m, delta)
     eta = stein_chen_eta(n, p, "general")
@@ -332,8 +348,7 @@ def one_to_one_m_window(n: int, eps1: float, eps2: float, force: bool = False) -
         raise ValueError(f"need eps2 < eps1, got eps1={eps1}, eps2={eps2}")
     if n < MIN_N_ONE_TO_ONE and not force:
         raise ValidityRangeError(f"transition formulas proven for n >= {MIN_N_ONE_TO_ONE}, got n={n} (use force to evaluate anyway)")
-    d1 = math.log(1.0 / (1.0 - eps1 / 1.01))
-    d2 = math.log(1.0 / (1.0 - eps2 / 0.99))
+    d1, d2 = _lambda_targets(eps1, eps2)
     m_lower = math.log2(n * (n - 1) / (2.0 * d1))
     m_upper = math.log2(n * (n - 1) / (2.0 * d2))
     if not m_lower < m_upper:
@@ -377,8 +392,7 @@ def rip_m_window(n: int, delta: float, eps1: float, eps2: float, force: bool = F
     so the simulation can settle the direction empirically.
     """
     _check_n(n)
-    if not 0.0 < delta < 0.5:
-        raise ValidityRangeError(f"delta must lie in (0, 1/2), got {delta}")
+    q = -1.0 / exponent_rate(delta)
     _check_unit("eps1", eps1)
     _check_unit("eps2", eps2)
     if not eps2 < eps1 or not eps1 < 0.99:
@@ -386,11 +400,10 @@ def rip_m_window(n: int, delta: float, eps1: float, eps2: float, force: bool = F
     if n < MIN_N_RIP and not force:
         raise ValidityRangeError(f"transition formulas proven for n >= {MIN_N_RIP}, got n={n} (use force to evaluate anyway)")
 
-    q = -1.0 / exponent_rate(delta)
-    d1 = math.log(1.0 / (1.0 - eps1 / 1.01))
-    d2 = math.log(1.0 / (1.0 - eps2 / 0.99))
-    log_a = _log_pairs(n) - 0.5 * LOG_2PI - 1.0 / 6.0 - math.log(d1)
-    log_b = _log_pairs(n) - 0.5 * LOG_2PI + 1.0 / 12.0 - math.log(d2)
+    d1, d2 = _lambda_targets(eps1, eps2)
+    # A and B are the envelopes' prefactors at m = 1 over the target rates.
+    log_a = _log_envelope("lambda1", _log_pairs(n), 1.0, 0.0) - math.log(d1)
+    log_b = _log_envelope("lambda2", _log_pairs(n), 1.0, 0.0) - math.log(d2)
     if log_a <= 0 or log_b <= 0:
         raise ValueError("closed forms undefined: inner logarithms are non-positive at these parameters")
     m1 = q * (log_a - math.log(log_a))
@@ -436,12 +449,6 @@ def solve_threshold(n: int, delta: float, target_lambda: float, which: str = "la
     logc = _log_pairs(n)
     log_target = math.log(target_lambda)
 
-    def log_l1(m: float) -> float:
-        return logc - 1.0 / 6.0 - 0.5 * (LOG_2PI + math.log(m)) + m * rate
-
-    def log_l2(m: float) -> float:
-        return logc + 1.0 / 12.0 + 0.5 * (math.log(m) - LOG_2PI) + m * rate
-
     if which == "exact":
         # The envelopes bracket the exact curve, so its crossing lies between
         # their crossings; either envelope may miss the target entirely.
@@ -465,13 +472,14 @@ def solve_threshold(n: int, delta: float, target_lambda: float, which: str = "la
         return best
 
     if which == "lambda1":
-        f = log_l1
         m_lo = 1.0
     elif which == "lambda2":
-        f = log_l2
         m_lo = max(1.0, -0.5 / rate)  # peak of the sqrt(m) * e^{m*rate} envelope
     else:
         raise ValueError(f"unknown threshold form {which!r}")
+
+    def f(m: float) -> float:
+        return _log_envelope(which, logc, m, rate)
 
     if f(m_lo) < log_target or f(float(_M_SEARCH_MAX)) > log_target:
         raise NoCrossingError(f"{which} does not cross {target_lambda} in [{m_lo:.0f}, {_M_SEARCH_MAX}]")

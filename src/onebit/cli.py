@@ -8,7 +8,7 @@ range without --force).
 from __future__ import annotations
 
 import argparse
-import math
+import contextlib
 import os
 import secrets
 import sys
@@ -92,11 +92,19 @@ def _parse_m_grid(text: str) -> list[int]:
     return list(range(lo, hi + 1, step))
 
 
-def _write_text(path_or_dash, text: str) -> None:
+@contextlib.contextmanager
+def _text_out(path_or_dash):
+    """A text stream to the file, or to stdout for None or "-"."""
     if path_or_dash is None or path_or_dash == "-":
-        sys.stdout.write(text)
+        yield sys.stdout
     else:
-        Path(path_or_dash).write_text(text, encoding="utf-8")
+        with open(path_or_dash, "w", encoding="utf-8") as f:
+            yield f
+
+
+def _write_text(path_or_dash, text: str) -> None:
+    with _text_out(path_or_dash) as f:
+        f.write(text)
 
 
 # ---------------------------------------------------------------- bounds
@@ -117,17 +125,14 @@ def _cmd_bounds(args) -> int:
 
     if args.eps1 is not None and args.eps2 is not None:
         t11 = bnd.one_to_one_m_window(n, args.eps1, args.eps2, force=args.force)
-        reports.append(bnd.BoundsReport("one_to_one_m_lower", n, t11.m_lower, max(1, math.ceil(t11.m_lower)),
-                                        eps1=args.eps1, eps2=args.eps2, validity_note=t11.validity_note))
-        reports.append(bnd.BoundsReport("one_to_one_m_upper", n, t11.m_upper, max(1, math.ceil(t11.m_upper)),
-                                        eps1=args.eps1, eps2=args.eps2, validity_note=t11.validity_note))
+        for fid, val in (("one_to_one_m_lower", t11.m_lower), ("one_to_one_m_upper", t11.m_upper)):
+            reports.append(bnd._report(fid, n, val, eps1=args.eps1, eps2=args.eps2, validity_note=t11.validity_note))
         if args.delta is not None and 0 < args.delta < 0.5:
             rt = bnd.rip_m_window(n, args.delta, args.eps1, args.eps2, force=args.force)
             for fid, val in (("rip_m_eps1", rt.m_eps1), ("rip_m_eps2", rt.m_eps2),
                              ("rip_crossing_eps1", rt.crossing_eps1), ("rip_crossing_eps2", rt.crossing_eps2)):
-                reports.append(bnd.BoundsReport(fid, n, val, max(1, math.ceil(val)) if math.isfinite(val) else 0,
-                                                delta=args.delta, eps1=args.eps1, eps2=args.eps2,
-                                                validity_note=rt.validity_note))
+                reports.append(bnd._report(fid, n, val, delta=args.delta, eps1=args.eps1, eps2=args.eps2,
+                                           validity_note=rt.validity_note))
             trailer.append(f"q (rate constant) = {rt.q:.10g}   [1/(2 delta^2) = {1.0 / (2 * args.delta**2):.10g}]")
 
     if not reports and args.m is None:
@@ -161,13 +166,14 @@ def _cmd_embed(args) -> int:
     write_code_set(codes, args.codes)
 
     out = args.out if args.out else str(args.codes) + ".pairs.csv"
-    lines = ["i,j,hamming,geodesic,deviation"]
     geodesic = geodesic_matrix(points)
-    for i, h in enumerate(differing_bits(codes)):
-        row = zip((h / codes.m).tolist(), geodesic[i, i + 1 :].tolist())
-        for j, (dh, dg) in enumerate(row, start=i + 1):
-            lines.append(f"{i},{j},{dh:.10g},{dg:.10g},{dh - dg:.10g}")
-    _write_text(out, "\n".join(lines) + "\n")
+    # Written one point's block at a time, so the table is never held whole.
+    with _text_out(out) as f:
+        f.write("i,j,hamming,geodesic,deviation\n")
+        for i, h in enumerate(differing_bits(codes)):
+            row = zip((h / codes.m).tolist(), geodesic[i, i + 1 :].tolist())
+            f.write("".join(f"{i},{j},{dh:.10g},{dg:.10g},{dh - dg:.10g}\n"
+                            for j, (dh, dg) in enumerate(row, start=i + 1)))
     print(f"wrote {codes.n} codes of length {codes.m} to {args.codes}; pair table to {out}", file=sys.stderr)
     if args.hexdump:
         sys.stdout.write(code_set_hexdump(codes))
@@ -209,11 +215,9 @@ def _cmd_check(args) -> int:
 def _build_config(args, m: int, seed: int) -> TrialConfig:
     mode = "rip" if args.delta is not None else "injectivity"
     points = None
-    source = "orthogonal_fast"
     n = args.n
     if getattr(args, "points", None):
         points = read_point_set(args.points, normalize=args.normalize)
-        source = "explicit"
         if n is not None and n != points.n:
             raise ValueError(f"--n {n} contradicts --points with {points.n} rows")
         n = points.n
@@ -228,7 +232,6 @@ def _build_config(args, m: int, seed: int) -> TrialConfig:
         base_seed=seed,
         delta=args.delta,
         boundary=args.boundary,
-        point_source=source,
         points=points,
     )
 

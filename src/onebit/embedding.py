@@ -16,7 +16,7 @@ from typing import IO, Iterable, Iterator, NamedTuple, Union
 
 import numpy as np
 
-from .geometry import DimensionMismatchError, PointSet, UnitVector, geodesic_distance, geodesic_matrix
+from .geometry import DimensionMismatchError, PointSet, UnitVector, geodesic_matrix
 
 WORD_BITS = 64
 _WORD_MASK = (1 << WORD_BITS) - 1
@@ -119,17 +119,6 @@ class BitCode:
     def complement(self) -> "BitCode":
         return BitCode.from_int(self.to_int() ^ ((1 << self.m) - 1), self.m)
 
-    def to_bytes(self) -> bytes:
-        return b"".join(w.to_bytes(8, "little") for w in self.words)
-
-    @classmethod
-    def from_bytes(cls, data: bytes, m: int) -> "BitCode":
-        nw = words_needed(m)
-        if len(data) != 8 * nw:
-            raise CodeSetFormatError(f"expected {8 * nw} bytes for m={m}, got {len(data)}")
-        words = tuple(int.from_bytes(data[8 * w : 8 * w + 8], "little") for w in range(nw))
-        return cls(words, m)
-
 
 class CodeSet:
     """An ordered sequence of n codes sharing one length m, held as one read-only (n, words_needed(m)) uint64 array.
@@ -209,7 +198,9 @@ class EmbeddingMap:
 def sample_map(m: int, dim: int, seed: int) -> EmbeddingMap:
     """Draw m iid uniform directions from a stream deterministically derived from ``seed``.
 
-    Calling twice with equal (m, dim, seed) reproduces the map bit-exactly.
+    Each direction is a vector of independent standard normals scaled to unit
+    norm, the standard rotation-invariant construction.  Calling twice with
+    equal (m, dim, seed) reproduces the map bit-exactly.
     """
     if m < 1:
         raise ValueError(f"target dimension m must be >= 1, got {m}")
@@ -263,15 +254,6 @@ def differing_bits(codes: CodeSet) -> Iterator[np.ndarray]:
     """For each code i < n-1 in turn, its differing-bit counts against codes i+1..n-1, by XOR and popcount."""
     for i in range(codes.n - 1):
         yield np.bitwise_count(codes.words[i] ^ codes.words[i + 1 :]).sum(axis=1)
-
-
-def metric_deviation(emap: EmbeddingMap, x: UnitVector, y: UnitVector) -> float:
-    """Signed difference (Hamming distance of the images) - (geodesic distance).
-
-    Equals the mean of the m separation indicators minus the separation
-    probability, so it concentrates near 0 at rate 1/sqrt(m).
-    """
-    return hamming_distance(embed(emap, x), embed(emap, y)) - geodesic_distance(x, y)
 
 
 def check_one_to_one(codes: CodeSet) -> tuple[bool, list[tuple[int, int]]]:

@@ -1,4 +1,4 @@
-"""Points on the unit sphere, uniform random directions, and the geodesic metric.
+"""Points on the unit sphere, the geodesic metric, and the points CSV format.
 
 The normalized geodesic distance between unit vectors x and y is
 arccos(x.y)/pi, so antipodal points are at distance 1.  A direction theta
@@ -111,21 +111,6 @@ class PointSet:
             yield self.point(i)
 
 
-def sample_direction(dim: int, rng: np.random.Generator) -> UnitVector:
-    """Draw one direction uniformly on S^{dim-1}.
-
-    Realized by normalizing a vector of independent standard normals, the
-    standard rotation-invariant construction.
-    """
-    if dim < 2:
-        raise ValueError(f"dimension must be >= 2, got {dim}")
-    while True:
-        raw = rng.standard_normal(dim)
-        norm = float(np.linalg.norm(raw))
-        if norm > 1e-12:
-            return UnitVector(raw / norm)
-
-
 def geodesic_distance(x: UnitVector, y: UnitVector) -> float:
     """Normalized great-circle distance arccos(x.y)/pi, in [0, 1].
 
@@ -146,15 +131,6 @@ def geodesic_matrix(points: PointSet) -> np.ndarray:
     np.arccos(geo, out=geo)
     geo /= math.pi
     return geo
-
-
-def in_wedge(x: UnitVector, y: UnitVector, theta: UnitVector) -> bool:
-    """True iff theta's hyperplane separates x from y, i.e. sgn(x.theta) != sgn(y.theta).
-
-    Sign convention: sgn(t) = +1 for t >= 0.  The tie t == 0 has probability
-    zero for random directions; fixing it makes the predicate deterministic.
-    """
-    return (x.dot(theta) >= 0.0) != (y.dot(theta) >= 0.0)
 
 
 def orthonormal_set(n: int, dim: int) -> PointSet:

@@ -6,12 +6,13 @@ index).  Chunk results are combined by summation, so the output is
 bit-identical no matter how chunks are scheduled across workers -- 1 thread
 and 8 threads produce the same bytes.
 
-Two point sources are supported.  ``orthogonal_fast`` draws the code bits as
-fair coins directly (valid for pairwise orthogonal points, whose sign bits
-are independent fair coins, at geodesic distance 1/2).  ``explicit`` embeds a
-concrete PointSet through a fresh random map every trial.  Both count the
-differing bits of every pair and decide the band with embedding.band_fails,
-the rule check_rip uses.
+Two paths are supported, chosen by whether the config holds points.  Without
+points (the orthogonal fast path) the code bits are drawn as fair coins
+directly, which is exact for pairwise orthogonal points: their sign bits are
+independent fair coins, at geodesic distance 1/2.  With an explicit PointSet
+every trial embeds it through a fresh random map.  Both count the differing
+bits of every pair and decide the band with embedding.band_fails, the rule
+check_rip uses.
 """
 
 from __future__ import annotations
@@ -45,8 +46,9 @@ class ResourceBudgetError(ValueError):
 class TrialConfig:
     """Parameters of one Monte Carlo estimate.
 
-    ``delta`` must be present exactly when mode == "rip".  ``points`` must be
-    present exactly when point_source == "explicit" and must have n rows.
+    ``delta`` must be present exactly when mode == "rip".  ``points``, when
+    given, must have n rows and selects the explicit path; without it the
+    points are n pairwise orthogonal ones on the fast path.
     """
 
     n: int
@@ -56,7 +58,6 @@ class TrialConfig:
     base_seed: int
     delta: Optional[float] = None
     boundary: str = "strict"
-    point_source: str = "orthogonal_fast"
     points: Optional[PointSet] = None
 
     def __post_init__(self) -> None:
@@ -76,10 +77,6 @@ class TrialConfig:
             raise ValueError(f"delta must lie in (0, 1), got {self.delta}")
         if self.boundary not in ("strict", "inclusive"):
             raise ValueError(f"unknown boundary convention {self.boundary!r}")
-        if self.point_source not in ("orthogonal_fast", "explicit"):
-            raise ValueError(f"unknown point source {self.point_source!r}")
-        if (self.points is not None) != (self.point_source == "explicit"):
-            raise ValueError("points must be given exactly when point_source is 'explicit'")
         if self.points is not None and self.points.n != self.n:
             raise ValueError(f"points has {self.points.n} rows, config says n={self.n}")
 
@@ -156,7 +153,7 @@ def _chunk_stream(base_seed: int, m: int, chunk_index: int) -> np.random.Generat
 
 def _chunk_size(config: TrialConfig) -> int:
     """Fixed chunk size per config -- part of the determinism contract, never tied to worker count."""
-    if config.point_source == "explicit":
+    if config.points is not None:
         per_trial = config.m * config.points.dim * 8
         cap = 4096
         budget = 1 << 24
@@ -216,7 +213,7 @@ def _run_chunk(config: TrialConfig, chunk_index: int, count: int, geo_pairs: flo
     rng = _chunk_stream(config.base_seed, config.m, chunk_index)
     n, m = config.n, config.m
 
-    if config.point_source == "orthogonal_fast":
+    if config.points is None:
         if config.mode == "injectivity":
             return _count_all_distinct(draw_codes((count, n), m, rng))
         bits = rng.integers(0, 2, size=(count, n, m), dtype=np.uint8)
@@ -251,7 +248,7 @@ def run_trials(
         )
 
     geo_pairs = 0.5
-    if config.point_source == "explicit" and config.mode == "rip":
+    if config.points is not None and config.mode == "rip":
         geo_pairs = geodesic_matrix(config.points)[np.triu_indices(config.n, 1)]
 
     size = _chunk_size(config)

@@ -12,6 +12,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .bounds import one_to_one_window, tail_probability
 from .embedding import hamming_band_limit
 
 
@@ -56,22 +57,7 @@ def birthday_exact(n: int, m: int) -> ExactProbability:
 
 def binomial_tail(m: int, a: int) -> ExactProbability:
     """Exact P(Y >= a) for Y ~ Binomial(m, 1/2)."""
-    if m < 1:
-        raise ValueError(f"m must be >= 1, got {m}")
-    if not 0 <= a <= m + 1:
-        raise ValueError(f"tail start {a} outside [0, {m + 1}]")
-    total = sum(math.comb(m, k) for k in range(a, m + 1))
-    return ExactProbability(Fraction(total, 1 << m), "binomial_tail")
-
-
-def binomial_tail_complement(m: int, a: int) -> ExactProbability:
-    """Exact P(Y < a) for Y ~ Binomial(m, 1/2); complements binomial_tail."""
-    if m < 1:
-        raise ValueError(f"m must be >= 1, got {m}")
-    if not 0 <= a <= m + 1:
-        raise ValueError(f"tail start {a} outside [0, {m + 1}]")
-    total = sum(math.comb(m, k) for k in range(0, a))
-    return ExactProbability(Fraction(total, 1 << m), "binomial_tail")
+    return ExactProbability(tail_probability(m, a), "binomial_tail")
 
 
 def rip_exact_three(m: int, delta: float, boundary: str = "strict") -> ExactProbability:
@@ -137,16 +123,15 @@ def eta_comparison(n: int, m: int) -> EtaComparison:
 
     Compares the exact deviation D = |P_exact - e^{-C(n,2)/2^m}| against the
     two Poisson-approximation error widths: the pairwise-independence form
-    C(n,2) * 2^{-2m} and the general neighborhood form C(n,2)(4n-7) * 2^{-2m}.
-    Neither containment is assumed; both are reported as observed.
+    C(n,2) * 2^{-2m} and the general neighborhood form C(n,2)(4n-7) * 2^{-2m},
+    all three as one_to_one_window evaluates them.  Neither containment is
+    assumed; both are reported as observed.
     """
     exact = birthday_exact(n, m)
-    pairs = math.comb(n, 2)
-    lam = pairs / 2.0**m
-    poisson = math.exp(-lam)
+    window = one_to_one_window(n, m, "pairwise")
+    poisson = math.exp(-window.lambda_lo)
     deviation = abs(exact.float_value - poisson)
-    eta_pairwise = pairs * 4.0 ** (-m)
-    eta_general = pairs * (4 * n - 7) * 4.0 ** (-m)
+    eta_pairwise, eta_general = window.eta, one_to_one_window(n, m, "general").eta
     return EtaComparison(
         n=n,
         m=m,

@@ -1,4 +1,7 @@
+import math
 import os
+import re
+import shlex
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
@@ -7,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import onebit
+from onebit.cli import build_parser
 from onebit.embedding import BitCode, CodeSet, write_code_set
 
 SVG_NS = "{http://www.w3.org/2000/svg}"
@@ -109,6 +113,14 @@ class TestOracle:
 
     def test_missing_params(self):
         assert run_cli("oracle", "birthday", "--n", "10").returncode == 1
+
+    def test_eta_beyond_double_exponent_range(self):
+        # 2^m overflows a double for m >= 1024; the window is then evaluated in logs.
+        r = run_cli("oracle", "eta", "--n", "10", "--m", "1100")
+        assert r.returncode == 0, r.stderr
+        fields = {k.strip(): v for k, v in (line.split(" = ", 1) for line in r.stdout.strip().split("\n"))}
+        for key in ("poisson", "eta (pairwise)", "eta (general)"):
+            assert math.isfinite(float(fields[key].split()[0])), key
 
 
 class TestEmbedAndCheck:
@@ -265,7 +277,34 @@ class TestFigure:
         assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
         assert (tmp_path / "a.svg").read_bytes() == (tmp_path / "b.svg").read_bytes()
 
+    def test_delta_outside_domain_is_usage_error(self, tmp_path):
+        r = run_cli("figure", "--delta", "0.6", "--force", "--seed", "1", "--out", str(tmp_path / "f"))
+        assert r.returncode == 1
+        assert "delta must lie in (0, 1/2)" in r.stderr
+        assert not (tmp_path / "f.csv").exists()
+
     def test_figure_without_force_below_threshold(self, tmp_path):
         r = run_cli("figure", "--n", "50", "--trials", "10", "--seed", "1",
                     "--out", str(tmp_path / "f"))
         assert r.returncode == 3
+
+
+def readme_commands():
+    """Every `onebit ...` line of README's sh blocks, as argv; a `for VAR in FIRST ...` loop sets $VAR to FIRST."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    values = {}
+    for block in re.findall(r"^```sh\n(.*?)^```", text, re.M | re.S):
+        for line in block.splitlines():
+            words = shlex.split(line, comments=True)
+            if words[:1] == ["for"]:
+                values["$" + words[1]] = words[3]
+            elif words[:1] == ["onebit"]:
+                yield [values.get(w, w) for w in words[1:]]
+
+
+def test_readme_commands_parse():
+    commands = list(readme_commands())
+    assert len(commands) >= 10
+    parser = build_parser()
+    for argv in commands:
+        parser.parse_args(argv)  # a usage error exits

@@ -25,7 +25,6 @@ from onebit.embedding import (
     hamming_band_limit,
     hamming_distance,
     hamming_distance_bitloop,
-    metric_deviation,
     read_code_set,
     sample_map,
     write_code_set,
@@ -111,7 +110,9 @@ class TestBitCode:
     @given(st.lists(st.integers(0, 1), min_size=1, max_size=130))
     def test_bytes_roundtrip(self, bits):
         code = BitCode.from_bits(bits)
-        back = BitCode.from_bytes(code.to_bytes(), code.m)
+        buf = io.BytesIO()
+        write_code_set(CodeSet((code,)), buf)
+        back = read_code_set(io.BytesIO(buf.getvalue()))[0]
         assert back == code
         assert back.bits() == bits
 
@@ -196,22 +197,32 @@ class TestHammingDistance:
         assert hamming_distance(a, b) == hamming_distance_bitloop(a, b)
 
 
+def pair_deviation(emap: EmbeddingMap, x: UnitVector, y: UnitVector) -> float:
+    """check_rip's signed deviation (Hamming distance of the images) - (geodesic distance) for one pair."""
+    points = PointSet.from_vectors([x, y])
+    # At the smallest delta every pair with a nonzero deviation is a violation.
+    report = check_rip(embed_points(emap, points), points, delta=np.nextafter(0.0, 1.0), boundary="inclusive")
+    return report.violations[0].deviation if report.violations else report.max_deviation
+
+
 class TestMetricDeviation:
+    """The deviation check_rip reports concentrates near 0 at rate 1/sqrt(m)."""
+
     def test_same_point_is_zero(self):
         emap = sample_map(32, 3, seed=4)
         x = basis(1, 3)
-        assert metric_deviation(emap, x, x) == 0.0
+        assert pair_deviation(emap, x, x) == 0.0
 
     def test_balanced_map_on_orthogonal_pair(self):
         # Exactly half of the 4 directions separate e1 from e2, so both
         # metrics equal 1/2 and the deviation vanishes exactly.
         s = 1.0 / math.sqrt(2.0)
         emap = EmbeddingMap(np.array([[s, s], [-s, -s], [s, -s], [-s, s]]), seed=0)
-        assert metric_deviation(emap, basis(0, 2), basis(1, 2)) == 0.0
+        assert pair_deviation(emap, basis(0, 2), basis(1, 2)) == 0.0
 
     def test_concentration_large_m(self):
         emap = sample_map(100_000, 50, seed=11)
-        dev = metric_deviation(emap, basis(0, 50), basis(1, 50))
+        dev = pair_deviation(emap, basis(0, 50), basis(1, 50))
         assert abs(dev) <= 4.0 * math.sqrt(0.25 / 100_000)
 
     def test_definition_consistency(self):
@@ -223,7 +234,7 @@ class TestMetricDeviation:
         from onebit.geometry import geodesic_distance
 
         expected = hamming_distance(embed(emap, x), embed(emap, y)) - geodesic_distance(x, y)
-        assert metric_deviation(emap, x, y) == expected
+        assert pair_deviation(emap, x, y) == expected
 
 
 class TestCheckOneToOne:

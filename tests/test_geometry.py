@@ -6,16 +6,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from onebit.embedding import EmbeddingMap, differing_bits, embed_points, sample_map
 from onebit.geometry import (
     DimensionMismatchError,
     PointSet,
     PointSetParseError,
     UnitVector,
     geodesic_distance,
-    in_wedge,
     orthonormal_set,
     read_point_set,
-    sample_direction,
     write_point_set,
 )
 
@@ -28,6 +27,12 @@ def basis(i: int, dim: int) -> UnitVector:
     v = np.zeros(dim)
     v[i] = 1.0
     return UnitVector(v)
+
+
+def separated(x: UnitVector, y: UnitVector, theta: UnitVector) -> bool:
+    """Does the one-direction map {theta} give x and y different bits?"""
+    codes = embed_points(EmbeddingMap(theta.components[None, :], seed=0), PointSet.from_vectors([x, y]))
+    return bool(next(differing_bits(codes))[0])
 
 
 class TestUnitVector:
@@ -74,30 +79,26 @@ class TestPointSet:
 
 
 class TestSampleDirection:
+    """The directions of sample_map are uniform on the sphere."""
+
     def test_unit_norm(self):
-        rng = np.random.default_rng(1)
         for dim in (2, 3, 50):
-            v = sample_direction(dim, rng)
+            v = UnitVector(sample_map(1, dim, seed=1).directions[0])
             assert abs(np.linalg.norm(v.components) - 1.0) <= 1e-9
             assert v.dim == dim
 
     def test_invalid_dimension(self):
         with pytest.raises(ValueError):
-            sample_direction(1, np.random.default_rng(0))
+            sample_map(1, 1, seed=0)
 
     def test_coordinate_means_and_sign_fair_dim50(self):
         # Rotational invariance: each coordinate has mean 0 (variance 1/dim),
         # and the first-coordinate sign is a fair coin.
-        rng = np.random.default_rng(7)
         trials = 100_000
         dim = 50
-        acc = np.zeros(dim)
-        positive = 0
-        for _ in range(trials):
-            c = sample_direction(dim, rng).components
-            acc += c
-            if c[0] >= 0:
-                positive += 1
+        rows = sample_map(trials, dim, seed=7).directions
+        acc = rows.sum(axis=0)
+        positive = int(np.count_nonzero(rows[:, 0] >= 0))
         means = acc / trials
         se = math.sqrt(1.0 / dim / trials)
         assert np.all(np.abs(means) <= 4.0 * se)
@@ -105,9 +106,8 @@ class TestSampleDirection:
         assert abs(positive / trials - 0.5) <= 4.0 * sign_se
 
     def test_positive_first_coordinate_dim2(self):
-        rng = np.random.default_rng(13)
         trials = 100_000
-        positive = sum(1 for _ in range(trials) if sample_direction(2, rng).components[0] > 0)
+        positive = int(np.count_nonzero(sample_map(trials, 2, seed=13).directions[:, 0] > 0))
         assert abs(positive / trials - 0.5) <= 4.0 * math.sqrt(0.25 / trials)
 
 
@@ -154,20 +154,22 @@ class TestGeodesicDistance:
 
 
 class TestInWedge:
+    """A direction separates two points exactly when their one-bit codes differ in its bit."""
+
     def test_separating_direction(self):
         x, y = basis(0, 3), basis(1, 3)
         theta = unit(1.0 / math.sqrt(2), -1.0 / math.sqrt(2), 0.0)
-        assert in_wedge(x, y, theta) is True
+        assert separated(x, y, theta) is True
 
     def test_direction_equal_to_both(self):
         v = unit(0.6, 0.8)
-        assert in_wedge(v, v, v) is False
+        assert separated(v, v, v) is False
 
     def test_sign_convention_at_zero(self):
         # x.theta == 0 counts as +1, same as y.theta > 0: not separated.
         x, y, theta = basis(0, 3), basis(1, 3), basis(1, 3)
         assert x.dot(theta) == 0.0
-        assert in_wedge(x, y, theta) is False
+        assert separated(x, y, theta) is False
 
     @pytest.mark.parametrize(
         "make_pair,exact",
@@ -177,13 +179,13 @@ class TestInWedge:
         ],
     )
     def test_crofton_fraction_matches_geodesic(self, make_pair, exact):
-        # The in-wedge fraction over uniform directions estimates the
+        # The fraction of separating directions of a random map estimates the
         # geodesic distance; the oracle is the arccos formula.
         x, y = make_pair()
         assert geodesic_distance(x, y) == pytest.approx(exact, abs=1e-12)
-        rng = np.random.default_rng(29)
         trials = 100_000
-        hits = sum(1 for _ in range(trials) if in_wedge(x, y, sample_direction(50, rng)))
+        codes = embed_points(sample_map(trials, 50, seed=29), PointSet.from_vectors([x, y]))
+        hits = int(next(differing_bits(codes))[0])
         tol = 4.0 * math.sqrt(exact * (1.0 - exact) / trials)
         assert abs(hits / trials - exact) <= tol
 
@@ -255,9 +257,7 @@ class TestReadPointSet:
 @given(seed=st.integers(0, 2**31 - 1), dim=st.sampled_from([2, 3, 7, 50]))
 @settings(max_examples=40)
 def test_geodesic_range_and_symmetry_random(seed, dim):
-    rng = np.random.default_rng(seed)
-    x = sample_direction(dim, rng)
-    y = sample_direction(dim, rng)
+    x, y = (UnitVector(row) for row in sample_map(2, dim, seed).directions)
     d = geodesic_distance(x, y)
     assert 0.0 <= d <= 1.0
     assert geodesic_distance(y, x) == d

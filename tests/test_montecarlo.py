@@ -71,12 +71,9 @@ class TestTrialConfig:
             TrialConfig(n=4, m=8, mode="rip", trials=10, base_seed=0)
 
     def test_explicit_needs_points(self):
-        with pytest.raises(ValueError):
-            TrialConfig(n=4, m=8, mode="injectivity", trials=10, base_seed=0, point_source="explicit")
         pts = orthonormal_set(3, 5)
         with pytest.raises(ValueError, match="n=4"):
-            TrialConfig(n=4, m=8, mode="injectivity", trials=10, base_seed=0,
-                        point_source="explicit", points=pts)
+            TrialConfig(n=4, m=8, mode="injectivity", trials=10, base_seed=0, points=pts)
 
     def test_bad_enums(self):
         with pytest.raises(ValueError):
@@ -157,7 +154,7 @@ class TestRipAgainstExactThree:
 class TestExplicitPath:
     def test_injectivity_matches_birthday(self):
         pts = orthonormal_set(4, 50)
-        cfg = inj_config(4, 6, 20_000, seed=31, point_source="explicit", points=pts)
+        cfg = inj_config(4, 6, 20_000, seed=31, points=pts)
         row = run_trials(cfg, threads=2)
         exact = birthday_exact(4, 6).float_value
         lo, hi = wilson_interval_z(row.successes, row.trials, 3.0)
@@ -165,7 +162,7 @@ class TestExplicitPath:
 
     def test_rip_matches_dp_oracle(self):
         pts = orthonormal_set(3, 10)
-        cfg = rip_config(3, 16, 0.2, 20_000, seed=32, point_source="explicit", points=pts)
+        cfg = rip_config(3, 16, 0.2, 20_000, seed=32, points=pts)
         row = run_trials(cfg)
         exact = rip_exact_three(16, 0.2).float_value
         lo, hi = wilson_interval_z(row.successes, row.trials, 3.0)
@@ -178,7 +175,7 @@ class TestExplicitPath:
         from onebit.geometry import PointSet
 
         pts = PointSet(raw)
-        cfg = rip_config(5, 64, 0.45, 2_000, seed=33, point_source="explicit", points=pts)
+        cfg = rip_config(5, 64, 0.45, 2_000, seed=33, points=pts)
         row = run_trials(cfg)
         assert row.trials == 2_000 and 0.0 <= row.p_hat <= 1.0
 
