@@ -163,21 +163,6 @@ def exponent_rate(delta: float) -> float:
     return -0.5 * math.log1p(-4.0 * delta * delta) - 2.0 * delta * math.atanh(2.0 * delta)
 
 
-def taylor_rates(delta: float) -> tuple[float, float]:
-    """Simplified (lower, upper) per-unit-m rates for delta < 1/4.
-
-    Derived from the bracket -x/(1-x) <= ln(1-x) <= -x:
-    lower = (-2 d^2 - 4 d^3)/(1 - 2d), upper = (-2 d^2 + 8 d^3)/(1 - 4 d^2).
-    """
-    if not 0.0 < delta < 0.25:
-        raise ValueError(f"the simplified rates require delta in (0, 1/4), got {delta}")
-    d2 = delta * delta
-    d3 = d2 * delta
-    lower = (-2.0 * d2 - 4.0 * d3) / (1.0 - 2.0 * delta)
-    upper = (-2.0 * d2 + 8.0 * d3) / (1.0 - 4.0 * d2)
-    return lower, upper
-
-
 def _log_pairs(n: int) -> float:
     return math.log(n) + math.log(n - 1) - LN2
 
@@ -213,26 +198,17 @@ class LambdaBounds:
     log_lambda1: float
     log_lambda2: float
     rate: float
-    taylor: bool
 
 
-def lambda_bounds(n: int, m: int, delta: float, taylor: bool = False) -> LambdaBounds:
-    """Evaluate the expected-failing-pairs envelopes at (n, m, delta).
-
-    With ``taylor`` the exponents use the simplified delta < 1/4 rates instead
-    of the exact rate (the prefactors are unchanged).
-    """
+def lambda_bounds(n: int, m: int, delta: float) -> LambdaBounds:
+    """Evaluate the expected-failing-pairs envelopes at (n, m, delta)."""
     _check_n(n)
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
     rate = exponent_rate(delta)
-    if taylor:
-        lo_rate, hi_rate = taylor_rates(delta)
-    else:
-        lo_rate, hi_rate = rate, rate
     logc = _log_pairs(n)
-    log_l1 = _log_envelope("lambda1", logc, m, lo_rate)
-    log_l2 = _log_envelope("lambda2", logc, m, hi_rate)
+    log_l1 = _log_envelope("lambda1", logc, m, rate)
+    log_l2 = _log_envelope("lambda2", logc, m, rate)
     lam_exact = float(math.comb(n, 2) * p_delta_exact(m, delta)) if m <= 2000 else math.exp(logc + log_p_delta(m, delta))
     return LambdaBounds(
         lambda_exact=lam_exact,
@@ -241,7 +217,6 @@ def lambda_bounds(n: int, m: int, delta: float, taylor: bool = False) -> LambdaB
         log_lambda1=log_l1,
         log_lambda2=log_l2,
         rate=rate,
-        taylor=taylor,
     )
 
 
@@ -304,20 +279,15 @@ def one_to_one_window(n: int, m: int, eta_form: str = "pairwise") -> PhaseWindow
     return _clamped_window(lam, lam, eta, eta_form)
 
 
-def rip_window(n: int, m: int, delta: float, use_p_bound: bool = False) -> PhaseWindow:
+def rip_window(n: int, m: int, delta: float) -> PhaseWindow:
     """Window containing P(the map is a delta-isometry) for n orthogonal points.
 
     Uses the closed-form envelopes lambda1 <= lambda2 from lambda_bounds and
-    the general error width eta = C(n,2)(4n-7) p^2.  By default p is the exact
-    tail probability; with ``use_p_bound`` the printed upper envelope for p is
-    substituted instead (the lambda2 envelope of a single pair).
+    the general error width eta = C(n,2)(4n-7) p^2, with p the exact tail
+    probability.
     """
     lb = lambda_bounds(n, m, delta)
-    if use_p_bound:
-        p = math.exp(_log_envelope("lambda2", 0.0, m, lb.rate))
-    else:
-        p = p_delta_float(m, delta)
-    eta = stein_chen_eta(n, p, "general")
+    eta = stein_chen_eta(n, p_delta_float(m, delta), "general")
     return _clamped_window(lb.lambda1, lb.lambda2, eta, "general")
 
 
@@ -437,10 +407,7 @@ def solve_threshold(n: int, delta: float, target_lambda: float, which: str = "la
     """Solve lambda(m) = target for m, on the decreasing branch of the selected form.
 
     ``lambda1`` / ``lambda2``: returns the real root to absolute tolerance
-    1e-6 in m, by bisection.  ``exact``: returns the integer bracketing pair
-    (m, m+1) with lambda(m) >= target > lambda(m+1); since the exact curve is
-    jagged, the largest such step in the bracket suggested by the continuous
-    envelopes is returned.
+    1e-6 in m, by bisection.
     """
     _check_n(n)
     if target_lambda <= 0:
@@ -448,28 +415,6 @@ def solve_threshold(n: int, delta: float, target_lambda: float, which: str = "la
     rate = exponent_rate(delta)
     logc = _log_pairs(n)
     log_target = math.log(target_lambda)
-
-    if which == "exact":
-        # The envelopes bracket the exact curve, so its crossing lies between
-        # their crossings; either envelope may miss the target entirely.
-        try:
-            lo = max(1, int(solve_threshold(n, delta, target_lambda, "lambda1")) - 2)
-        except NoCrossingError:
-            lo = 1
-        try:
-            hi = int(math.ceil(solve_threshold(n, delta, target_lambda, "lambda2"))) + 2
-        except NoCrossingError:
-            hi = lo + 64
-        best = None
-        prev = float(math.comb(n, 2) * p_delta_exact(lo, delta))
-        for m in range(lo, hi + 1):
-            cur = float(math.comb(n, 2) * p_delta_exact(m + 1, delta))
-            if prev >= target_lambda > cur:
-                best = (m, m + 1)
-            prev = cur
-        if best is None:
-            raise NoCrossingError(f"exact curve does not cross {target_lambda} in [{lo}, {hi}]")
-        return best
 
     if which == "lambda1":
         m_lo = 1.0

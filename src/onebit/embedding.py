@@ -8,7 +8,6 @@ Hamming distance between two codes is popcount(xor)/m, a multiple of 1/m.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -360,14 +359,19 @@ def band_fails(h, m: int, geodesic, delta: float, boundary: str) -> np.ndarray:
     return dev > below
 
 
-def hamming_band_limit(m: int, delta: float, boundary: str) -> int:
-    """Largest integer s = |2*count - m| for which a pair of codes of orthogonal points passes band_fails.
+def band_range(m: int, geodesic, delta: float, boundary: str) -> tuple[np.ndarray, np.ndarray]:
+    """Per geodesic g (any array shape), the differing-bit counts h_lo..h_hi in 0..m that pass band_fails.
 
-    That is s <= 2*m*delta under ``strict`` and s < 2*m*delta under
-    ``inclusive``; the exact oracles decide their cells through it.
+    |2h - 2m*g| is V-shaped in h, so they form one interval (empty when h_lo > h_hi), whose
+    ends band_fails itself decides, stepping inward from just outside m*g -+ m*delta.
     """
-    s = math.floor(2 * m * Fraction(str(delta)))
-    return s - 1 if band_fails((m + s) / 2, m, 0.5, delta, boundary) else s
+    g = np.asarray(geodesic, dtype=np.float64)
+    h_lo = np.floor(m * (g - delta)).astype(np.int64) - 1
+    h_hi = np.floor(m * (g + delta)).astype(np.int64) + 2
+    for _ in range(3):
+        h_lo += band_fails(h_lo, m, g, delta, boundary)
+        h_hi -= band_fails(h_hi, m, g, delta, boundary)
+    return np.where(band_fails(h_lo, m, g, delta, boundary), m + 1, np.maximum(h_lo, 0)), np.minimum(h_hi, m)
 
 
 def write_code_set(codes: CodeSet, dest: Union[str, Path, IO[bytes]]) -> None:

@@ -10,9 +10,13 @@ Two paths are supported, chosen by whether the config holds points.  Without
 points (the orthogonal fast path) the code bits are drawn as fair coins
 directly, which is exact for pairwise orthogonal points: their sign bits are
 independent fair coins, at geodesic distance 1/2.  With an explicit PointSet
-every trial embeds it through a fresh random map.  Both count the differing
-bits of every pair and decide the band with embedding.band_fails, the rule
-check_rip uses.
+every trial embeds it through a fresh random map, projected one block of
+trials at a time so that memory stays bounded as n grows.
+
+One kernel decides the band on both paths and at every n.  For ±1 code rows
+<s_i, s_j> = m - 2H, so embedding.band_range turns each pair's geodesic into
+a range of that inner product; a trial succeeds iff every entry of its ±1 Gram
+matrix (one batched matmul) lies in its range, as band_fails decides check_rip.
 """
 
 from __future__ import annotations
@@ -28,14 +32,14 @@ from typing import Optional
 import numpy as np
 
 from .bounds import one_to_one_window, rip_window
-from .embedding import band_fails, draw_codes, pack_bits, words_needed
+from .embedding import band_range, draw_codes, pack_bits, words_needed
 from .geometry import PointSet, geodesic_matrix
 
-DEFAULT_PAIR_WORD_BUDGET = 10**10
+#: Largest pairs * trials * 64-bit words a single estimate may cost.
+PAIR_WORD_BUDGET = 10**10
 
-#: Point count up to which the band check compares bit rows pair by pair; above
-#: it a per-trial Gram matrix (one BLAS matmul) is cheaper.
-_GRAM_THRESHOLD_N = 8
+#: Byte cap on one block of trials: its float64 projections, ±1 rows and Gram matrices.
+_BLOCK_BYTES = 1 << 23
 
 
 class ResourceBudgetError(ValueError):
@@ -183,55 +187,39 @@ def _count_all_distinct(words: np.ndarray) -> int:
     return int(t - bad.sum())
 
 
-def _direct_counts(bits: np.ndarray) -> np.ndarray:
-    """Differing-bit counts (T, pairs) of every pair i < j, comparing bit rows directly."""
-    n = bits.shape[1]
-    return np.stack(
-        [np.count_nonzero(bits[:, i, :] != bits[:, j, :], axis=1) for i in range(n) for j in range(i + 1, n)], axis=1
-    )
+def _count_band_ok(blocks, g_lo: np.ndarray, g_hi: np.ndarray) -> int:
+    """Number of trials whose ±1 Gram matrix lies entrywise in [g_lo, g_hi]; blocks yield (T, n, m) 0/1 bits."""
+    ok = 0
+    for bits in blocks:
+        s = bits.astype(g_lo.dtype)
+        s *= 2
+        s -= 1
+        gram = np.matmul(s, s.transpose(0, 2, 1))
+        ok += int(np.count_nonzero(((gram >= g_lo) & (gram <= g_hi)).all(axis=(1, 2))))
+    return ok
 
 
-def _gram_counts(bits: np.ndarray):
-    """Per trial, the differing-bit counts (pairs,) of every pair i < j from one Gram matrix (exact in float64)."""
-    iu = np.triu_indices(bits.shape[1], 1)
-    for trial in bits:
-        d = trial.astype(np.float64)
-        r = d.sum(axis=1)
-        yield (r[:, None] + r[None, :] - 2.0 * (d @ d.T))[iu]
-
-
-def _count_band_ok(bits: np.ndarray, geo_pairs: float | np.ndarray, config: TrialConfig) -> int:
-    """Number of trials in which every pair passes band_fails; bits is (T, n, m), geo_pairs per pair or 1/2."""
-    t, n, m = bits.shape
-    if n <= _GRAM_THRESHOLD_N:
-        fails = band_fails(_direct_counts(bits), m, geo_pairs, config.delta, config.boundary)
-        return int(t - fails.any(axis=1).sum())
-    return sum(not band_fails(h, m, geo_pairs, config.delta, config.boundary).any() for h in _gram_counts(bits))
-
-
-def _run_chunk(config: TrialConfig, chunk_index: int, count: int, geo_pairs: float | np.ndarray) -> int:
+def _run_chunk(config: TrialConfig, chunk_index: int, count: int, band) -> int:
     rng = _chunk_stream(config.base_seed, config.m, chunk_index)
     n, m = config.n, config.m
+    step = max(1, _BLOCK_BYTES // (n * (12 * m + 8 * n)))
 
     if config.points is None:
         if config.mode == "injectivity":
             return _count_all_distinct(draw_codes((count, n), m, rng))
         bits = rng.integers(0, 2, size=(count, n, m), dtype=np.uint8)
+        blocks = (bits[k : k + step] for k in range(0, count, step))
     else:
         # Explicit path: a fresh map per trial.  Only the signs of the projections
         # matter, so direction normalization is skipped (it cannot change a sign).
         normals = rng.standard_normal((count, m, config.points.dim))
-        bits = (np.einsum("tmd,nd->tnm", normals, config.points.matrix) >= 0.0).astype(np.uint8)
+        blocks = (np.einsum("tmd,nd->tnm", normals[k : k + step], config.points.matrix) >= 0.0 for k in range(0, count, step))
         if config.mode == "injectivity":
-            return _count_all_distinct(pack_bits(bits))
-    return _count_band_ok(bits, geo_pairs, config)
+            return _count_all_distinct(np.concatenate([pack_bits(b) for b in blocks]))
+    return _count_band_ok(blocks, *band)
 
 
-def run_trials(
-    config: TrialConfig,
-    threads: int = 1,
-    pair_word_budget: int = DEFAULT_PAIR_WORD_BUDGET,
-) -> EstimateRow:
+def run_trials(config: TrialConfig, threads: int = 1) -> EstimateRow:
     """Estimate the success probability for one (n, m) cell.
 
     Success means check_one_to_one passes (injectivity mode) or every pair
@@ -241,15 +229,20 @@ def run_trials(
     if threads < 1:
         raise ValueError("threads must be >= 1")
     cost = config.n * (config.n - 1) // 2 * config.trials * words_needed(config.m)
-    if cost > pair_word_budget:
-        raise ResourceBudgetError(
-            f"pairs*trials*words = {cost} exceeds budget {pair_word_budget}; "
-            "reduce trials or raise pair_word_budget"
-        )
+    if cost > PAIR_WORD_BUDGET:
+        raise ResourceBudgetError(f"pairs*trials*words = {cost} exceeds budget {PAIR_WORD_BUDGET}; reduce trials")
 
-    geo_pairs = 0.5
-    if config.points is not None and config.mode == "rip":
-        geo_pairs = geodesic_matrix(config.points)[np.triu_indices(config.n, 1)]
+    band = None
+    if config.mode == "rip":
+        n, m = config.n, config.m
+        geo = np.full((n, n), 0.5) if config.points is None else geodesic_matrix(config.points)
+        np.fill_diagonal(geo, 0.0)
+        # Sums of m products of ±1 are exact integers in float32 up to 2**24.
+        band = np.empty((2, n, n), np.float32 if m <= 1 << 24 else np.float64)
+        rows = max(1, (1 << 16) // n)  # a few rows of pairs at a time keep band_range's temporaries small
+        for i in range(0, n, rows):
+            h_lo, h_hi = band_range(m, geo[i : i + rows], config.delta, config.boundary)
+            band[:, i : i + rows] = m - 2 * h_hi, m - 2 * h_lo
 
     size = _chunk_size(config)
     counts = [size] * (config.trials // size)
@@ -258,10 +251,10 @@ def run_trials(
 
     start = time.perf_counter()
     if threads == 1:
-        successes = sum(_run_chunk(config, i, c, geo_pairs) for i, c in enumerate(counts))
+        successes = sum(_run_chunk(config, i, c, band) for i, c in enumerate(counts))
     else:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = [pool.submit(_run_chunk, config, i, c, geo_pairs) for i, c in enumerate(counts)]
+            futures = [pool.submit(_run_chunk, config, i, c, band) for i, c in enumerate(counts)]
             successes = sum(f.result() for f in futures)
     elapsed = time.perf_counter() - start
 
@@ -283,7 +276,6 @@ def sweep(
     m_grid: list[int],
     threads: int = 1,
     eta_form: Optional[str] = None,
-    pair_word_budget: int = DEFAULT_PAIR_WORD_BUDGET,
 ) -> SweepResult:
     """One estimate per m in a strictly increasing grid, each with its analytic window.
 
@@ -306,7 +298,7 @@ def sweep(
         windows = [rip_window(config.n, int(m), config.delta) for m in m_grid]
     rows = []
     for m, w in zip(m_grid, windows):
-        row = run_trials(dataclasses.replace(config, m=int(m)), threads=threads, pair_word_budget=pair_word_budget)
+        row = run_trials(dataclasses.replace(config, m=int(m)), threads=threads)
         rows.append(dataclasses.replace(row, window_lo=w.lo, window_hi=w.hi, eta_form=w.eta_form))
     return SweepResult(config=config, rows=tuple(rows))
 

@@ -9,11 +9,12 @@ distance-preservation probability via a multinomial dynamic program.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .bounds import one_to_one_window, tail_probability
-from .embedding import hamming_band_limit
+from .embedding import band_range
 
 
 @dataclass(frozen=True)
@@ -32,7 +33,15 @@ class ExactProbability:
         return float(self.value)
 
     def fraction_string(self) -> str:
-        return f"{self.value.numerator}/{self.value.denominator}"
+        """numerator/denominator in full: Python's int-to-str digit limit (3.10.7+) is lifted for this call only."""
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        try:
+            if limit:
+                sys.set_int_max_str_digits(0)
+            return f"{self.value.numerator}/{self.value.denominator}"
+        finally:
+            if limit:
+                sys.set_int_max_str_digits(limit)
 
 
 def birthday_exact(n: int, m: int) -> ExactProbability:
@@ -71,20 +80,13 @@ def rip_exact_three(m: int, delta: float, boundary: str = "strict") -> ExactProb
     gives the probability exactly, with denominator 4^m.
 
     The ``boundary`` tag selects whether a deviation exactly equal to delta
-    passes (``strict``) or fails (``inclusive``); see hamming_band_limit.
+    passes (``strict``) or fails (``inclusive``); see band_range.
     """
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
     if not 0.0 < delta < 1.0:
         raise ValueError(f"delta must lie in (0, 1), got {delta}")
-    s_max = hamming_band_limit(m, delta, boundary)
-    if s_max < 0:
-        return ExactProbability(Fraction(0), "multinomial_dp")
-    # Pass band on a differing-bit count H: |2H - m| <= s_max.
-    h_lo = max(0, -((s_max - m) // 2))  # ceil((m - s_max) / 2)
-    h_hi = min(m, (m + s_max) // 2)
-    if h_lo > h_hi:
-        return ExactProbability(Fraction(0), "multinomial_dp")
+    h_lo, h_hi = (int(h) for h in band_range(m, 0.5, delta, boundary))  # no cell passes when h_lo > h_hi
 
     count = 0
     for a in range(0, m + 1):

@@ -21,7 +21,7 @@ import pytest
 
 import onebit
 from onebit.bounds import lambda_bounds, m_rip_union, p_delta_exact, rip_m_window
-from onebit.embedding import BitCode, hamming_band_limit, hamming_distance, hamming_distance_bitloop
+from onebit.embedding import BitCode, band_fails, hamming_distance, hamming_distance_bitloop
 from onebit.montecarlo import (
     TrialConfig,
     default_phase_grid,
@@ -251,8 +251,7 @@ def test_criterion_10_brute_force_equivalences():
         h = np.bitwise_count(codes[:, None] ^ codes[None, :]).astype(np.int64)
         for delta in (0.2, 0.3):
             for boundary in ("strict", "inclusive"):
-                s_max = hamming_band_limit(m, delta, boundary)
-                band = (np.abs(2 * h - m) <= s_max).astype(np.int64)
+                band = (~band_fails(h, m, 0.5, delta, boundary)).astype(np.int64)
                 good = int(((band @ band) * band).sum())
                 rip_ok &= rip_exact_three(m, delta, boundary).value == Fraction(good, 8**m)
 

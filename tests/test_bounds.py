@@ -24,7 +24,6 @@ from onebit.bounds import (
     solve_threshold,
     stein_chen_eta,
     tail_start,
-    taylor_rates,
     window_csv,
 )
 
@@ -150,20 +149,6 @@ class TestRates:
     def test_exponent_rate_reference(self):
         assert exponent_rate(0.2) == pytest.approx(-0.08228287850505185, abs=1e-15)
 
-    def test_taylor_rates_reference(self):
-        lo, hi = taylor_rates(0.2)
-        assert lo == pytest.approx(-0.18666666666666668, rel=1e-12)
-        assert hi == pytest.approx(-0.019047619047619046, rel=1e-12)
-
-    def test_taylor_brackets_exact_rate(self):
-        for delta in (0.05, 0.1, 0.15, 0.2, 0.24):
-            lo, hi = taylor_rates(delta)
-            assert lo <= exponent_rate(delta) <= hi
-
-    def test_taylor_range(self):
-        with pytest.raises(ValueError):
-            taylor_rates(0.25)
-
 
 class TestLambdaBounds:
     def test_spot_instance_m10(self):
@@ -192,17 +177,6 @@ class TestLambdaBounds:
         pairs = 800 * 799 // 2
         assert b.lambda1 == pytest.approx(pairs * a.lambda1, rel=1e-9)
         assert b.lambda_exact == pytest.approx(pairs * a.lambda_exact, rel=1e-12)
-
-    def test_taylor_widens_envelope(self):
-        for m in (5, 50, 200):
-            exact_form = lambda_bounds(40, m, 0.2)
-            taylor_form = lambda_bounds(40, m, 0.2, taylor=True)
-            assert taylor_form.log_lambda1 <= exact_form.log_lambda1
-            assert taylor_form.log_lambda2 >= exact_form.log_lambda2
-
-    def test_taylor_range_error(self):
-        with pytest.raises(ValueError):
-            lambda_bounds(10, 20, 0.3, taylor=True)
 
 
 class TestSteinChenEta:
@@ -291,11 +265,6 @@ class TestRipWindow:
         assert w.lo == 0.0
         assert w.hi == 1.0
 
-    def test_p_bound_variant_is_wider(self):
-        exact_w = rip_window(800, 150, 0.2)
-        bound_w = rip_window(800, 150, 0.2, use_p_bound=True)
-        assert bound_w.eta >= exact_w.eta
-
     def test_windows_well_formed_across_grid(self):
         for m in range(90, 230, 10):
             w = rip_window(800, m, 0.2)
@@ -347,13 +316,6 @@ class TestSolveThreshold:
     def test_no_crossing(self):
         with pytest.raises(NoCrossingError):
             solve_threshold(10, 0.2, 1e12, "lambda1")
-
-    def test_exact_bracketing_pair(self):
-        target = 45 * 0.34375  # the exact curve value at m=10 for n=10
-        lo, hi = solve_threshold(10, 0.2, target, "exact")
-        assert (lo, hi) == (10, 11)
-        lam = lambda m: 45 * float(p_delta_exact(m, 0.2))
-        assert lam(lo) >= target > lam(hi)
 
     def test_unknown_form(self):
         with pytest.raises(ValueError):

@@ -114,6 +114,17 @@ class TestOracle:
     def test_missing_params(self):
         assert run_cli("oracle", "birthday", "--n", "10").returncode == 1
 
+    @pytest.mark.parametrize("kind", ["birthday", "eta"])
+    def test_fraction_beyond_int_digit_limit(self, kind):
+        # At n=100, m=200 the exact fraction has more than 4300 digits, Python's default int-to-str limit.
+        from onebit.oracles import birthday_exact
+
+        r = run_cli("oracle", kind, "--n", "100", "--m", "200")
+        assert r.returncode == 0, r.stderr
+        fraction = birthday_exact(100, 200).fraction_string()
+        assert len(fraction) > 4300
+        assert f"= {fraction}\n" in r.stdout
+
     def test_eta_beyond_double_exponent_range(self):
         # 2^m overflows a double for m >= 1024; the window is then evaluated in logs.
         r = run_cli("oracle", "eta", "--n", "10", "--m", "1100")

@@ -16,13 +16,13 @@ from onebit.embedding import (
     EmbeddingMap,
     RipViolation,
     band_fails,
+    band_range,
     check_one_to_one,
     check_rip,
     code_set_hexdump,
     embed,
     embed_orthogonal,
     embed_points,
-    hamming_band_limit,
     hamming_distance,
     hamming_distance_bitloop,
     read_code_set,
@@ -389,29 +389,33 @@ class TestEmbedOrthogonal:
 
 class TestBandLimit:
     def test_strict_vs_inclusive_on_lattice(self):
-        # 2*m*delta = 4 exactly: equality passes strictly, fails inclusively.
-        assert hamming_band_limit(10, 0.2, "strict") == 4
-        assert hamming_band_limit(10, 0.2, "inclusive") == 3
+        # 2*m*delta = 4 exactly: |2H - m| = 4 (H = 3, 7) passes strictly, fails inclusively.
+        assert band_range(10, 0.5, 0.2, "strict") == (3, 7)
+        assert band_range(10, 0.5, 0.2, "inclusive") == (4, 6)
 
     def test_conventions_agree_off_lattice(self):
-        assert hamming_band_limit(8, 0.2, "strict") == 3
-        assert hamming_band_limit(8, 0.2, "inclusive") == 3
+        assert band_range(8, 0.5, 0.2, "strict") == (3, 5)
+        assert band_range(8, 0.5, 0.2, "inclusive") == (3, 5)
 
     def test_unknown_boundary(self):
         with pytest.raises(ValueError):
-            hamming_band_limit(8, 0.2, "fuzzy")
+            band_range(8, 0.5, 0.2, "fuzzy")
 
     def test_delta_read_as_typed(self):
-        # 2*50*0.29 is 28.999999999999996 in floating point; as typed it is 29.
-        assert hamming_band_limit(50, 0.29, "strict") == 29
-        assert hamming_band_limit(50, 0.29, "inclusive") == 28
+        # 2*50*0.29 is 28.999999999999996 in floating point; as typed it is 29,
+        # which |2H - 2*50*0.25| reaches at H = 27.
+        assert band_range(50, 0.25, 0.29, "strict") == (0, 27)
+        assert band_range(50, 0.25, 0.29, "inclusive") == (0, 26)
 
     def test_rule_matches_exact_lattice(self):
-        # Every (m, delta, boundary, H) cell at geodesic 1/2: the band rule and
-        # the limit derived from it equal the exact rational decision.
+        # Every (m, delta, boundary, H) cell at geodesic 1/2: the band rule and the
+        # passing range derived from it equal the exact rational decision.  At
+        # random geodesics the range equals the rule itself.
+        rng = np.random.default_rng(61)
         for m in range(1, 200):
             h = np.arange(m + 1)
             s = np.abs(2 * h - m)
+            geo = rng.random(4)
             for k in range(1, 50):
                 delta = k / 100
                 edge = 2 * m * Fraction(k, 100)
@@ -419,7 +423,11 @@ class TestBandLimit:
                     scaled = s * edge.denominator
                     exact = scaled > edge.numerator if boundary == "strict" else scaled >= edge.numerator
                     assert np.array_equal(band_fails(h, m, 0.5, delta, boundary), exact), (m, delta, boundary)
-                    assert np.array_equal(s > hamming_band_limit(m, delta, boundary), exact), (m, delta, boundary)
+                    h_lo, h_hi = band_range(m, 0.5, delta, boundary)
+                    assert np.array_equal((h < h_lo) | (h > h_hi), exact), (m, delta, boundary)
+                    h_lo, h_hi = band_range(m, geo, delta, boundary)
+                    outside = (h[:, None] < h_lo) | (h[:, None] > h_hi)
+                    assert np.array_equal(outside, band_fails(h[:, None], m, geo, delta, boundary)), (m, delta, boundary)
 
 
 class TestSerialization:

@@ -1,11 +1,13 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import onebit.montecarlo as mc
 from onebit.bounds import one_to_one_window, rip_window
-from onebit.embedding import embed_orthogonal, embed_points, sample_map
-from onebit.geometry import orthonormal_set
+from onebit.embedding import band_fails, embed_orthogonal, embed_points, sample_map
+from onebit.geometry import PointSet, geodesic_matrix, orthonormal_set
 from onebit.montecarlo import (
     CSV_HEADER,
     EstimateRow,
@@ -20,6 +22,34 @@ from onebit.montecarlo import (
     wilson_interval_z,
 )
 from onebit.oracles import birthday_exact, rip_exact_three
+
+
+def count_band_ok_pairwise(config: TrialConfig) -> int:
+    """Reference: the per-pair band rule the Gram kernel replaced, on the chunk streams run_trials draws.
+
+    Every chunk's bits come from one draw (the fair coins, or the full
+    projection of the chunk's normals), and each pair i < j is decided by
+    band_fails on its differing-bit count.
+    """
+    n, m = config.n, config.m
+    geo = np.full((n, n), 0.5) if config.points is None else geodesic_matrix(config.points)
+    size = mc._chunk_size(config)
+    ok = 0
+    for index, start in enumerate(range(0, config.trials, size)):
+        count = min(size, config.trials - start)
+        rng = mc._chunk_stream(config.base_seed, m, index)
+        if config.points is None:
+            bits = rng.integers(0, 2, size=(count, n, m), dtype=np.uint8)
+        else:
+            normals = rng.standard_normal((count, m, config.points.dim))
+            bits = np.einsum("tmd,nd->tnm", normals, config.points.matrix) >= 0.0
+        fails = np.zeros(count, dtype=bool)
+        for i in range(n):
+            for j in range(i + 1, n):
+                h = np.count_nonzero(bits[:, i] != bits[:, j], axis=1)
+                fails |= band_fails(h, m, geo[i, j], config.delta, config.boundary)
+        ok += int(count - fails.sum())
+    return ok
 
 
 def inj_config(n, m, trials, seed, **kw) -> TrialConfig:
@@ -139,9 +169,8 @@ class TestRipAgainstExactThree:
         assert lo <= exact <= hi
 
     def test_gram_path_probability_sandwich(self):
-        # n=12 routes through the per-trial Gram kernel; the success
-        # probability is sandwiched between the union bound 1 - 66*p and the
-        # single-pair bound 1 - p, both exactly computable.
+        # At n=12 the success probability is sandwiched between the union
+        # bound 1 - 66*p and the single-pair bound 1 - p, both exactly computable.
         from onebit.bounds import p_delta_exact
 
         row = run_trials(rip_config(12, 64, 0.2, 20_000, seed=23))
@@ -149,6 +178,36 @@ class TestRipAgainstExactThree:
         lo, hi = wilson_interval_z(row.successes, row.trials, 4.0)
         assert hi >= 1.0 - 66.0 * p
         assert lo <= 1.0 - p
+
+
+class TestBandKernel:
+    @pytest.mark.parametrize("boundary", ["strict", "inclusive"])
+    @pytest.mark.parametrize("path", ["fast", "orthonormal", "random"])
+    @pytest.mark.parametrize("n", [2, 3, 8, 9, 10, 30])
+    def test_matches_pairwise_reference(self, n, path, boundary):
+        # m=10, delta=0.2 puts orthogonal pairs on the band edge (H = 3 or 7);
+        # the second cell sits near each n's transition.
+        points = None
+        if path == "orthonormal":
+            points = orthonormal_set(n, n + 2)
+        elif path == "random":
+            raw = np.random.default_rng(n).standard_normal((n, 6))
+            points = PointSet(raw / np.linalg.norm(raw, axis=1)[:, None])
+        for m, delta in ((10, 0.2), (8 * n.bit_length() + 8, 0.25)):
+            cfg = rip_config(n, m, delta, 1_500, seed=70 + n, boundary=boundary, points=points)
+            assert run_trials(cfg).successes == count_band_ok_pairwise(cfg), (m, delta)
+
+    def test_explicit_memory_bounded(self):
+        # The chunk's projections are made one trial block at a time, not as one (chunk, n, m) array.
+        raw = np.random.default_rng(62).standard_normal((50, 3))
+        cfg = rip_config(50, 512, 0.2, 2_000, seed=63, points=PointSet(raw / np.linalg.norm(raw, axis=1)[:, None]))
+        tracemalloc.start()
+        try:
+            run_trials(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100 * 2**20
 
 
 class TestExplicitPath:
@@ -316,9 +375,11 @@ class TestResourceGuard:
         with pytest.raises(ResourceBudgetError):
             run_trials(cfg)
 
-    def test_custom_budget(self):
+    def test_custom_budget(self, monkeypatch):
         cfg = inj_config(10, 7, 1_000, seed=1)
+        monkeypatch.setattr(mc, "PAIR_WORD_BUDGET", 10)
         with pytest.raises(ResourceBudgetError):
-            run_trials(cfg, pair_word_budget=10)
-        row = run_trials(cfg, pair_word_budget=100_000)
+            run_trials(cfg)
+        monkeypatch.setattr(mc, "PAIR_WORD_BUDGET", 100_000)
+        row = run_trials(cfg)
         assert row.trials == 1_000

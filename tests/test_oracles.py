@@ -1,5 +1,6 @@
 import itertools
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -29,13 +30,12 @@ def brute_birthday(n: int, m: int) -> Fraction:
 
 def brute_rip_three(m: int, delta: float, boundary: str) -> Fraction:
     """Enumerate all (2^m)^3 code triples with numpy popcounts."""
-    from onebit.embedding import hamming_band_limit
+    from onebit.embedding import band_fails
 
-    s_max = hamming_band_limit(m, delta, boundary)
     codes = np.arange(2**m, dtype=np.uint64)
     xor = codes[:, None] ^ codes[None, :]
     h = np.bitwise_count(xor).astype(np.int64)
-    band = (np.abs(2 * h - m) <= s_max).astype(np.int64)
+    band = (~band_fails(h, m, 0.5, delta, boundary)).astype(np.int64)
     # sum over (x, y, s) of band[x,y] * band[y,s] * band[x,s]
     good = int(((band @ band) * band).sum())
     return Fraction(good, 8**m)
@@ -48,6 +48,12 @@ class TestExactProbability:
 
     def test_fraction_string(self):
         assert birthday_exact(2, 1).fraction_string() == "1/2"
+
+    def test_fraction_string_keeps_digit_limit(self):
+        # The int-to-str digit limit is lifted for the one conversion only.
+        limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+        assert len(birthday_exact(100, 200).fraction_string()) > 4300
+        assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
 
     def test_float_value_matches(self):
         p = birthday_exact(10, 7)
