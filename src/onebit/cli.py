@@ -12,7 +12,6 @@ import contextlib
 import os
 import secrets
 import sys
-from pathlib import Path
 from xml.sax.saxutils import escape
 
 from . import bounds as bnd
@@ -62,19 +61,18 @@ def _default_trials(n: int) -> int:
 
 def _resolve_seed(args) -> int:
     """--seed wins, then ONEBIT_SEED, then system entropy; always echoed on stderr."""
+    env = os.environ.get(SEED_ENV_VAR)
     if args.seed is not None:
-        seed = args.seed
+        seed, source = args.seed, "--seed"
+    elif env is not None:
+        try:
+            seed, source = int(env), SEED_ENV_VAR
+        except ValueError:
+            raise ValueError(f"{SEED_ENV_VAR}={env!r} is not an integer") from None
     else:
-        env = os.environ.get(SEED_ENV_VAR)
-        if env is not None:
-            try:
-                seed = int(env)
-            except ValueError:
-                raise ValueError(f"{SEED_ENV_VAR}={env!r} is not an integer") from None
-        else:
-            seed = secrets.randbits(62)
+        seed, source = secrets.randbits(62), "system entropy"
     if seed < 0:
-        raise ValueError(f"--seed must be non-negative, got {seed}")
+        raise ValueError(f"{source} must be non-negative, got {seed}")
     print(f"effective seed: {seed}", file=sys.stderr)
     return seed
 
@@ -100,11 +98,6 @@ def _text_out(path_or_dash):
     else:
         with open(path_or_dash, "w", encoding="utf-8") as f:
             yield f
-
-
-def _write_text(path_or_dash, text: str) -> None:
-    with _text_out(path_or_dash) as f:
-        f.write(text)
 
 
 # ---------------------------------------------------------------- bounds
@@ -147,7 +140,8 @@ def _cmd_bounds(args) -> int:
         print("\n".join(lines + trailer))
 
     if args.out:
-        _write_text(args.out, bnd.bounds_reports_csv(reports))
+        with _text_out(args.out) as f:
+            f.write(bnd.bounds_reports_csv(reports))
     if args.m is not None:
         mode = "rip" if args.delta is not None and 0 < args.delta < 0.5 else "injectivity"
         if reports:
@@ -239,8 +233,9 @@ def _build_config(args, m: int, seed: int) -> TrialConfig:
 def _cmd_simulate(args) -> int:
     seed = _resolve_seed(args)
     config = _build_config(args, args.m, seed)
-    row = run_trials(config, threads=args.threads)
-    _write_text(args.out, rows_csv((row,)))
+    with _text_out(args.out) as f:  # opened first, so an unwritable path fails before any trial runs
+        row = run_trials(config, threads=args.threads)
+        f.write(rows_csv((row,)))
     print(f"p_hat = {row.p_hat:.6g} [{row.ci_lo:.6g}, {row.ci_hi:.6g}] in {row.wall_time:.2f}s", file=sys.stderr)
     return EXIT_OK
 
@@ -249,8 +244,8 @@ def _cmd_sweep(args) -> int:
     seed = _resolve_seed(args)
     grid = _parse_m_grid(args.m_grid)
     config = _build_config(args, grid[0], seed)
-    result = sweep(config, grid, threads=args.threads, eta_form=args.eta_form)
-    _write_text(args.out, result.to_csv())
+    with _text_out(args.out) as f:
+        f.write(sweep(config, grid, threads=args.threads, eta_form=args.eta_form).to_csv())
     return EXIT_OK
 
 
@@ -333,7 +328,6 @@ def _cmd_figure(args) -> int:
         delta=args.delta,
         boundary=args.boundary,
     )
-    result = sweep(config, grid, threads=args.threads)
 
     base = str(args.out)
     for suffix in (".svg", ".csv"):
@@ -341,11 +335,12 @@ def _cmd_figure(args) -> int:
             base = base[: -len(suffix)]
     csv_path = base + ".csv"
     svg_path = base + ".svg"
-    Path(csv_path).write_text(result.to_csv(), encoding="utf-8")
-    title = f"delta-band isometry probability, n={args.n}, delta={args.delta}, {trials} trials/m"
-    Path(svg_path).write_text(
-        render_phase_svg(result.rows, transition.m_eps1, transition.m_eps2, title), encoding="utf-8"
-    )
+    # Both files are opened before the sweep, so an unwritable path fails before any trial runs.
+    with open(csv_path, "w", encoding="utf-8") as csv_file, open(svg_path, "w", encoding="utf-8") as svg_file:
+        result = sweep(config, grid, threads=args.threads)
+        csv_file.write(result.to_csv())
+        title = f"delta-band isometry probability, n={args.n}, delta={args.delta}, {trials} trials/m"
+        svg_file.write(render_phase_svg(result.rows, transition.m_eps1, transition.m_eps2, title))
 
     crossing = first_upward_crossing(result.rows)
     print(f"closed-form m: eps1={args.eps1} -> {transition.m_eps1:.4g}, eps2={args.eps2} -> {transition.m_eps2:.4g}")

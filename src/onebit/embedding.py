@@ -11,11 +11,11 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
-from typing import IO, Iterable, Iterator, NamedTuple, Union
+from typing import IO, Iterator, NamedTuple, Union
 
 import numpy as np
 
-from .geometry import DimensionMismatchError, PointSet, UnitVector, geodesic_matrix
+from .geometry import DimensionMismatchError, PointSet, geodesic_matrix
 
 WORD_BITS = 64
 _WORD_MASK = (1 << WORD_BITS) - 1
@@ -24,10 +24,6 @@ _WORD_MASK = (1 << WORD_BITS) - 1
 #: 8-byte little-endian integers, then each code's words little-endian.
 CODESET_MAGIC = b"OB1J"
 CODESET_VERSION = 1
-
-
-class CodeLengthMismatchError(ValueError):
-    """Hamming-space operands have different bit lengths."""
 
 
 class CodeSetFormatError(ValueError):
@@ -62,93 +58,22 @@ def draw_codes(shape: tuple[int, ...], m: int, rng: np.random.Generator) -> np.n
     return words
 
 
-@dataclass(frozen=True)
-class BitCode:
-    """An element of the Hamming cube {0,1}^m, packed into 64-bit words.
-
-    Bit j lives in word j // 64 at position j % 64 (little-endian within the
-    word); padding bits past m in the final word are zero, so equal codes are
-    equal tuples.
-    """
-
-    words: tuple[int, ...]
-    m: int
-
-    def __post_init__(self) -> None:
-        if self.m < 1:
-            raise ValueError(f"code length must be >= 1, got {self.m}")
-        expect = words_needed(self.m)
-        if len(self.words) != expect:
-            raise ValueError(f"expected {expect} words for m={self.m}, got {len(self.words)}")
-        for w in self.words:
-            if not (0 <= w <= _WORD_MASK):
-                raise ValueError("word out of 64-bit range")
-        if self.words[-1] & ~_tail_mask(self.m):
-            raise ValueError("padding bits past m must be zero")
-
-    @classmethod
-    def from_bits(cls, bits: Iterable[int]) -> "BitCode":
-        row = np.array([1 if b else 0 for b in bits], dtype=np.uint8)
-        if not row.size:
-            raise ValueError("code length must be >= 1")
-        return cls(tuple(pack_bits(row).tolist()), row.size)
-
-    @classmethod
-    def from_int(cls, value: int, m: int) -> "BitCode":
-        if value < 0 or value >> m:
-            raise ValueError(f"value does not fit in {m} bits")
-        nw = words_needed(m)
-        words = tuple((value >> (WORD_BITS * w)) & _WORD_MASK for w in range(nw))
-        return cls(words, m)
-
-    def to_int(self) -> int:
-        value = 0
-        for w, word in enumerate(self.words):
-            value |= word << (WORD_BITS * w)
-        return value
-
-    def bit(self, j: int) -> int:
-        if not 0 <= j < self.m:
-            raise IndexError(f"bit index {j} out of range for m={self.m}")
-        return (self.words[j // WORD_BITS] >> (j % WORD_BITS)) & 1
-
-    def bits(self) -> list[int]:
-        return [self.bit(j) for j in range(self.m)]
-
-    def complement(self) -> "BitCode":
-        return BitCode.from_int(self.to_int() ^ ((1 << self.m) - 1), self.m)
-
-
 class CodeSet:
     """An ordered sequence of n codes sharing one length m, held as one read-only (n, words_needed(m)) uint64 array.
 
-    Row i is code i's words (bit j in word j // 64, little-endian), padding
-    bits zero.  Built from BitCodes, or wrapped around such an array by
-    ``from_words``; indexing returns the row as a BitCode.
+    Row i is code i's words: bit j in word j // 64 at position j % 64
+    (little-endian within the word).  Padding bits past m in the last word
+    must be zero, so equal codes are equal rows.
     """
 
     __slots__ = ("words", "m")
 
-    def __init__(self, codes: Iterable[BitCode]) -> None:
-        codes = tuple(codes)
-        if not codes:
-            raise ValueError("code set must contain at least one code")
-        m = codes[0].m
-        for i, c in enumerate(codes):
-            if c.m != m:
-                raise CodeLengthMismatchError(f"code {i} has m={c.m}, expected {m}")
-        self._hold(np.array([c.words for c in codes], dtype=np.uint64), m)
-
-    @classmethod
-    def from_words(cls, words: np.ndarray, m: int) -> "CodeSet":
-        """Wrap packed words, e.g. from pack_bits or draw_codes, whose padding bits are already zero."""
-        codes = cls.__new__(cls)
-        codes._hold(words, m)
-        return codes
-
-    def _hold(self, words: np.ndarray, m: int) -> None:
-        if words.ndim != 2 or words.shape[0] < 1 or words.shape[1] != words_needed(m):
+    def __init__(self, words: np.ndarray, m: int) -> None:
+        if m < 1 or words.ndim != 2 or words.shape[0] < 1 or words.shape[1] != words_needed(m):
             raise ValueError(f"expected an (n >= 1, {words_needed(m)}) word array for m={m}, got {words.shape}")
+        bad = np.flatnonzero(words[:, -1] & ~np.uint64(_tail_mask(m)))
+        if bad.size:
+            raise ValueError(f"code {bad[0]}: padding bits past m must be zero")
         words.setflags(write=False)
         self.words = words
         self.m = m
@@ -156,16 +81,6 @@ class CodeSet:
     @property
     def n(self) -> int:
         return self.words.shape[0]
-
-    def __len__(self) -> int:
-        return self.n
-
-    def __getitem__(self, i: int) -> BitCode:
-        # The row is valid by construction, so BitCode's per-word validation is skipped.
-        code = object.__new__(BitCode)
-        object.__setattr__(code, "words", tuple(self.words[i].tolist()))
-        object.__setattr__(code, "m", self.m)
-        return code
 
 
 @dataclass(frozen=True, eq=False)
@@ -215,38 +130,11 @@ def sample_map(m: int, dim: int, seed: int) -> EmbeddingMap:
     return EmbeddingMap(raw / norms[:, None], seed)
 
 
-def embed(emap: EmbeddingMap, x: UnitVector) -> BitCode:
-    """Apply the one-bit map: bit j = 1 iff x.theta_j >= 0."""
-    if x.dim != emap.dim:
-        raise DimensionMismatchError(f"point dimension {x.dim} != map dimension {emap.dim}")
-    dots = emap.directions @ x.components
-    return BitCode(tuple(pack_bits(dots >= 0.0).tolist()), emap.m)
-
-
 def embed_points(emap: EmbeddingMap, points: PointSet) -> CodeSet:
     """Embed every point of a set through one map (order preserved)."""
     if points.dim != emap.dim:
         raise DimensionMismatchError(f"point dimension {points.dim} != map dimension {emap.dim}")
-    return CodeSet.from_words(pack_bits(points.matrix @ emap.directions.T >= 0.0), emap.m)
-
-
-def hamming_distance(a: BitCode, b: BitCode) -> float:
-    """Normalized Hamming distance popcount(a xor b)/m, via packed words."""
-    if a.m != b.m:
-        raise CodeLengthMismatchError(f"code lengths differ: {a.m} vs {b.m}")
-    diff = sum((wa ^ wb).bit_count() for wa, wb in zip(a.words, b.words))
-    return diff / a.m
-
-
-def hamming_distance_bitloop(a: BitCode, b: BitCode) -> float:
-    """Reference implementation: per-bit loop, no word tricks.  Kept slow on purpose."""
-    if a.m != b.m:
-        raise CodeLengthMismatchError(f"code lengths differ: {a.m} vs {b.m}")
-    diff = 0
-    for j in range(a.m):
-        if a.bit(j) != b.bit(j):
-            diff += 1
-    return diff / a.m
+    return CodeSet(pack_bits(points.matrix @ emap.directions.T >= 0.0), emap.m)
 
 
 def differing_bits(codes: CodeSet) -> Iterator[np.ndarray]:
@@ -322,20 +210,6 @@ def check_rip(
     return RipReport(delta=delta, violations=tuple(violations), max_deviation=max_dev, passed=not violations)
 
 
-def embed_orthogonal(n: int, m: int, rng: np.random.Generator) -> CodeSet:
-    """Codes of n pairwise orthogonal points through a fresh random map.
-
-    For orthogonal points the sign bits are independent fair coins, so the
-    codes are n iid uniform m-bit strings; drawing them directly skips all
-    floating-point work and is what makes large-n simulation cheap.
-    """
-    if n < 2:
-        raise ValueError(f"need at least 2 points, got {n}")
-    if m < 1:
-        raise ValueError(f"code length must be >= 1, got {m}")
-    return CodeSet.from_words(draw_codes((n,), m, rng), m)
-
-
 def band_fails(h, m: int, geodesic, delta: float, boundary: str) -> np.ndarray:
     """The one delta-band rule: does a pair with h of m bits differing, at geodesic distance g, fail?
 
@@ -405,10 +279,10 @@ def read_code_set(source: Union[str, Path, IO[bytes]]) -> CodeSet:
     if len(data) != expect:
         raise CodeSetFormatError(f"expected {expect} bytes for n={n}, m={m}, got {len(data)}")
     words = np.frombuffer(data, dtype="<u8", offset=21).reshape(n, nw).astype(np.uint64)
-    bad = np.flatnonzero(words[:, -1] & ~np.uint64(_tail_mask(m)))
-    if bad.size:
-        raise CodeSetFormatError(f"code {bad[0]}: padding bits past m must be zero")
-    return CodeSet.from_words(words, m)
+    try:
+        return CodeSet(words, m)
+    except ValueError as exc:  # the shape is right by construction, so only padding bits can be wrong
+        raise CodeSetFormatError(str(exc)) from None
 
 
 def code_set_hexdump(codes: CodeSet) -> str:

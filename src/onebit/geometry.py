@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import IO, Iterable, Union
+from typing import IO, Union
 
 import numpy as np
 
@@ -26,37 +26,6 @@ class DimensionMismatchError(ValueError):
 
 class PointSetParseError(ValueError):
     """A points CSV file is malformed; the message names the offending row."""
-
-
-@dataclass(frozen=True, eq=False)
-class UnitVector:
-    """A point on S^{N-1}, stored as a read-only float64 array of length N."""
-
-    components: np.ndarray
-
-    def __post_init__(self) -> None:
-        arr = np.array(self.components, dtype=np.float64, copy=True).reshape(-1)
-        if arr.size < 2:
-            raise ValueError(f"ambient dimension must be >= 2, got {arr.size}")
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("vector components must be finite")
-        norm = float(np.linalg.norm(arr))
-        if abs(norm - 1.0) > UNIT_NORM_TOL:
-            raise ValueError(f"vector norm {norm!r} deviates from 1 by more than {UNIT_NORM_TOL}")
-        arr.setflags(write=False)
-        object.__setattr__(self, "components", arr)
-
-    @property
-    def dim(self) -> int:
-        return self.components.size
-
-    def dot(self, other: "UnitVector") -> float:
-        if self.dim != other.dim:
-            raise DimensionMismatchError(f"dimension mismatch: {self.dim} vs {other.dim}")
-        return float(self.components @ other.components)
-
-    def __neg__(self) -> "UnitVector":
-        return UnitVector(-self.components)
 
 
 @dataclass(frozen=True, eq=False)
@@ -82,16 +51,6 @@ class PointSet:
         mat.setflags(write=False)
         object.__setattr__(self, "matrix", mat)
 
-    @classmethod
-    def from_vectors(cls, vectors: Iterable[UnitVector]) -> "PointSet":
-        rows = [v.components for v in vectors]
-        if not rows:
-            raise ValueError("point set must contain at least one point")
-        dims = {r.size for r in rows}
-        if len(dims) != 1:
-            raise DimensionMismatchError(f"points have mixed dimensions {sorted(dims)}")
-        return cls(np.stack(rows))
-
     @property
     def n(self) -> int:
         return self.matrix.shape[0]
@@ -99,27 +58,6 @@ class PointSet:
     @property
     def dim(self) -> int:
         return self.matrix.shape[1]
-
-    def point(self, i: int) -> UnitVector:
-        return UnitVector(self.matrix[i])
-
-    def __len__(self) -> int:
-        return self.n
-
-    def __iter__(self):
-        for i in range(self.n):
-            yield self.point(i)
-
-
-def geodesic_distance(x: UnitVector, y: UnitVector) -> float:
-    """Normalized great-circle distance arccos(x.y)/pi, in [0, 1].
-
-    The dot product is clamped to [-1, 1] to guard floating-point overshoot
-    at near-parallel vectors.
-    """
-    d = x.dot(y)
-    return math.acos(min(1.0, max(-1.0, d))) / math.pi
-
 
 def geodesic_matrix(points: PointSet) -> np.ndarray:
     """(n, n) matrix of normalized geodesic distances, arccos of the clamped Gram matrix over pi.
@@ -131,15 +69,6 @@ def geodesic_matrix(points: PointSet) -> np.ndarray:
     np.arccos(geo, out=geo)
     geo /= math.pi
     return geo
-
-
-def orthonormal_set(n: int, dim: int) -> PointSet:
-    """The first n standard basis vectors of R^dim as a PointSet."""
-    if n < 2:
-        raise ValueError(f"need at least 2 points, got {n}")
-    if n > dim:
-        raise ValueError(f"cannot fit {n} pairwise orthogonal unit vectors in dimension {dim}")
-    return PointSet(np.eye(n, dim))
 
 
 def read_point_set(
@@ -196,12 +125,3 @@ def read_point_set(
             i = int(bad[0])
             raise PointSetParseError(f"row {i + 1}: norm {norms[i]!r} is not 1 within {UNIT_NORM_TOL} (pass normalize to rescale)")
     return PointSet(mat)
-
-
-def write_point_set(points: PointSet, dest: Union[str, Path, IO[str]]) -> None:
-    """Write a points CSV in the same format ``read_point_set`` accepts."""
-    body = "\n".join(",".join(repr(float(v)) for v in row) for row in points.matrix) + "\n"
-    if hasattr(dest, "write"):
-        dest.write(body)
-    else:
-        Path(dest).write_text(body, encoding="utf-8")

@@ -2,8 +2,8 @@
 
 Everything here is computed in exact rational arithmetic over fair-coin
 models, so all values are dyadic rationals: the birthday product for
-injectivity of random codes, binomial tail sums, and an exact three-point
-distance-preservation probability via a multinomial dynamic program.
+injectivity of random codes, and an exact three-point distance-preservation
+probability via a multinomial dynamic program.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .bounds import one_to_one_window, tail_probability
+from .bounds import one_to_one_window
 from .embedding import band_range
 
 
@@ -62,11 +62,6 @@ def birthday_exact(n: int, m: int) -> ExactProbability:
     for k in range(1, n):
         num *= space - k
     return ExactProbability(Fraction(num, space ** (n - 1)), "birthday_product")
-
-
-def binomial_tail(m: int, a: int) -> ExactProbability:
-    """Exact P(Y >= a) for Y ~ Binomial(m, 1/2)."""
-    return ExactProbability(tail_probability(m, a), "binomial_tail")
 
 
 def rip_exact_three(m: int, delta: float, boundary: str = "strict") -> ExactProbability:

@@ -1,0 +1,68 @@
+"""Slow references the tests compare the package against, and a CodeSet builder for test inputs.
+
+The references read a code one bit at a time, embed a point one direction at
+a time and measure one pair at a time, in plain Python loops, so that the
+packed and vectorised code paths the CLI runs are checked against something
+obviously right.  None of this ships in the package.
+"""
+
+import math
+
+import numpy as np
+
+from onebit.embedding import WORD_BITS, CodeSet, RipViolation, pack_bits
+
+
+def code_set(rows) -> CodeSet:
+    """A CodeSet of the given 0/1 rows, packed by pack_bits."""
+    bits = np.asarray(rows, dtype=np.uint8)
+    return CodeSet(pack_bits(bits), bits.shape[1])
+
+
+def code_bits(codes: CodeSet, i: int) -> list[int]:
+    """Bits 0..m-1 of code i, each read out of its word on its own."""
+    words = [int(w) for w in codes.words[i]]
+    return [(words[j // WORD_BITS] >> (j % WORD_BITS)) & 1 for j in range(codes.m)]
+
+
+def hamming_bitloop(codes: CodeSet, i: int, k: int) -> int:
+    """Number of positions where codes i and k differ, compared bit by bit."""
+    return sum(a != b for a, b in zip(code_bits(codes, i), code_bits(codes, k)))
+
+
+def embed_bits(emap, x) -> list[int]:
+    """The one-bit map on one point, one direction at a time: bit j = 1 iff x.theta_j >= 0."""
+    return [1 if float(theta @ x) >= 0.0 else 0 for theta in emap.directions]
+
+
+def geodesic_pair(x, y) -> float:
+    """Normalized great-circle distance arccos(x.y)/pi of one pair, the dot clamped to [-1, 1]."""
+    return math.acos(min(1.0, max(-1.0, float(x @ y)))) / math.pi
+
+
+def check_rip_loop(codes, points, delta, boundary="strict"):
+    """The per-pair loop check_rip replaced, with float deviations and a bit-by-bit distance."""
+    geo = np.arccos(np.clip(points.matrix @ points.matrix.T, -1.0, 1.0)) / math.pi
+    violations = []
+    max_dev = 0.0
+    for i in range(codes.n):
+        for j in range(i + 1, codes.n):
+            dh = hamming_bitloop(codes, i, j) / codes.m
+            dg = float(geo[i, j])
+            dev = dh - dg
+            max_dev = max(max_dev, abs(dev))
+            if abs(dev) > delta if boundary == "strict" else abs(dev) >= delta:
+                violations.append(RipViolation((i, j), dh, dg, dev))
+    return tuple(violations), max_dev, not violations
+
+
+def check_one_to_one_dict(codes):
+    """The dict-of-words collision finder check_one_to_one replaced."""
+    groups = {}
+    for i in range(codes.n):
+        groups.setdefault(tuple(codes.words[i].tolist()), []).append(i)
+    collisions = sorted(
+        (members[a], members[b]) for members in groups.values()
+        for a in range(len(members)) for b in range(a + 1, len(members))
+    )
+    return (not collisions, collisions)

@@ -10,8 +10,11 @@ from pathlib import Path
 import pytest
 
 import onebit
+import onebit.cli as cli
+import onebit.montecarlo as mc
 from onebit.cli import build_parser
-from onebit.embedding import BitCode, CodeSet, write_code_set
+from onebit.embedding import write_code_set
+from reference import code_set
 
 SVG_NS = "{http://www.w3.org/2000/svg}"
 
@@ -162,8 +165,8 @@ class TestEmbedAndCheck:
     def test_check_rip_failure_exit_two(self, tmp_path):
         pts = write_points(tmp_path / "pts.csv", "1,0,0\n0,1,0\n")
         codes = tmp_path / "same.bin"
-        same = BitCode.from_bits([0, 1, 1, 0])
-        write_code_set(CodeSet((same, same)), codes)
+        same = [0, 1, 1, 0]
+        write_code_set(code_set([same, same]), codes)
         r = run_cli("check", "--points", str(pts), "--codes", str(codes), "--delta", "0.4")
         assert r.returncode == 2
         assert "FAIL" in r.stdout
@@ -171,13 +174,13 @@ class TestEmbedAndCheck:
 
     def test_check_one_to_one(self, tmp_path):
         pts = write_points(tmp_path / "pts.csv", "1,0,0\n0,1,0\n")
-        dup = BitCode.from_bits([1, 0, 1])
+        dup = [1, 0, 1]
         codes = tmp_path / "dup.bin"
-        write_code_set(CodeSet((dup, dup)), codes)
+        write_code_set(code_set([dup, dup]), codes)
         r = run_cli("check", "--points", str(pts), "--codes", str(codes))
         assert r.returncode == 2
         distinct = tmp_path / "ok.bin"
-        write_code_set(CodeSet((dup, dup.complement())), distinct)
+        write_code_set(code_set([dup, [0, 1, 0]]), distinct)
         r2 = run_cli("check", "--points", str(pts), "--codes", str(distinct))
         assert r2.returncode == 0
 
@@ -214,6 +217,14 @@ class TestSimulateSweep:
         a = run_cli("simulate", "--n", "10", "--m", "7", "--trials", "5000", "--seed", "1")
         b = run_cli("simulate", "--n", "10", "--m", "7", "--trials", "5000", "--seed", "1")
         assert a.stdout == b.stdout
+
+    def test_negative_seed_names_its_source(self):
+        via_env = run_cli("simulate", "--n", "10", "--m", "7", env_seed=-5)
+        assert via_env.returncode == 1
+        assert "ONEBIT_SEED must be non-negative, got -5" in via_env.stderr
+        via_flag = run_cli("simulate", "--n", "10", "--m", "7", "--seed", "-5")
+        assert via_flag.returncode == 1
+        assert "--seed must be non-negative, got -5" in via_flag.stderr
 
     def test_env_seed_matches_flag(self):
         via_env = run_cli("simulate", "--n", "8", "--m", "5", "--trials", "2000", env_seed=123)
@@ -256,6 +267,28 @@ class TestSimulateSweep:
                     "--seed", "1", "--threads", "1")
         assert r.returncode == 1
         assert "delta must lie in (0, 1/2)" in r.stderr
+
+
+class TestOutputOpenedFirst:
+    """An --out that cannot be opened fails with exit 1 before any trial runs."""
+
+    @pytest.fixture(autouse=True)
+    def no_trials(self, monkeypatch):
+        def no_trials(*args, **kwargs):
+            raise AssertionError("run_trials called before --out was opened")
+
+        monkeypatch.setattr(mc, "run_trials", no_trials)
+        monkeypatch.setattr(cli, "run_trials", no_trials)
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--n", "10", "--m", "7", "--trials", "100000"],
+        ["sweep", "--n", "10", "--m-grid", "4:14:1", "--trials", "100000"],
+        ["figure", "--n", "800", "--trials", "200"],
+    ], ids=["simulate", "sweep", "figure"])
+    def test_unwritable_out(self, argv, tmp_path, capsys):
+        out = tmp_path / "missing" / "out"
+        assert cli.main([*argv, "--seed", "1", "--threads", "1", "--out", str(out)]) == 1
+        assert "No such file or directory" in capsys.readouterr().err
 
 
 class TestFigure:

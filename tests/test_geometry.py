@@ -7,71 +7,58 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from onebit.embedding import EmbeddingMap, differing_bits, embed_points, sample_map
-from onebit.geometry import (
-    DimensionMismatchError,
-    PointSet,
-    PointSetParseError,
-    UnitVector,
-    geodesic_distance,
-    orthonormal_set,
-    read_point_set,
-    write_point_set,
-)
+from onebit.geometry import PointSet, PointSetParseError, geodesic_matrix, read_point_set
 
 
-def unit(*comps) -> UnitVector:
-    return UnitVector(np.array(comps, dtype=float))
+def unit(*comps) -> np.ndarray:
+    return np.array(comps, dtype=float)
 
 
-def basis(i: int, dim: int) -> UnitVector:
-    v = np.zeros(dim)
-    v[i] = 1.0
-    return UnitVector(v)
+def basis(i: int, dim: int) -> np.ndarray:
+    return np.eye(dim)[i]
 
 
-def separated(x: UnitVector, y: UnitVector, theta: UnitVector) -> bool:
+def geodesic(x: np.ndarray, y: np.ndarray) -> float:
+    """geodesic_matrix's distance between the two points of the set {x, y}."""
+    return float(geodesic_matrix(PointSet([x, y]))[0, 1])
+
+
+def separated(x: np.ndarray, y: np.ndarray, theta: np.ndarray) -> bool:
     """Does the one-direction map {theta} give x and y different bits?"""
-    codes = embed_points(EmbeddingMap(theta.components[None, :], seed=0), PointSet.from_vectors([x, y]))
+    codes = embed_points(EmbeddingMap(theta[None, :], seed=0), PointSet([x, y]))
     return bool(next(differing_bits(codes))[0])
 
 
 class TestUnitVector:
+    """A single sphere point: the validation a one-row PointSet applies."""
+
     def test_rejects_non_unit_norm(self):
         with pytest.raises(ValueError, match="norm"):
-            unit(1.0, 1.0)
+            PointSet([unit(1.0, 1.0)])
 
     def test_rejects_dim_one(self):
         with pytest.raises(ValueError, match="dimension"):
-            UnitVector(np.array([1.0]))
+            PointSet([unit(1.0)])
 
     def test_rejects_nan(self):
         with pytest.raises(ValueError, match="finite"):
-            unit(math.nan, 0.0)
+            PointSet([unit(math.nan, 0.0)])
 
     def test_components_read_only(self):
-        v = basis(0, 3)
+        ps = PointSet([basis(0, 3)])
         with pytest.raises(ValueError):
-            v.components[0] = 0.5
-
-    def test_negation(self):
-        v = unit(0.6, 0.8)
-        w = -v
-        assert w.components[0] == -0.6 and w.components[1] == -0.8
-
-    def test_dot_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatchError):
-            basis(0, 3).dot(basis(0, 4))
+            ps.matrix[0, 0] = 0.5
 
 
 class TestPointSet:
     def test_from_vectors_and_accessors(self):
-        ps = PointSet.from_vectors([basis(0, 3), basis(1, 3)])
-        assert ps.n == 2 and ps.dim == 3 and len(ps) == 2
-        assert ps.point(1).components[1] == 1.0
+        ps = PointSet([basis(0, 3), basis(1, 3)])
+        assert ps.n == 2 and ps.dim == 3
+        assert ps.matrix[1, 1] == 1.0
 
     def test_mixed_dims_rejected(self):
-        with pytest.raises(DimensionMismatchError):
-            PointSet.from_vectors([basis(0, 3), basis(0, 4)])
+        with pytest.raises(ValueError):
+            PointSet([basis(0, 3), basis(0, 4)])
 
     def test_non_unit_row_rejected(self):
         with pytest.raises(ValueError, match="norm"):
@@ -83,9 +70,9 @@ class TestSampleDirection:
 
     def test_unit_norm(self):
         for dim in (2, 3, 50):
-            v = UnitVector(sample_map(1, dim, seed=1).directions[0])
-            assert abs(np.linalg.norm(v.components) - 1.0) <= 1e-9
-            assert v.dim == dim
+            v = sample_map(1, dim, seed=1).directions[0]
+            assert abs(np.linalg.norm(v) - 1.0) <= 1e-9
+            assert v.size == dim
 
     def test_invalid_dimension(self):
         with pytest.raises(ValueError):
@@ -112,25 +99,23 @@ class TestSampleDirection:
 
 
 class TestGeodesicDistance:
+    """Normalized geodesic distances as geodesic_matrix computes them for check, embed and the simulator."""
+
     def test_identical_points(self):
         v = unit(0.6, 0.8)
-        assert geodesic_distance(v, v) == 0.0
+        assert geodesic(v, v) == 0.0
 
     def test_orthogonal_is_half(self):
-        assert geodesic_distance(basis(0, 3), basis(1, 3)) == pytest.approx(0.5, abs=1e-15)
+        assert geodesic(basis(0, 3), basis(1, 3)) == pytest.approx(0.5, abs=1e-15)
 
     def test_dot_half_is_third(self):
         x = unit(1.0, 0.0)
         y = unit(0.5, math.sqrt(3.0) / 2.0)
-        assert geodesic_distance(x, y) == pytest.approx(1.0 / 3.0, abs=1e-12)
+        assert geodesic(x, y) == pytest.approx(1.0 / 3.0, abs=1e-12)
 
     def test_antipodal_is_one(self):
         v = unit(0.6, 0.8)
-        assert geodesic_distance(v, -v) == pytest.approx(1.0, abs=1e-12)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatchError):
-            geodesic_distance(basis(0, 3), basis(0, 4))
+        assert geodesic(v, -v) == pytest.approx(1.0, abs=1e-12)
 
     @pytest.mark.parametrize("dim", [2, 3, 50])
     def test_metric_axioms_on_random_triples(self, dim):
@@ -138,19 +123,14 @@ class TestGeodesicDistance:
         trials = 10_000
         raw = rng.standard_normal((3 * trials, dim))
         raw /= np.linalg.norm(raw, axis=1)[:, None]
-        pts = [UnitVector(row) for row in raw]
-        for t in range(trials):
-            x, y, z = pts[3 * t], pts[3 * t + 1], pts[3 * t + 2]
-            dxy = geodesic_distance(x, y)
-            dyz = geodesic_distance(y, z)
-            dxz = geodesic_distance(x, z)
-            assert 0.0 <= dxy <= 1.0
-            assert abs(dxy - geodesic_distance(y, x)) <= 1e-12
-            # The self-dot of a float64 unit vector rounds to 1 - O(ulp), and
-            # arccos amplifies that to sqrt(2 ulp)/pi ~ 1e-8; that is the
-            # attainable floor for the self-distance in double precision.
-            assert geodesic_distance(x, x) <= 5e-8
-            assert dxz <= dxy + dyz + 1e-12
+        geo = np.stack([geodesic_matrix(PointSet(raw[3 * t : 3 * t + 3])) for t in range(trials)])
+        assert np.all((0.0 <= geo) & (geo <= 1.0))
+        assert np.all(np.abs(geo - geo.transpose(0, 2, 1)) <= 1e-12)
+        # The self-dot of a float64 unit vector rounds to 1 - O(ulp), and
+        # arccos amplifies that to sqrt(2 ulp)/pi ~ 1e-8; that is the
+        # attainable floor for the self-distance in double precision.
+        assert np.all(np.diagonal(geo, axis1=1, axis2=2) <= 5e-8)
+        assert np.all(geo[:, 0, 2] <= geo[:, 0, 1] + geo[:, 1, 2] + 1e-12)
 
 
 class TestInWedge:
@@ -168,7 +148,7 @@ class TestInWedge:
     def test_sign_convention_at_zero(self):
         # x.theta == 0 counts as +1, same as y.theta > 0: not separated.
         x, y, theta = basis(0, 3), basis(1, 3), basis(1, 3)
-        assert x.dot(theta) == 0.0
+        assert x @ theta == 0.0
         assert separated(x, y, theta) is False
 
     @pytest.mark.parametrize(
@@ -182,32 +162,26 @@ class TestInWedge:
         # The fraction of separating directions of a random map estimates the
         # geodesic distance; the oracle is the arccos formula.
         x, y = make_pair()
-        assert geodesic_distance(x, y) == pytest.approx(exact, abs=1e-12)
+        assert geodesic(x, y) == pytest.approx(exact, abs=1e-12)
         trials = 100_000
-        codes = embed_points(sample_map(trials, 50, seed=29), PointSet.from_vectors([x, y]))
+        codes = embed_points(sample_map(trials, 50, seed=29), PointSet([x, y]))
         hits = int(next(differing_bits(codes))[0])
         tol = 4.0 * math.sqrt(exact * (1.0 - exact) / trials)
         assert abs(hits / trials - exact) <= tol
 
 
 class TestOrthonormalSet:
+    """Standard basis vectors, the explicit-path stand-in for the orthogonal fast path."""
+
     def test_standard_basis(self):
-        ps = orthonormal_set(3, 5)
+        ps = PointSet(np.eye(3, 5))
         assert ps.n == 3 and ps.dim == 5
-        gram = ps.matrix @ ps.matrix.T
-        assert np.allclose(gram, np.eye(3))
+        geo = geodesic_matrix(ps)
+        assert np.array_equal(geo, np.where(np.eye(3) == 1, 0.0, 0.5))
 
     def test_two_in_two_distance_half(self):
-        ps = orthonormal_set(2, 2)
-        assert geodesic_distance(ps.point(0), ps.point(1)) == pytest.approx(0.5, abs=1e-15)
-
-    def test_too_many_points(self):
-        with pytest.raises(ValueError):
-            orthonormal_set(6, 5)
-
-    def test_too_few_points(self):
-        with pytest.raises(ValueError):
-            orthonormal_set(1, 5)
+        geo = geodesic_matrix(PointSet(np.eye(2)))
+        assert geo[0, 1] == pytest.approx(0.5, abs=1e-15)
 
 
 class TestReadPointSet:
@@ -249,7 +223,7 @@ class TestReadPointSet:
         raw = rng.standard_normal((5, 4))
         raw /= np.linalg.norm(raw, axis=1)[:, None]
         path = tmp_path / "pts.csv"
-        write_point_set(PointSet(raw), path)
+        path.write_text("".join(",".join(repr(float(v)) for v in row) + "\n" for row in raw), encoding="utf-8")
         back = read_point_set(path)
         assert np.array_equal(back.matrix, raw)
 
@@ -257,7 +231,6 @@ class TestReadPointSet:
 @given(seed=st.integers(0, 2**31 - 1), dim=st.sampled_from([2, 3, 7, 50]))
 @settings(max_examples=40)
 def test_geodesic_range_and_symmetry_random(seed, dim):
-    x, y = (UnitVector(row) for row in sample_map(2, dim, seed).directions)
-    d = geodesic_distance(x, y)
-    assert 0.0 <= d <= 1.0
-    assert geodesic_distance(y, x) == d
+    geo = geodesic_matrix(PointSet(sample_map(2, dim, seed).directions))
+    assert 0.0 <= geo[0, 1] <= 1.0
+    assert geo[1, 0] == geo[0, 1]

@@ -6,8 +6,8 @@ import pytest
 
 import onebit.montecarlo as mc
 from onebit.bounds import one_to_one_window, rip_window
-from onebit.embedding import band_fails, embed_orthogonal, embed_points, sample_map
-from onebit.geometry import PointSet, geodesic_matrix, orthonormal_set
+from onebit.embedding import band_fails, draw_codes, embed_points, sample_map
+from onebit.geometry import PointSet, geodesic_matrix
 from onebit.montecarlo import (
     CSV_HEADER,
     EstimateRow,
@@ -101,7 +101,7 @@ class TestTrialConfig:
             TrialConfig(n=4, m=8, mode="rip", trials=10, base_seed=0)
 
     def test_explicit_needs_points(self):
-        pts = orthonormal_set(3, 5)
+        pts = PointSet(np.eye(3, 5))
         with pytest.raises(ValueError, match="n=4"):
             TrialConfig(n=4, m=8, mode="injectivity", trials=10, base_seed=0, points=pts)
 
@@ -189,7 +189,7 @@ class TestBandKernel:
         # the second cell sits near each n's transition.
         points = None
         if path == "orthonormal":
-            points = orthonormal_set(n, n + 2)
+            points = PointSet(np.eye(n, n + 2))
         elif path == "random":
             raw = np.random.default_rng(n).standard_normal((n, 6))
             points = PointSet(raw / np.linalg.norm(raw, axis=1)[:, None])
@@ -212,7 +212,7 @@ class TestBandKernel:
 
 class TestExplicitPath:
     def test_injectivity_matches_birthday(self):
-        pts = orthonormal_set(4, 50)
+        pts = PointSet(np.eye(4, 50))
         cfg = inj_config(4, 6, 20_000, seed=31, points=pts)
         row = run_trials(cfg, threads=2)
         exact = birthday_exact(4, 6).float_value
@@ -220,7 +220,7 @@ class TestExplicitPath:
         assert lo <= exact <= hi
 
     def test_rip_matches_dp_oracle(self):
-        pts = orthonormal_set(3, 10)
+        pts = PointSet(np.eye(3, 10))
         cfg = rip_config(3, 16, 0.2, 20_000, seed=32, points=pts)
         row = run_trials(cfg)
         exact = rip_exact_three(16, 0.2).float_value
@@ -249,28 +249,25 @@ def test_fast_vs_explicit_pair_collision_rates():
     n, m, dim = 4, 16, 50
     pair_ids = [(i, j) for i in range(n) for j in range(i + 1, n)]
 
+    # counts[i, j]: trials in which codes i and j are equal
     rng = np.random.default_rng(41)
-    fast_counts = dict.fromkeys(pair_ids, 0)
+    fast_counts = np.zeros((n, n), dtype=np.int64)
     for _ in range(trials):
-        cs = embed_orthogonal(n, m, rng)
-        for i, j in pair_ids:
-            if cs[i] == cs[j]:
-                fast_counts[(i, j)] += 1
+        words = draw_codes((n,), m, rng)
+        fast_counts += np.all(words[:, None] == words[None, :], axis=2)
 
-    pts = orthonormal_set(n, dim)
+    pts = PointSet(np.eye(n, dim))
     seed_rng = np.random.default_rng(42)
-    explicit_counts = dict.fromkeys(pair_ids, 0)
+    explicit_counts = np.zeros((n, n), dtype=np.int64)
     for _ in range(trials):
         emap = sample_map(m, dim, seed=int(seed_rng.integers(0, 2**62)))
-        cs = embed_points(emap, pts)
-        for i, j in pair_ids:
-            if cs[i] == cs[j]:
-                explicit_counts[(i, j)] += 1
+        words = embed_points(emap, pts).words
+        explicit_counts += np.all(words[:, None] == words[None, :], axis=2)
 
     oracle = 2.0**-m
     expected = trials * oracle
     for pair in pair_ids:
-        c1, c2 = fast_counts[pair], explicit_counts[pair]
+        c1, c2 = int(fast_counts[pair]), int(explicit_counts[pair])
         pooled = (c1 + c2) / (2 * trials)
         se = math.sqrt(max(2 * trials * pooled * (1 - pooled), 1.0))
         assert abs(c1 - c2) <= 4.0 * se

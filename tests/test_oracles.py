@@ -8,10 +8,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from onebit.bounds import tail_probability
 from onebit.oracles import (
     EtaComparison,
     ExactProbability,
-    binomial_tail,
     birthday_exact,
     eta_comparison,
     rip_exact_three,
@@ -44,7 +44,7 @@ def brute_rip_three(m: int, delta: float, boundary: str) -> Fraction:
 class TestExactProbability:
     def test_range_validated(self):
         with pytest.raises(ValueError):
-            ExactProbability(Fraction(3, 2), "binomial_tail")
+            ExactProbability(Fraction(3, 2), "birthday_product")
 
     def test_fraction_string(self):
         assert birthday_exact(2, 1).fraction_string() == "1/2"
@@ -92,28 +92,30 @@ class TestBirthdayExact:
 
 
 class TestBinomialTail:
+    """Exact P(Y >= a) for Y ~ Binomial(m, 1/2), the tail every closed-form bound starts from."""
+
     def test_known_value(self):
-        p = binomial_tail(10, 7)
-        assert p.value == Fraction(176, 1024)
-        assert p.value == Fraction(120 + 45 + 10 + 1, 1024)
+        p = tail_probability(10, 7)
+        assert p == Fraction(176, 1024)
+        assert p == Fraction(120 + 45 + 10 + 1, 1024)
 
     def test_full_mass(self):
-        assert binomial_tail(5, 0).value == 1
+        assert tail_probability(5, 0) == 1
 
     def test_empty_tail(self):
-        assert binomial_tail(5, 6).value == 0
+        assert tail_probability(5, 6) == 0
 
     def test_out_of_range(self):
         with pytest.raises(ValueError):
-            binomial_tail(5, 7)
+            tail_probability(5, 7)
         with pytest.raises(ValueError):
-            binomial_tail(5, -1)
+            tail_probability(5, -1)
 
     @given(st.integers(1, 60), st.data())
     def test_symmetry(self, m, data):
         # P(Y >= a) = P(Y <= m - a) = 1 - P(Y >= m - a + 1) for the fair coin
         a = data.draw(st.integers(0, m))
-        assert binomial_tail(m, a).value == 1 - binomial_tail(m, m - a + 1).value
+        assert tail_probability(m, a) == 1 - tail_probability(m, m - a + 1)
 
 
 class TestRipExactThree:
