@@ -183,43 +183,6 @@ def _lambda_targets(eps1: float, eps2: float) -> tuple[float, float]:
     return math.log(1.0 / (1.0 - eps1 / 1.01)), math.log(1.0 / (1.0 - eps2 / 0.99))
 
 
-@dataclass(frozen=True)
-class LambdaBounds:
-    """Envelopes around the expected number of pairs whose distance leaves the delta band.
-
-    lambda_exact = C(n,2) * p_delta_exact(m, delta) is the true expectation;
-    lambda1 <= lambda_exact <= lambda2 are its closed-form Stirling envelopes.
-    Log fields are kept because the plain floats under/overflow for large m.
-    """
-
-    lambda_exact: float
-    lambda1: float
-    lambda2: float
-    log_lambda1: float
-    log_lambda2: float
-    rate: float
-
-
-def lambda_bounds(n: int, m: int, delta: float) -> LambdaBounds:
-    """Evaluate the expected-failing-pairs envelopes at (n, m, delta)."""
-    _check_n(n)
-    if m < 1:
-        raise ValueError(f"m must be >= 1, got {m}")
-    rate = exponent_rate(delta)
-    logc = _log_pairs(n)
-    log_l1 = _log_envelope("lambda1", logc, m, rate)
-    log_l2 = _log_envelope("lambda2", logc, m, rate)
-    lam_exact = float(math.comb(n, 2) * p_delta_exact(m, delta)) if m <= 2000 else math.exp(logc + log_p_delta(m, delta))
-    return LambdaBounds(
-        lambda_exact=lam_exact,
-        lambda1=math.exp(log_l1),
-        lambda2=math.exp(log_l2),
-        log_lambda1=log_l1,
-        log_lambda2=log_l2,
-        rate=rate,
-    )
-
-
 def stein_chen_eta(n: int, p: float, form: str) -> float:
     """Poisson-approximation error width for C(n,2) indicators with success probability p.
 
@@ -282,22 +245,23 @@ def one_to_one_window(n: int, m: int, eta_form: str = "pairwise") -> PhaseWindow
 def rip_window(n: int, m: int, delta: float) -> PhaseWindow:
     """Window containing P(the map is a delta-isometry) for n orthogonal points.
 
-    Uses the closed-form envelopes lambda1 <= lambda2 from lambda_bounds and
-    the general error width eta = C(n,2)(4n-7) p^2, with p the exact tail
-    probability.
+    Its rates are the closed-form Stirling envelopes lambda1 <= C(n,2) p <= lambda2
+    around the expected number of pairs leaving the band (see _log_envelope), and
+    its width is the general eta = C(n,2)(4n-7) p^2, with p the exact tail probability.
     """
-    lb = lambda_bounds(n, m, delta)
+    _check_n(n)
+    if m < 1:
+        raise ValueError(f"m must be >= 1, got {m}")
+    rate = exponent_rate(delta)
+    lam1, lam2 = (math.exp(_log_envelope(which, _log_pairs(n), m, rate)) for which in ("lambda1", "lambda2"))
     eta = stein_chen_eta(n, p_delta_float(m, delta), "general")
-    return _clamped_window(lb.lambda1, lb.lambda2, eta, "general")
+    return _clamped_window(lam1, lam2, eta, "general")
 
 
 @dataclass(frozen=True)
 class OneToOneTransition:
     """Closed-form code lengths bracketing the injectivity phase transition."""
 
-    n: int
-    eps1: float
-    eps2: float
     m_lower: float
     m_upper: float
     validity_note: str
@@ -324,7 +288,7 @@ def one_to_one_m_window(n: int, eps1: float, eps2: float, force: bool = False) -
     if not m_lower < m_upper:
         raise ValueError(f"eps1={eps1}, eps2={eps2} too close: thresholds cross (m_lower={m_lower}, m_upper={m_upper})")
     note = f"requires n >= {MIN_N_ONE_TO_ONE}" + (" (forced)" if n < MIN_N_ONE_TO_ONE else "")
-    return OneToOneTransition(n=n, eps1=eps1, eps2=eps2, m_lower=m_lower, m_upper=m_upper, validity_note=note)
+    return OneToOneTransition(m_lower=m_lower, m_upper=m_upper, validity_note=note)
 
 
 @dataclass(frozen=True)
@@ -337,10 +301,6 @@ class RipTransition:
     in the searched range).  q is the rate constant, approximately 1/(2 delta^2).
     """
 
-    n: int
-    delta: float
-    eps1: float
-    eps2: float
     q: float
     m_eps1: float
     m_eps2: float
@@ -387,10 +347,6 @@ def rip_m_window(n: int, delta: float, eps1: float, eps2: float, force: bool = F
 
     note = f"requires n >= {MIN_N_RIP}" + (" (forced)" if n < MIN_N_RIP else "")
     return RipTransition(
-        n=n,
-        delta=delta,
-        eps1=eps1,
-        eps2=eps2,
         q=q,
         m_eps1=m1,
         m_eps2=m2,

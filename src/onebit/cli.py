@@ -20,13 +20,13 @@ from .embedding import (
     check_one_to_one,
     check_rip,
     code_set_hexdump,
-    differing_bits,
     embed_points,
+    pair_stream,
     read_code_set,
     sample_map,
     write_code_set,
 )
-from .geometry import geodesic_matrix, read_point_set
+from .geometry import read_point_set
 from .montecarlo import (
     TrialConfig,
     default_phase_grid,
@@ -160,12 +160,11 @@ def _cmd_embed(args) -> int:
     write_code_set(codes, args.codes)
 
     out = args.out if args.out else str(args.codes) + ".pairs.csv"
-    geodesic = geodesic_matrix(points)
-    # Written one point's block at a time, so the table is never held whole.
+    # Written one point's pairs at a time, so neither the table nor a distance matrix is held whole.
     with _text_out(out) as f:
         f.write("i,j,hamming,geodesic,deviation\n")
-        for i, h in enumerate(differing_bits(codes)):
-            row = zip((h / codes.m).tolist(), geodesic[i, i + 1 :].tolist())
+        for i, h, dg in pair_stream(codes, points):
+            row = zip((h / codes.m).tolist(), dg.tolist())
             f.write("".join(f"{i},{j},{dh:.10g},{dg:.10g},{dh - dg:.10g}\n"
                             for j, (dh, dg) in enumerate(row, start=i + 1)))
     print(f"wrote {codes.n} codes of length {codes.m} to {args.codes}; pair table to {out}", file=sys.stderr)
@@ -245,7 +244,7 @@ def _cmd_sweep(args) -> int:
     grid = _parse_m_grid(args.m_grid)
     config = _build_config(args, grid[0], seed)
     with _text_out(args.out) as f:
-        f.write(sweep(config, grid, threads=args.threads, eta_form=args.eta_form).to_csv())
+        f.write(rows_csv(sweep(config, grid, threads=args.threads, eta_form=args.eta_form)))
     return EXIT_OK
 
 
@@ -337,12 +336,12 @@ def _cmd_figure(args) -> int:
     svg_path = base + ".svg"
     # Both files are opened before the sweep, so an unwritable path fails before any trial runs.
     with open(csv_path, "w", encoding="utf-8") as csv_file, open(svg_path, "w", encoding="utf-8") as svg_file:
-        result = sweep(config, grid, threads=args.threads)
-        csv_file.write(result.to_csv())
+        rows = sweep(config, grid, threads=args.threads)
+        csv_file.write(rows_csv(rows))
         title = f"delta-band isometry probability, n={args.n}, delta={args.delta}, {trials} trials/m"
-        svg_file.write(render_phase_svg(result.rows, transition.m_eps1, transition.m_eps2, title))
+        svg_file.write(render_phase_svg(rows, transition.m_eps1, transition.m_eps2, title))
 
-    crossing = first_upward_crossing(result.rows)
+    crossing = first_upward_crossing(rows)
     print(f"closed-form m: eps1={args.eps1} -> {transition.m_eps1:.4g}, eps2={args.eps2} -> {transition.m_eps2:.4g}")
     print(f"empirical 0.5-crossing: m ~ {crossing:.4g}")
     print(f"wrote {csv_path} and {svg_path}")

@@ -25,6 +25,9 @@ _WORD_MASK = (1 << WORD_BITS) - 1
 CODESET_MAGIC = b"OB1J"
 CODESET_VERSION = 1
 
+#: Rows per block of pair_stream's geodesics and of the simulator's band ranges.
+PAIR_BLOCK_ROWS = 256
+
 
 class CodeSetFormatError(ValueError):
     """A serialized code set is malformed or truncated."""
@@ -69,12 +72,13 @@ class CodeSet:
     __slots__ = ("words", "m")
 
     def __init__(self, words: np.ndarray, m: int) -> None:
+        words = np.array(words, dtype=np.uint64)
         if m < 1 or words.ndim != 2 or words.shape[0] < 1 or words.shape[1] != words_needed(m):
             raise ValueError(f"expected an (n >= 1, {words_needed(m)}) word array for m={m}, got {words.shape}")
         bad = np.flatnonzero(words[:, -1] & ~np.uint64(_tail_mask(m)))
         if bad.size:
             raise ValueError(f"code {bad[0]}: padding bits past m must be zero")
-        words.setflags(write=False)
+        words.setflags(write=False)  # a copy, so the caller's array stays writable
         self.words = words
         self.m = m
 
@@ -85,10 +89,9 @@ class CodeSet:
 
 @dataclass(frozen=True, eq=False)
 class EmbeddingMap:
-    """m random unit directions defining a one-bit map, reconstructible from (seed, m, dim)."""
+    """m random unit directions defining a one-bit map."""
 
     directions: np.ndarray
-    seed: int
 
     def __post_init__(self) -> None:
         mat = np.array(self.directions, dtype=np.float64, copy=True)
@@ -127,7 +130,7 @@ def sample_map(m: int, dim: int, seed: int) -> EmbeddingMap:
         redo = norms < 1e-12
         raw[redo] = rng.standard_normal((int(redo.sum()), dim))
         norms = np.linalg.norm(raw, axis=1)
-    return EmbeddingMap(raw / norms[:, None], seed)
+    return EmbeddingMap(raw / norms[:, None])
 
 
 def embed_points(emap: EmbeddingMap, points: PointSet) -> CodeSet:
@@ -137,10 +140,17 @@ def embed_points(emap: EmbeddingMap, points: PointSet) -> CodeSet:
     return CodeSet(pack_bits(points.matrix @ emap.directions.T >= 0.0), emap.m)
 
 
-def differing_bits(codes: CodeSet) -> Iterator[np.ndarray]:
-    """For each code i < n-1 in turn, its differing-bit counts against codes i+1..n-1, by XOR and popcount."""
-    for i in range(codes.n - 1):
-        yield np.bitwise_count(codes.words[i] ^ codes.words[i + 1 :]).sum(axis=1)
+def pair_stream(codes: CodeSet, points: PointSet) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+    """For each i < n-1 in turn: i, code i's differing-bit counts against codes i+1.., and those pairs' geodesics.
+
+    The counts are XOR and popcount over the packed words; the geodesics are
+    computed PAIR_BLOCK_ROWS rows at a time, so memory grows as n, not n^2.
+    """
+    for lo in range(0, codes.n - 1, PAIR_BLOCK_ROWS):
+        geo = geodesic_matrix(points, lo, lo + PAIR_BLOCK_ROWS)
+        for k in range(min(PAIR_BLOCK_ROWS, codes.n - 1 - lo)):
+            i = lo + k
+            yield i, np.bitwise_count(codes.words[i] ^ codes.words[i + 1 :]).sum(axis=1), geo[k, k + 1 :]
 
 
 def check_one_to_one(codes: CodeSet) -> tuple[bool, list[tuple[int, int]]]:
@@ -197,12 +207,10 @@ def check_rip(
     if boundary not in ("strict", "inclusive"):
         raise ValueError(f"unknown boundary convention {boundary!r}")
 
-    geo = geodesic_matrix(points)
     violations = []
     max_dev = 0.0
-    for i, h in enumerate(differing_bits(codes)):
+    for i, h, dg in pair_stream(codes, points):
         dh = h / codes.m
-        dg = geo[i, i + 1 :]
         dev = dh - dg
         max_dev = max(max_dev, float(np.abs(dev).max()))
         for k in np.flatnonzero(band_fails(h, codes.m, dg, delta, boundary)).tolist():
@@ -278,7 +286,7 @@ def read_code_set(source: Union[str, Path, IO[bytes]]) -> CodeSet:
     expect = 21 + 8 * nw * n
     if len(data) != expect:
         raise CodeSetFormatError(f"expected {expect} bytes for n={n}, m={m}, got {len(data)}")
-    words = np.frombuffer(data, dtype="<u8", offset=21).reshape(n, nw).astype(np.uint64)
+    words = np.frombuffer(data, dtype="<u8", offset=21).reshape(n, nw)
     try:
         return CodeSet(words, m)
     except ValueError as exc:  # the shape is right by construction, so only padding bits can be wrong

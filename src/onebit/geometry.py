@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import IO, Union
+from typing import IO, Optional, Union
 
 import numpy as np
 
@@ -59,12 +59,14 @@ class PointSet:
     def dim(self) -> int:
         return self.matrix.shape[1]
 
-def geodesic_matrix(points: PointSet) -> np.ndarray:
-    """(n, n) matrix of normalized geodesic distances, arccos of the clamped Gram matrix over pi.
+def geodesic_matrix(points: PointSet, lo: int = 0, hi: Optional[int] = None) -> np.ndarray:
+    """Normalized geodesic distances from points lo..hi-1 to points lo..n-1: arccos of the clamped Gram block over pi.
 
-    Computed in place in the Gram matrix, so only one n x n array is allocated.
+    Pairs left of the block's diagonal are skipped, as each also appears to its
+    right; with no range the result is the whole (n, n) matrix.  Computed in
+    place in the Gram block, so only one array is allocated.
     """
-    geo = points.matrix @ points.matrix.T
+    geo = points.matrix[lo:hi] @ points.matrix[lo:].T
     np.clip(geo, -1.0, 1.0, out=geo)
     np.arccos(geo, out=geo)
     geo /= math.pi

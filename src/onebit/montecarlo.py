@@ -32,7 +32,7 @@ from typing import Optional
 import numpy as np
 
 from .bounds import one_to_one_window, rip_window
-from .embedding import band_range, draw_codes, pack_bits, words_needed
+from .embedding import PAIR_BLOCK_ROWS, band_range, draw_codes, pack_bits, words_needed
 from .geometry import PointSet, geodesic_matrix
 
 #: Largest pairs * trials * 64-bit words a single estimate may cost.
@@ -113,17 +113,6 @@ def rows_csv(rows: tuple[EstimateRow, ...]) -> str:
             f"{r.ci_hi:.10g},{r.window_lo:.10g},{r.window_hi:.10g},{r.eta_form}"
         )
     return "\n".join(lines) + "\n"
-
-
-@dataclass(frozen=True)
-class SweepResult:
-    """Estimates over a strictly increasing m grid, plus the config they came from."""
-
-    config: TrialConfig
-    rows: tuple[EstimateRow, ...]
-
-    def to_csv(self) -> str:
-        return rows_csv(self.rows)
 
 
 def wilson_interval_z(successes: int, trials: int, z: float) -> tuple[float, float]:
@@ -235,14 +224,18 @@ def run_trials(config: TrialConfig, threads: int = 1) -> EstimateRow:
     band = None
     if config.mode == "rip":
         n, m = config.n, config.m
-        geo = np.full((n, n), 0.5) if config.points is None else geodesic_matrix(config.points)
-        np.fill_diagonal(geo, 0.0)
-        # Sums of m products of ±1 are exact integers in float32 up to 2**24.
+        # Sums of m products of ±1 are exact integers in float32 up to 2**24.  The Gram
+        # matrix is symmetric, so below the diagonal every value in [-m, m] passes.
         band = np.empty((2, n, n), np.float32 if m <= 1 << 24 else np.float64)
-        rows = max(1, (1 << 16) // n)  # a few rows of pairs at a time keep band_range's temporaries small
-        for i in range(0, n, rows):
-            h_lo, h_hi = band_range(m, geo[i : i + rows], config.delta, config.boundary)
-            band[:, i : i + rows] = m - 2 * h_hi, m - 2 * h_lo
+        band[0], band[1] = -m, m
+        for i in range(0, n, PAIR_BLOCK_ROWS):
+            if config.points is None:
+                geo = np.full((min(PAIR_BLOCK_ROWS, n - i), n - i), 0.5)
+            else:
+                geo = geodesic_matrix(config.points, i, i + PAIR_BLOCK_ROWS)
+            np.fill_diagonal(geo, 0.0)
+            h_lo, h_hi = band_range(m, geo, config.delta, config.boundary)
+            band[:, i : i + PAIR_BLOCK_ROWS, i:] = m - 2 * h_hi, m - 2 * h_lo
 
     size = _chunk_size(config)
     counts = [size] * (config.trials // size)
@@ -276,7 +269,7 @@ def sweep(
     m_grid: list[int],
     threads: int = 1,
     eta_form: Optional[str] = None,
-) -> SweepResult:
+) -> tuple[EstimateRow, ...]:
     """One estimate per m in a strictly increasing grid, each with its analytic window.
 
     Injectivity rows carry the e^{-C(n,2)/2^m} +- eta window (pairwise width by
@@ -300,7 +293,7 @@ def sweep(
     for m, w in zip(m_grid, windows):
         row = run_trials(dataclasses.replace(config, m=int(m)), threads=threads)
         rows.append(dataclasses.replace(row, window_lo=w.lo, window_hi=w.hi, eta_form=w.eta_form))
-    return SweepResult(config=config, rows=tuple(rows))
+    return tuple(rows)
 
 
 def first_upward_crossing(rows: tuple[EstimateRow, ...], level: float = 0.5) -> float:

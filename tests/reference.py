@@ -10,13 +10,19 @@ import math
 
 import numpy as np
 
-from onebit.embedding import WORD_BITS, CodeSet, RipViolation, pack_bits
+from onebit.embedding import WORD_BITS, CodeSet, RipViolation, pack_bits, pair_stream
+from onebit.geometry import PointSet
 
 
 def code_set(rows) -> CodeSet:
     """A CodeSet of the given 0/1 rows, packed by pack_bits."""
     bits = np.asarray(rows, dtype=np.uint8)
     return CodeSet(pack_bits(bits), bits.shape[1])
+
+
+def first_pair_bits(codes: CodeSet) -> int:
+    """pair_stream's differing-bit count of codes 0 and 1, streamed beside n basis points (only the counts are read)."""
+    return int(next(pair_stream(codes, PointSet(np.eye(codes.n, max(2, codes.n)))))[1][0])
 
 
 def code_bits(codes: CodeSet, i: int) -> list[int]:

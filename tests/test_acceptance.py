@@ -20,8 +20,8 @@ import numpy as np
 import pytest
 
 import onebit
-from onebit.bounds import lambda_bounds, m_rip_union, p_delta_exact, rip_m_window
-from onebit.embedding import band_fails, differing_bits
+from onebit.bounds import m_rip_union, p_delta_exact, rip_m_window, rip_window
+from onebit.embedding import band_fails
 from onebit.montecarlo import (
     TrialConfig,
     default_phase_grid,
@@ -31,7 +31,7 @@ from onebit.montecarlo import (
     wilson_interval_z,
 )
 from onebit.oracles import birthday_exact, eta_comparison, rip_exact_three
-from reference import code_set, hamming_bitloop
+from reference import code_set, first_pair_bits, hamming_bitloop
 
 THREADS = 2
 
@@ -85,20 +85,20 @@ def test_criterion_3_stirling_sandwich():
     violations = []
     for m in range(10, 201):
         for delta in (0.1, 0.15, 0.2, 0.25, 0.3, 0.4):
-            lb = lambda_bounds(2, m, delta)  # C(2,2) = 1: per-pair envelopes
-            p = p_delta_exact(m, delta)
-            if not Fraction(lb.lambda1) <= p <= Fraction(lb.lambda2):
+            w = rip_window(2, m, delta)  # C(2,2) = 1: per-pair envelopes
+            p = math.comb(2, 2) * p_delta_exact(m, delta)
+            if not Fraction(w.lambda_lo) <= p <= Fraction(w.lambda_hi):
                 violations.append((m, delta))
-    spot = lambda_bounds(2, 10, 0.2)
+    spot = rip_window(2, 10, 0.2)
     spot_ok = (
-        spot.lambda1 == pytest.approx(0.04690051928488175, rel=1e-6)
-        and spot.lambda2 == pytest.approx(0.6022145881764174, rel=1e-6)
-        and spot.lambda1 <= 0.34375 <= spot.lambda2
+        spot.lambda_lo == pytest.approx(0.04690051928488175, rel=1e-6)
+        and spot.lambda_hi == pytest.approx(0.6022145881764174, rel=1e-6)
+        and spot.lambda_lo <= 0.34375 <= spot.lambda_hi
     )
     elapsed = time.perf_counter() - t0
     ok = not violations and spot_ok and elapsed < 1.0
     _report(3, ok, elapsed, f"{191 * 6} cells, {len(violations)} violations; "
-                            f"spot {spot.lambda1:.6f} <= 0.34375 <= {spot.lambda2:.6f}")
+                            f"spot {spot.lambda_lo:.6f} <= 0.34375 <= {spot.lambda_hi:.6f}")
     assert violations == []
     assert spot_ok
     assert elapsed < 1.0
@@ -147,13 +147,13 @@ def test_criterion_6_figure_reproduction():
     transition = rip_m_window(800, 0.2, 0.5, 0.1)
     grid = default_phase_grid(transition.m_eps1, transition.m_eps2)
     cfg = TrialConfig(n=800, m=grid[0], mode="rip", delta=0.2, trials=200, base_seed=2024_06)
-    result = sweep(cfg, grid, threads=THREADS)
+    rows = sweep(cfg, grid, threads=THREADS)
 
-    crossing = first_upward_crossing(result.rows)
+    crossing = first_upward_crossing(rows)
     crossing_ok = transition.m_eps1 < crossing < transition.m_eps2
 
     outside = []
-    for row in result.rows:
+    for row in rows:
         wlo, whi = wilson_interval_z(row.successes, row.trials, 3.0)
         if not (wlo <= row.window_hi and whi >= row.window_lo):
             outside.append((row.m, row.p_hat, row.window_lo, row.window_hi))
@@ -263,7 +263,7 @@ def test_criterion_10_brute_force_equivalences():
     while pairs < 10_000:
         m = int(rng.integers(1, 131))
         codes = code_set([rng.integers(0, 2, m), rng.integers(0, 2, m)])
-        hamming_ok &= bool(next(differing_bits(codes))[0] == hamming_bitloop(codes, 0, 1))
+        hamming_ok &= first_pair_bits(codes) == hamming_bitloop(codes, 0, 1)
         pairs += 1
 
     elapsed = time.perf_counter() - t0

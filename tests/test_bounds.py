@@ -10,7 +10,6 @@ from onebit.bounds import (
     ValidityRangeError,
     bounds_reports_csv,
     exponent_rate,
-    lambda_bounds,
     m_injective,
     m_injective_orthogonal,
     m_linear_jl,
@@ -150,33 +149,42 @@ class TestRates:
         assert exponent_rate(0.2) == pytest.approx(-0.08228287850505185, abs=1e-15)
 
 
+def expected_failing_pairs(n: int, m: int, delta: float) -> Fraction:
+    """C(n,2) * p_delta_exact: the exact expectation that rip_window's envelopes sandwich."""
+    return math.comb(n, 2) * p_delta_exact(m, delta)
+
+
 class TestLambdaBounds:
+    """rip_window's rates, the Stirling envelopes lambda1 <= C(n,2) p_delta <= lambda2."""
+
     def test_spot_instance_m10(self):
-        lb = lambda_bounds(2, 10, 0.2)  # C(2,2) = 1, so these are per-pair values
-        assert lb.lambda1 == pytest.approx(0.04690051928488175, rel=1e-10)
-        assert lb.lambda2 == pytest.approx(0.6022145881764174, rel=1e-10)
-        assert lb.lambda_exact == 0.34375
-        assert lb.lambda1 <= lb.lambda_exact <= lb.lambda2
+        w = rip_window(2, 10, 0.2)  # C(2,2) = 1, so these are per-pair values
+        exact = float(expected_failing_pairs(2, 10, 0.2))
+        assert w.lambda_lo == pytest.approx(0.04690051928488175, rel=1e-10)
+        assert w.lambda_hi == pytest.approx(0.6022145881764174, rel=1e-10)
+        assert exact == 0.34375
+        assert w.lambda_lo <= exact <= w.lambda_hi
 
     def test_spot_instance_m20(self):
-        lb = lambda_bounds(2, 20, 0.2)
-        assert lb.lambda1 == pytest.approx(0.014565072560408956, rel=1e-10)
-        assert lb.lambda2 == pytest.approx(0.3740384672693260, rel=1e-10)
-        assert lb.lambda_exact == pytest.approx(0.11531829833984375, rel=1e-14)
+        w = rip_window(2, 20, 0.2)
+        assert w.lambda_lo == pytest.approx(0.014565072560408956, rel=1e-10)
+        assert w.lambda_hi == pytest.approx(0.3740384672693260, rel=1e-10)
+        assert float(expected_failing_pairs(2, 20, 0.2)) == pytest.approx(0.11531829833984375, rel=1e-14)
 
     def test_sandwich_grid(self):
         for m in range(10, 61):
             for delta in (0.1, 0.15, 0.2, 0.25, 0.3, 0.4):
-                lb = lambda_bounds(2, m, delta)
-                p = p_delta_exact(m, delta)
-                assert Fraction(lb.lambda1) <= p <= Fraction(lb.lambda2)
+                w = rip_window(2, m, delta)
+                p = expected_failing_pairs(2, m, delta)
+                assert Fraction(w.lambda_lo) <= p <= Fraction(w.lambda_hi)
 
     def test_scales_with_pair_count(self):
-        a = lambda_bounds(2, 15, 0.2)
-        b = lambda_bounds(800, 15, 0.2)
+        a = rip_window(2, 15, 0.2)
+        b = rip_window(800, 15, 0.2)
         pairs = 800 * 799 // 2
-        assert b.lambda1 == pytest.approx(pairs * a.lambda1, rel=1e-9)
-        assert b.lambda_exact == pytest.approx(pairs * a.lambda_exact, rel=1e-12)
+        assert b.lambda_lo == pytest.approx(pairs * a.lambda_lo, rel=1e-9)
+        assert b.lambda_hi == pytest.approx(pairs * a.lambda_hi, rel=1e-9)
+        assert Fraction(b.lambda_lo) <= expected_failing_pairs(800, 15, 0.2) <= Fraction(b.lambda_hi)
 
 
 class TestSteinChenEta:
@@ -307,10 +315,9 @@ class TestSolveThreshold:
     def test_root_is_a_root(self):
         target = 0.25
         m_star = solve_threshold(800, 0.2, target, "lambda2")
-        lb = lambda_bounds(800, 1, 0.2)  # reuse rate/prefactors via direct formula
         log_val = (math.log(800) + math.log(799) - math.log(2)) + 1.0 / 12.0 + 0.5 * (
             math.log(m_star) - math.log(2 * math.pi)
-        ) + m_star * lb.rate
+        ) + m_star * exponent_rate(0.2)
         assert log_val == pytest.approx(math.log(target), abs=1e-6)
 
     def test_no_crossing(self):

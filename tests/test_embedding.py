@@ -1,5 +1,6 @@
 import io
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from onebit.embedding import (
     CODESET_MAGIC,
     CodeSet,
+    PAIR_BLOCK_ROWS,
     CodeSetFormatError,
     EmbeddingMap,
     band_fails,
@@ -17,10 +19,10 @@ from onebit.embedding import (
     check_one_to_one,
     check_rip,
     code_set_hexdump,
-    differing_bits,
     draw_codes,
     embed_points,
     pack_bits,
+    pair_stream,
     read_code_set,
     sample_map,
     write_code_set,
@@ -32,6 +34,7 @@ from reference import (
     code_bits,
     code_set,
     embed_bits,
+    first_pair_bits,
     geodesic_pair,
     hamming_bitloop,
 )
@@ -74,11 +77,18 @@ class TestBitCode:
         # Every value below 2^m is a code: all m bits set is accepted, bit m (the first padding bit) is not.
         for m in (5, 63, 64, 65, 130):
             ones = pack_bits(np.ones((1, m), dtype=np.uint8))
-            assert code_bits(CodeSet(ones.copy(), m), 0) == [1] * m
+            assert code_bits(CodeSet(ones, m), 0) == [1] * m
             if m % 64:
                 ones[0, -1] |= np.uint64(1 << (m % 64))
                 with pytest.raises(ValueError, match="padding"):
                     CodeSet(ones, m)
+
+    def test_caller_array_stays_writable(self):
+        words = pack_bits(np.array([[1, 0, 1], [0, 1, 1]], dtype=np.uint8))
+        codes = CodeSet(words, 3)
+        assert words.flags.writeable and not codes.words.flags.writeable
+        words[0, 0] = 0
+        assert code_bits(codes, 0) == [1, 0, 1]
 
     def test_multiword(self):
         bits = [1] * 64 + [0, 1, 1]
@@ -118,7 +128,7 @@ class TestSampleMap:
 
 class TestEmbed:
     def test_direct_signs(self):
-        emap = EmbeddingMap(np.array([[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0]]), seed=0)
+        emap = EmbeddingMap(np.array([[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0]]))
         codes = embed_points(emap, PointSet([basis(0, 3)]))
         assert code_bits(codes, 0) == [1, 0]
 
@@ -138,8 +148,8 @@ class TestEmbed:
         x = raw / np.linalg.norm(raw)
         dots = emap.directions @ x
         assert np.min(np.abs(dots)) > 1e-12  # no ties, so the codes of x and -x are exact complements
-        codes = embed_points(emap, PointSet([x, -x]))
-        assert next(differing_bits(codes))[0] == 64
+        points = PointSet([x, -x])
+        assert next(pair_stream(embed_points(emap, points), points))[1][0] == 64
 
     def test_embed_points_matches_single(self):
         emap = sample_map(10, 4, seed=21)
@@ -150,27 +160,27 @@ class TestEmbed:
 
 
 class TestHammingDistance:
-    """Differing-bit counts as differing_bits computes them for check and embed, by XOR and popcount."""
+    """Differing-bit counts as pair_stream computes them for check and embed, by XOR and popcount."""
 
     def test_equal_codes(self):
-        assert next(differing_bits(code_set([[1, 0, 1], [1, 0, 1]])))[0] == 0
+        assert first_pair_bits(code_set([[1, 0, 1], [1, 0, 1]])) == 0
 
     def test_complement_is_one(self):
         for m in (1, 7, 64, 100):
             bits = np.arange(m) % 2 == 0
             codes = code_set([bits, ~bits])
-            assert next(differing_bits(codes))[0] / m == 1.0
+            assert first_pair_bits(codes) / m == 1.0
 
     def test_quarter(self):
         codes = code_set([[0] * 8, [1, 1, 0, 0, 0, 0, 0, 0]])
-        assert next(differing_bits(codes))[0] / 8 == 0.25
+        assert first_pair_bits(codes) / 8 == 0.25
 
     @given(st.integers(1, 130), st.integers(0, 2**40))
     @settings(max_examples=100)
     def test_packed_equals_bitloop(self, m, seed):
         rng = np.random.default_rng(seed)
         codes = code_set([rng.integers(0, 2, m), rng.integers(0, 2, m)])
-        assert next(differing_bits(codes))[0] == hamming_bitloop(codes, 0, 1)
+        assert first_pair_bits(codes) == hamming_bitloop(codes, 0, 1)
 
 
 def pair_deviation(emap: EmbeddingMap, x: np.ndarray, y: np.ndarray) -> float:
@@ -193,7 +203,7 @@ class TestMetricDeviation:
         # Exactly half of the 4 directions separate e1 from e2, so both
         # metrics equal 1/2 and the deviation vanishes exactly.
         s = 1.0 / math.sqrt(2.0)
-        emap = EmbeddingMap(np.array([[s, s], [-s, -s], [s, -s], [-s, s]]), seed=0)
+        emap = EmbeddingMap(np.array([[s, s], [-s, -s], [s, -s], [-s, s]]))
         assert pair_deviation(emap, basis(0, 2), basis(1, 2)) == 0.0
 
     def test_concentration_large_m(self):
@@ -316,6 +326,54 @@ class TestCheckRip:
         codes = code_set([[0], [1]])
         with pytest.raises(ValueError, match="misaligned"):
             check_rip(codes, pts, delta=0.2)
+
+
+def random_points(rng, n: int, dim: int) -> PointSet:
+    raw = rng.standard_normal((n, dim))
+    return PointSet(raw / np.linalg.norm(raw, axis=1)[:, None])
+
+
+class TestPairStream:
+    """pair_stream, the one source of pair counts and geodesics for check and embed, across its row blocks."""
+
+    def test_blocks_match_whole_matrix(self):
+        n, m, delta = 700, 64, 0.15
+        assert n > 2 * PAIR_BLOCK_ROWS  # at least three blocks
+        rng = np.random.default_rng(700)
+        points = random_points(rng, n, 6)
+        codes = embed_points(sample_map(m, 6, seed=7), points)
+        # Whole-matrix references: every pair's XOR popcount, and every pair's geodesic.
+        h_all = np.bitwise_count(codes.words[:, None, :] ^ codes.words[None, :, :]).sum(axis=2)
+        geo_all = np.arccos(np.clip(points.matrix @ points.matrix.T, -1.0, 1.0)) / math.pi
+        rows = []
+        for i, h, g in pair_stream(codes, points):
+            rows.append(i)
+            assert np.array_equal(h, h_all[i, i + 1 :])
+            assert np.allclose(g, geo_all[i, i + 1 :], rtol=0.0, atol=1e-12)
+        assert rows == list(range(n - 1))
+
+        iu, ju = np.triu_indices(n, 1)
+        for boundary in ("strict", "inclusive"):
+            fails = band_fails(h_all[iu, ju], m, geo_all[iu, ju], delta, boundary)
+            report = check_rip(codes, points, delta, boundary)
+            assert [v.pair for v in report.violations] == list(zip(iu[fails].tolist(), ju[fails].tolist()))
+            assert max(v.pair[0] for v in report.violations) >= 2 * PAIR_BLOCK_ROWS  # the last block has violations
+            dev = np.abs(h_all[iu, ju] / m - geo_all[iu, ju])
+            assert report.max_deviation == pytest.approx(float(dev.max()), abs=1e-12)
+
+    def test_check_rip_memory_bounded(self):
+        # The (n, n) float64 geodesic matrix alone would take n * n * 8 = 72 MB at n = 3000.
+        n = 3000
+        points = random_points(np.random.default_rng(3000), n, 16)
+        codes = embed_points(sample_map(512, 16, seed=3), points)
+        tracemalloc.start()
+        try:
+            report = check_rip(codes, points, 0.2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.passed
+        assert peak < n * n * 8 / 4
 
 
 class TestEmbedOrthogonal:
@@ -461,7 +519,7 @@ def test_packed_vs_bitloop_sweep():
     for m in (1, 63, 64, 65, 127, 128, 129, 130):
         for _ in range(25):
             codes = code_set([rng.integers(0, 2, m), rng.integers(0, 2, m)])
-            assert next(differing_bits(codes))[0] == hamming_bitloop(codes, 0, 1)
+            assert first_pair_bits(codes) == hamming_bitloop(codes, 0, 1)
 
 
 def test_hamming_multiple_of_inverse_m():
@@ -469,7 +527,7 @@ def test_hamming_multiple_of_inverse_m():
     for _ in range(50):
         m = int(rng.integers(1, 101))
         codes = code_set([rng.integers(0, 2, m), rng.integers(0, 2, m)])
-        d = next(differing_bits(codes))[0] / m
+        d = first_pair_bits(codes) / m
         k = round(d * m)
         assert 0 <= k <= m and d == k / m  # a differing-bit count over m
         assert (d == 0.0) == np.array_equal(codes.words[0], codes.words[1])

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from onebit.embedding import EmbeddingMap, differing_bits, embed_points, sample_map
+from onebit.embedding import EmbeddingMap, embed_points, pair_stream, sample_map
 from onebit.geometry import PointSet, PointSetParseError, geodesic_matrix, read_point_set
 
 
@@ -25,8 +25,8 @@ def geodesic(x: np.ndarray, y: np.ndarray) -> float:
 
 def separated(x: np.ndarray, y: np.ndarray, theta: np.ndarray) -> bool:
     """Does the one-direction map {theta} give x and y different bits?"""
-    codes = embed_points(EmbeddingMap(theta[None, :], seed=0), PointSet([x, y]))
-    return bool(next(differing_bits(codes))[0])
+    points = PointSet([x, y])
+    return bool(next(pair_stream(embed_points(EmbeddingMap(theta[None, :]), points), points))[1][0])
 
 
 class TestUnitVector:
@@ -164,8 +164,8 @@ class TestInWedge:
         x, y = make_pair()
         assert geodesic(x, y) == pytest.approx(exact, abs=1e-12)
         trials = 100_000
-        codes = embed_points(sample_map(trials, 50, seed=29), PointSet([x, y]))
-        hits = int(next(differing_bits(codes))[0])
+        points = PointSet([x, y])
+        hits = int(next(pair_stream(embed_points(sample_map(trials, 50, seed=29), points), points))[1][0])
         tol = 4.0 * math.sqrt(exact * (1.0 - exact) / trials)
         assert abs(hits / trials - exact) <= tol
 

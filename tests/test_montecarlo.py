@@ -278,26 +278,25 @@ def test_fast_vs_explicit_pair_collision_rates():
 class TestSweep:
     def test_rows_and_windows_attached(self):
         cfg = inj_config(10, 4, 4_000, seed=51)
-        result = sweep(cfg, [4, 6, 8], threads=2)
-        assert [r.m for r in result.rows] == [4, 6, 8]
-        for r in result.rows:
+        rows = sweep(cfg, [4, 6, 8], threads=2)
+        assert [r.m for r in rows] == [4, 6, 8]
+        for r in rows:
             w = one_to_one_window(10, r.m, "pairwise")
             assert (r.window_lo, r.window_hi) == (w.lo, w.hi)
             assert r.eta_form == "pairwise"
 
     def test_rip_windows_are_general(self):
         cfg = rip_config(8, 16, 0.2, 2_000, seed=52)
-        result = sweep(cfg, [16, 24])
-        for r in result.rows:
+        for r in sweep(cfg, [16, 24]):
             w = rip_window(8, r.m, 0.2)
             assert (r.window_lo, r.window_hi) == (w.lo, w.hi)
             assert r.eta_form == "general"
 
     def test_eta_form_general_for_injectivity(self):
         cfg = inj_config(10, 4, 1_000, seed=53)
-        result = sweep(cfg, [5], eta_form="general")
+        rows = sweep(cfg, [5], eta_form="general")
         w = one_to_one_window(10, 5, "general")
-        assert result.rows[0].window_hi == w.hi
+        assert rows[0].window_hi == w.hi
 
     def test_rip_rejects_pairwise_form(self):
         cfg = rip_config(8, 16, 0.2, 100, seed=54)
@@ -325,14 +324,14 @@ class TestSweep:
 
     def test_csv_schema_and_precision(self):
         cfg = inj_config(10, 4, 3_000, seed=56)
-        result = sweep(cfg, [4, 6])
-        text = result.to_csv()
+        rows = sweep(cfg, [4, 6])
+        text = rows_csv(rows)
         lines = text.strip().split("\n")
         assert lines[0] == CSV_HEADER
         assert len(lines) == 3
         fields = lines[1].split(",")
         assert int(fields[0]) == 4 and int(fields[1]) == 3_000
-        assert float(fields[3]) == pytest.approx(result.rows[0].p_hat, rel=1e-9)
+        assert float(fields[3]) == pytest.approx(rows[0].p_hat, rel=1e-9)
 
     def test_csv_ten_significant_digits(self):
         row = EstimateRow(m=4, successes=1, trials=3, p_hat=1 / 3, ci_lo=0.1, ci_hi=0.7)
