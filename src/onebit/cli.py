@@ -9,10 +9,10 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import html
 import os
 import secrets
 import sys
-from xml.sax.saxutils import escape
 
 from . import bounds as bnd
 from .bounds import ValidityRangeError
@@ -277,7 +277,7 @@ def render_phase_svg(rows, vline_red: float, vline_green: float, title: str) -> 
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
         f'viewBox="0 0 {width} {height}" font-family="sans-serif" font-size="13">',
         f'<rect x="0" y="0" width="{width}" height="{height}" fill="white"/>',
-        f'<text x="{width / 2:.1f}" y="24" text-anchor="middle" font-size="15">{escape(title)}</text>',
+        f'<text x="{width / 2:.1f}" y="24" text-anchor="middle" font-size="15">{html.escape(title, quote=False)}</text>',
     ]
     for frac in (0.0, 0.25, 0.5, 0.75, 1.0):
         y = _svg_y(frac, top, bottom)
@@ -300,7 +300,7 @@ def render_phase_svg(rows, vline_red: float, vline_green: float, title: str) -> 
         parts.append(f'<line class="rule" x1="{x:.1f}" y1="{top}" x2="{x:.1f}" y2="{bottom}" '
                      f'stroke="{color}" stroke-width="1.5"/>')
         parts.append(f'<text class="rule-label" x="{x + 4:.1f}" y="{top + 14}" fill="{color}">'
-                     f'{escape(tag)}: m={value:.1f}</text>')
+                     f'{html.escape(tag, quote=False)}: m={value:.1f}</text>')
 
     pts = " ".join(
         f"{_svg_x(r.m, m_lo, m_hi, left, right):.2f},{_svg_y(r.p_hat, top, bottom):.2f}" for r in rows

@@ -145,27 +145,37 @@ def pair_stream(codes: CodeSet, points: PointSet) -> Iterator[tuple[int, np.ndar
 
     The counts are XOR and popcount over the packed words; the geodesics are
     computed PAIR_BLOCK_ROWS rows at a time, so memory grows as n, not n^2.
+    A block's last row is yielded as a copy and the block freed before the
+    next is computed, so no view the caller holds keeps two blocks alive.
     """
     for lo in range(0, codes.n - 1, PAIR_BLOCK_ROWS):
         geo = geodesic_matrix(points, lo, lo + PAIR_BLOCK_ROWS)
-        for k in range(min(PAIR_BLOCK_ROWS, codes.n - 1 - lo)):
-            i = lo + k
-            yield i, np.bitwise_count(codes.words[i] ^ codes.words[i + 1 :]).sum(axis=1), geo[k, k + 1 :]
+        last = min(PAIR_BLOCK_ROWS, codes.n - 1 - lo) - 1
+        for k in range(last + 1):
+            g = geo[k, k + 1 :] if k < last else geo[k, k + 1 :].copy()
+            yield lo + k, np.bitwise_count(codes.words[lo + k] ^ codes.words[lo + k + 1 :]).sum(axis=1), g
+        del geo
+
+
+def sort_codes(words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Stable lexicographic sort of each set of codes in a (..., n, w) uint64 word array, last word leading.
+
+    Returns the order (..., n), in which equal codes are adjacent and in index order, and the mask
+    (..., n-1) of sorted codes equal to the next one: a set is pairwise distinct iff its mask is all False.
+    """
+    order = np.lexsort(np.moveaxis(words, -1, 0), axis=-1)
+    ranked = np.take_along_axis(words, order[..., None], axis=-2)
+    return order, np.all(ranked[..., 1:, :] == ranked[..., :-1, :], axis=-1)
 
 
 def check_one_to_one(codes: CodeSet) -> tuple[bool, list[tuple[int, int]]]:
     """Are all codes pairwise distinct?  Returns the complete, lexicographically sorted collision list."""
     if codes.n < 2:
         raise ValueError("one-to-one check needs at least 2 codes")
-    # A stable lexicographic sort puts equal codes next to each other, in index order.
-    order = np.lexsort(codes.words.T)
-    ranked = codes.words[order]
-    same = np.all(ranked[1:] == ranked[:-1], axis=1)
-    if not same.any():
-        return (True, [])
-    groups = np.split(order, np.flatnonzero(~same) + 1)
+    order, same = sort_codes(codes.words)
+    groups = np.split(order, np.flatnonzero(~same) + 1) if same.any() else []
     collisions = sorted(pair for g in groups if g.size > 1 for pair in itertools.combinations(sorted(g.tolist()), 2))
-    return (False, collisions)
+    return (not collisions, collisions)
 
 
 class RipViolation(NamedTuple):

@@ -32,7 +32,7 @@ from typing import Optional
 import numpy as np
 
 from .bounds import one_to_one_window, rip_window
-from .embedding import PAIR_BLOCK_ROWS, band_range, draw_codes, pack_bits, words_needed
+from .embedding import PAIR_BLOCK_ROWS, band_range, draw_codes, pack_bits, sort_codes, words_needed
 from .geometry import PointSet, geodesic_matrix
 
 #: Largest pairs * trials * 64-bit words a single estimate may cost.
@@ -161,19 +161,9 @@ def _chunk_size(config: TrialConfig) -> int:
     return max(1, min(cap, budget // per_trial))
 
 
-def _count_all_distinct(words: np.ndarray) -> int:
-    """Number of trials whose n codes are pairwise distinct; words is (T, n, w) uint64."""
-    t, n, w = words.shape
-    trial_idx = np.repeat(np.arange(t), n)
-    flat = words.reshape(t * n, w)
-    keys = tuple(flat[:, k] for k in range(w)) + (trial_idx,)
-    order = np.lexsort(keys)
-    sf = flat[order]
-    ti = trial_idx[order]
-    dup = (ti[1:] == ti[:-1]) & np.all(sf[1:] == sf[:-1], axis=1)
-    bad = np.zeros(t, dtype=bool)
-    bad[ti[1:][dup]] = True
-    return int(t - bad.sum())
+def _count_distinct(blocks) -> int:
+    """Number of trials whose n codes are pairwise distinct; blocks yield (T, n, w) uint64 words, sorted per trial."""
+    return sum(int(np.count_nonzero(~sort_codes(words)[1].any(axis=-1))) for words in blocks)
 
 
 def _count_band_ok(blocks, g_lo: np.ndarray, g_hi: np.ndarray) -> int:
@@ -195,7 +185,7 @@ def _run_chunk(config: TrialConfig, chunk_index: int, count: int, band) -> int:
 
     if config.points is None:
         if config.mode == "injectivity":
-            return _count_all_distinct(draw_codes((count, n), m, rng))
+            return _count_distinct([draw_codes((count, n), m, rng)])
         bits = rng.integers(0, 2, size=(count, n, m), dtype=np.uint8)
         blocks = (bits[k : k + step] for k in range(0, count, step))
     else:
@@ -204,7 +194,7 @@ def _run_chunk(config: TrialConfig, chunk_index: int, count: int, band) -> int:
         normals = rng.standard_normal((count, m, config.points.dim))
         blocks = (np.einsum("tmd,nd->tnm", normals[k : k + step], config.points.matrix) >= 0.0 for k in range(0, count, step))
         if config.mode == "injectivity":
-            return _count_all_distinct(np.concatenate([pack_bits(b) for b in blocks]))
+            return _count_distinct(pack_bits(b) for b in blocks)
     return _count_band_ok(blocks, *band)
 
 

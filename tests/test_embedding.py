@@ -25,6 +25,7 @@ from onebit.embedding import (
     pair_stream,
     read_code_set,
     sample_map,
+    sort_codes,
     write_code_set,
 )
 from onebit.geometry import DimensionMismatchError, PointSet
@@ -256,6 +257,56 @@ class TestCheckOneToOne:
             assert check_one_to_one(codes) == check_one_to_one_dict(codes)
 
 
+def planted_trials(rng, n: int, m: int) -> np.ndarray:
+    """A (T, n, words) batch of code sets with planted duplicates, some sets distinct and some not."""
+    base = draw_codes((n,), m, rng)
+    base[:, 0] = rng.choice(2 ** min(m, 62), n, replace=False)  # pairwise distinct in word 0
+    trials = [base]
+    dup = base.copy()
+    dup[n - 1] = dup[0]  # non-adjacent for n >= 3
+    trials.append(dup)
+    if n >= 3:
+        triple = base.copy()
+        triple[n // 2] = triple[n - 1] = triple[0]
+        trials.append(triple)
+    if n >= 4:
+        two_pairs = base.copy()
+        two_pairs[n - 2], two_pairs[n - 1] = two_pairs[1], two_pairs[0]
+        trials.append(two_pairs)
+    if base.shape[1] > 1:
+        for word in (-1, 0):  # equal in every word but the last, then in every word but the first
+            near = base.copy()
+            near[n - 1] = near[0]
+            near[n - 1, word] ^= np.uint64(1)
+            trials.append(near)
+            near_dup = near.copy()
+            near_dup[1] = near_dup[n - 1]
+            trials.append(near_dup)
+    return np.stack(trials)
+
+
+class TestSortCodes:
+    """sort_codes, the one per-set sort behind check_one_to_one and the injectivity simulator."""
+
+    @pytest.mark.parametrize("m", [5, 64, 65, 130, 190])
+    @pytest.mark.parametrize("n", [2, 3, 10])
+    def test_planted_duplicates(self, m, n):
+        batch = planted_trials(np.random.default_rng(100 * m + n), n, m)
+        order, same = sort_codes(batch)
+        assert order.shape == batch.shape[:2] and same.shape == (batch.shape[0], n - 1)
+        distinct = [len(set(map(tuple, trial.tolist()))) == n for trial in batch]
+        assert True in distinct and False in distinct
+        assert (~same.any(axis=1)).tolist() == distinct
+        for t, trial in enumerate(batch):
+            # A stable sort on the codes read from their last word down.
+            keys = [tuple(reversed(code)) for code in trial.tolist()]
+            expect = sorted(range(n), key=keys.__getitem__)
+            assert order[t].tolist() == expect
+            assert same[t].tolist() == [keys[a] == keys[b] for a, b in zip(expect, expect[1:])]
+            codes = CodeSet(trial, m)
+            assert check_one_to_one(codes) == check_one_to_one_dict(codes)
+
+
 class TestCheckRip:
     def test_pass_at_half_distance(self):
         pts = PointSet(np.eye(2, 3))
@@ -374,6 +425,8 @@ class TestPairStream:
             tracemalloc.stop()
         assert report.passed
         assert peak < n * n * 8 / 4
+        # One geodesic block is live at a time: the next is computed only after the last is freed.
+        assert peak < 1.5 * PAIR_BLOCK_ROWS * n * 8
 
 
 class TestEmbedOrthogonal:

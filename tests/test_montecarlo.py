@@ -151,6 +151,26 @@ class TestInjectivityAgainstBirthday:
         assert row.successes == row.trials
 
 
+class TestInjectivityGoldenCounts:
+    """Success counts pinned at fixed seeds: a change to the draws, the chunking or the distinctness test moves one."""
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_sweep_n10(self, threads):
+        golden = [540, 4081, 9522, 13956, 16787, 18350, 19105, 19578, 19774, 19874, 19951]
+        counts = [run_trials(inj_config(10, m, 20_000, seed=1), threads=threads).successes for m in range(4, 15)]
+        assert counts == golden
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_large_n(self, threads):
+        assert run_trials(inj_config(300, 16, 500, seed=5), threads=threads).successes == 266
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_explicit_path(self, threads):
+        raw = np.random.default_rng(0).standard_normal((20, 5))
+        pts = PointSet(raw / np.linalg.norm(raw, axis=1)[:, None])
+        assert run_trials(inj_config(20, 12, 3_000, seed=7, points=pts), threads=threads).successes == 878
+
+
 class TestRipAgainstExactThree:
     @pytest.mark.parametrize("boundary", ["strict", "inclusive"])
     def test_matches_dp_oracle_m16(self, boundary):
