@@ -31,14 +31,16 @@ class NoCrossingError(ValueError):
 
 @dataclass(frozen=True)
 class BoundsReport:
-    """One evaluated sample-size formula: the raw real value and its ceiled integer."""
+    """One evaluated sample-size formula: the raw real value and its ceiled integer.
+
+    Single-tolerance formulas store their eps in ``eps1``.
+    """
 
     formula_id: str
     n: int
     m_value: float
     m_int: int
     delta: Optional[float] = None
-    eps: Optional[float] = None
     eps1: Optional[float] = None
     eps2: Optional[float] = None
     validity_note: str = ""
@@ -73,7 +75,7 @@ def m_injective(n: int, eps: float, delta_sep: float) -> BoundsReport:
     if not 0.0 < delta_sep < 1.0:
         raise ValueError(f"delta_sep must lie in (0, 1), got {delta_sep} (the bound diverges at 1)")
     m_value = math.log(n * n / (2.0 * eps)) / math.log(1.0 / delta_sep)
-    return _report("injective", n, m_value, eps=eps, delta=delta_sep)
+    return _report("injective", n, m_value, eps1=eps, delta=delta_sep)
 
 
 def m_injective_orthogonal(n: int, eps: float) -> BoundsReport:
@@ -81,7 +83,7 @@ def m_injective_orthogonal(n: int, eps: float) -> BoundsReport:
     _check_n(n)
     _check_unit("eps", eps)
     m_value = 2.0 * math.log2(n) + math.log2(1.0 / (2.0 * eps))
-    return _report("injective_orthogonal", n, m_value, eps=eps)
+    return _report("injective_orthogonal", n, m_value, eps1=eps)
 
 
 def m_rip_union(n: int, eps: float, delta: float) -> BoundsReport:
@@ -94,7 +96,7 @@ def m_rip_union(n: int, eps: float, delta: float) -> BoundsReport:
     if not 0.0 < delta < 0.5:
         raise ValidityRangeError(f"delta must lie in (0, 1/2) for this bound, got {delta}")
     m_value = math.log(n * n / eps) / (2.0 * delta * delta)
-    return _report("rip_union", n, m_value, eps=eps, delta=delta)
+    return _report("rip_union", n, m_value, eps1=eps, delta=delta)
 
 
 def m_linear_jl(n: int, delta: float) -> BoundsReport:
@@ -403,40 +405,33 @@ def _fmt(value) -> str:
 
 
 def bounds_reports_csv(reports: list[BoundsReport]) -> str:
-    """Serialize reports: formula_id,n,delta,eps1,eps2,m_value,m_int,validity_note.
-
-    Single-tolerance formulas put their eps in the eps1 column.
-    """
+    """Serialize reports: formula_id,n,delta,eps1,eps2,m_value,m_int,validity_note."""
     lines = ["formula_id,n,delta,eps1,eps2,m_value,m_int,validity_note"]
     for r in reports:
-        e1 = r.eps if r.eps is not None else r.eps1
         lines.append(
             ",".join(
-                [r.formula_id, str(r.n), _fmt(r.delta), _fmt(e1), _fmt(r.eps2), _fmt(r.m_value), str(r.m_int), r.validity_note]
+                [r.formula_id, str(r.n), _fmt(r.delta), _fmt(r.eps1), _fmt(r.eps2), _fmt(r.m_value), str(r.m_int), r.validity_note]
             )
         )
     return "\n".join(lines) + "\n"
 
 
-def window_csv(mode: str, n: int, m_values: list[int], delta: Optional[float] = None) -> str:
+def window_csv(n: int, m_values: list[int], delta: Optional[float] = None) -> str:
     """Window table: n,m,delta,lambda_lo,lambda_hi,eta_pairwise,eta_general,lo,hi.
 
-    For ``injectivity`` the [lo, hi] column uses the pairwise width (the
-    general width is still tabulated); for ``rip`` only the general width is
-    defined and the eta_pairwise column is left empty.
+    Without ``delta`` the rows are injectivity windows, whose [lo, hi] column
+    uses the pairwise width (the general width is still tabulated); with it
+    they are rip windows, for which only the general width is defined and the
+    eta_pairwise column is left empty.
     """
     lines = ["n,m,delta,lambda_lo,lambda_hi,eta_pairwise,eta_general,lo,hi"]
     for m in m_values:
-        if mode == "injectivity":
+        if delta is None:
             wp = one_to_one_window(n, m, "pairwise")
             wg = one_to_one_window(n, m, "general")
             row = [n, m, None, wp.lambda_lo, wp.lambda_hi, wp.eta, wg.eta, wp.lo, wp.hi]
-        elif mode == "rip":
-            if delta is None:
-                raise ValueError("rip windows need delta")
+        else:
             w = rip_window(n, m, delta)
             row = [n, m, delta, w.lambda_lo, w.lambda_hi, None, w.eta, w.lo, w.hi]
-        else:
-            raise ValueError(f"unknown mode {mode!r}")
         lines.append(",".join(_fmt(v) for v in row))
     return "\n".join(lines) + "\n"

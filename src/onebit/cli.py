@@ -143,10 +143,9 @@ def _cmd_bounds(args) -> int:
         with _text_out(args.out) as f:
             f.write(bnd.bounds_reports_csv(reports))
     if args.m is not None:
-        mode = "rip" if args.delta is not None and 0 < args.delta < 0.5 else "injectivity"
         if reports:
             print()
-        print(bnd.window_csv(mode, n, [args.m], args.delta if mode == "rip" else None), end="")
+        print(bnd.window_csv(n, [args.m], args.delta if args.delta is not None and 0 < args.delta < 0.5 else None), end="")
     return EXIT_OK
 
 
@@ -206,7 +205,6 @@ def _cmd_check(args) -> int:
 # ---------------------------------------------------------------- simulate / sweep
 
 def _build_config(args, m: int, seed: int) -> TrialConfig:
-    mode = "rip" if args.delta is not None else "injectivity"
     points = None
     n = args.n
     if getattr(args, "points", None):
@@ -220,7 +218,6 @@ def _build_config(args, m: int, seed: int) -> TrialConfig:
     return TrialConfig(
         n=n,
         m=m,
-        mode=mode,
         trials=trials,
         base_seed=seed,
         delta=args.delta,
@@ -321,7 +318,6 @@ def _cmd_figure(args) -> int:
     config = TrialConfig(
         n=args.n,
         m=grid[0],
-        mode="rip",
         trials=trials,
         base_seed=seed,
         delta=args.delta,

@@ -7,11 +7,12 @@ Hamming distance between two codes is popcount(xor)/m, a multiple of 1/m.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
-from typing import IO, Iterator, NamedTuple, Union
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -240,15 +241,24 @@ def band_fails(h, m: int, geodesic, delta: float, boundary: str) -> np.ndarray:
     """
     if boundary not in ("strict", "inclusive"):
         raise ValueError(f"unknown boundary convention {boundary!r}")
-    edge = 2 * m * Fraction(str(delta))
+    below, equal_fails = _band_edge(m, delta, boundary)
     dev = np.abs(2 * np.asarray(h) - 2 * m * np.asarray(geodesic, dtype=np.float64))
+    return dev >= below if equal_fails else dev > below
+
+
+@functools.lru_cache
+def _band_edge(m: int, delta: float, boundary: str) -> tuple[float, bool]:
+    """band_fails' edge 2m*delta as a double a failing deviation exceeds, and whether reaching it fails too.
+
+    dev is a double: it exceeds (or reaches) an edge no double equals iff it
+    exceeds the largest double below it, so only an exact edge under the
+    ``inclusive`` boundary fails on equality.
+    """
+    edge = 2 * m * Fraction(str(delta))
     below = float(edge)
-    if Fraction(below) == edge:
-        return dev >= below if boundary == "inclusive" else dev > below
     if Fraction(below) > edge:
-        below = np.nextafter(below, 0.0)
-    # dev is a double: it exceeds (or reaches) an edge no double equals iff it exceeds the largest double below it.
-    return dev > below
+        below = float(np.nextafter(below, 0.0))
+    return below, boundary == "inclusive" and Fraction(below) == edge
 
 
 def band_range(m: int, geodesic, delta: float, boundary: str) -> tuple[np.ndarray, np.ndarray]:
@@ -266,22 +276,15 @@ def band_range(m: int, geodesic, delta: float, boundary: str) -> tuple[np.ndarra
     return np.where(band_fails(h_lo, m, g, delta, boundary), m + 1, np.maximum(h_lo, 0)), np.minimum(h_hi, m)
 
 
-def write_code_set(codes: CodeSet, dest: Union[str, Path, IO[bytes]]) -> None:
+def write_code_set(codes: CodeSet, path: str | Path) -> None:
     """Serialize a code set in the binary format (see CODESET_MAGIC)."""
     header = CODESET_MAGIC + bytes([CODESET_VERSION]) + codes.n.to_bytes(8, "little") + codes.m.to_bytes(8, "little")
-    data = header + codes.words.astype("<u8", copy=False).tobytes()
-    if hasattr(dest, "write"):
-        dest.write(data)
-    else:
-        Path(dest).write_bytes(data)
+    Path(path).write_bytes(header + codes.words.astype("<u8", copy=False).tobytes())
 
 
-def read_code_set(source: Union[str, Path, IO[bytes]]) -> CodeSet:
+def read_code_set(path: str | Path) -> CodeSet:
     """Parse the binary code-set format, validating header and padding bits."""
-    if hasattr(source, "read"):
-        data = source.read()
-    else:
-        data = Path(source).read_bytes()
+    data = Path(path).read_bytes()
     if len(data) < 21:
         raise CodeSetFormatError("truncated header")
     if data[:4] != CODESET_MAGIC:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import IO, Optional, Union
+from typing import Optional
 
 import numpy as np
 
@@ -73,23 +73,14 @@ def geodesic_matrix(points: PointSet, lo: int = 0, hi: Optional[int] = None) -> 
     return geo
 
 
-def read_point_set(
-    source: Union[str, Path, IO[bytes], IO[str]],
-    normalize: bool = False,
-) -> PointSet:
+def read_point_set(path: str | Path, normalize: bool = False) -> PointSet:
     """Parse a points CSV: one vector per line, comma-separated decimals, no header.
 
     With ``normalize`` each row is rescaled to unit norm (zero rows are
     rejected); without it, rows whose norm deviates from 1 by more than
     ``UNIT_NORM_TOL`` are rejected.  Errors name the offending 1-based row.
     """
-    if hasattr(source, "read"):
-        data = source.read()
-        text = data.decode("utf-8") if isinstance(data, bytes) else data
-    else:
-        text = Path(source).read_text(encoding="utf-8")
-
-    lines = text.split("\n")
+    lines = Path(path).read_text(encoding="utf-8").split("\n")
     while lines and lines[-1] == "":
         lines.pop()
 

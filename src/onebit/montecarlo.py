@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import dataclasses
 import math
-import statistics
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -41,6 +40,12 @@ PAIR_WORD_BUDGET = 10**10
 #: Byte cap on one block of trials: its float64 projections, ±1 rows and Gram matrices.
 _BLOCK_BYTES = 1 << 23
 
+#: Largest byte size of the (2, n, n) band of Gram ranges a rip estimate builds.
+BAND_BYTES_BUDGET = 1 << 30
+
+#: The two-sided 95% normal critical value, NormalDist().inv_cdf(0.975) to the last bit.
+Z95 = 1.9599639845400536
+
 
 class ResourceBudgetError(ValueError):
     """The requested simulation exceeds the configured work budget."""
@@ -50,14 +55,14 @@ class ResourceBudgetError(ValueError):
 class TrialConfig:
     """Parameters of one Monte Carlo estimate.
 
-    ``delta`` must be present exactly when mode == "rip".  ``points``, when
-    given, must have n rows and selects the explicit path; without it the
-    points are n pairwise orthogonal ones on the fast path.
+    A config with ``delta`` estimates the delta-band isometry (rip), one
+    without it injectivity.  ``points``, when given, must have n rows and
+    selects the explicit path; without it the points are n pairwise
+    orthogonal ones on the fast path.
     """
 
     n: int
     m: int
-    mode: str
     trials: int
     base_seed: int
     delta: Optional[float] = None
@@ -65,8 +70,6 @@ class TrialConfig:
     points: Optional[PointSet] = None
 
     def __post_init__(self) -> None:
-        if self.mode not in ("injectivity", "rip"):
-            raise ValueError(f"unknown mode {self.mode!r}")
         if self.n < 2:
             raise ValueError(f"need at least 2 points, got n={self.n}")
         if self.m < 1:
@@ -75,8 +78,6 @@ class TrialConfig:
             raise ValueError(f"need at least 1 trial, got {self.trials}")
         if self.base_seed < 0:
             raise ValueError(f"base_seed must be non-negative, got {self.base_seed}")
-        if (self.delta is not None) != (self.mode == "rip"):
-            raise ValueError("delta must be given exactly when mode is 'rip'")
         if self.delta is not None and not 0.0 < self.delta < 1.0:
             raise ValueError(f"delta must lie in (0, 1), got {self.delta}")
         if self.boundary not in ("strict", "inclusive"):
@@ -115,7 +116,7 @@ def rows_csv(rows: tuple[EstimateRow, ...]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def wilson_interval_z(successes: int, trials: int, z: float) -> tuple[float, float]:
+def wilson_interval(successes: int, trials: int, z: float) -> tuple[float, float]:
     """Wilson score interval at critical value z."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -131,14 +132,6 @@ def wilson_interval_z(successes: int, trials: int, z: float) -> tuple[float, flo
     return max(0.0, center - half), min(1.0, center + half)
 
 
-def wilson_interval(successes: int, trials: int, confidence: float = 0.95) -> tuple[float, float]:
-    """Wilson score interval at the given two-sided confidence level (default 95%)."""
-    if not 0.0 < confidence < 1.0:
-        raise ValueError(f"confidence must lie in (0, 1), got {confidence}")
-    z = statistics.NormalDist().inv_cdf(0.5 * (1.0 + confidence))
-    return wilson_interval_z(successes, trials, z)
-
-
 def _chunk_stream(base_seed: int, m: int, chunk_index: int) -> np.random.Generator:
     seq = np.random.SeedSequence(entropy=base_seed, spawn_key=(m, chunk_index))
     return np.random.default_rng(seq)
@@ -150,7 +143,7 @@ def _chunk_size(config: TrialConfig) -> int:
         per_trial = config.m * config.points.dim * 8
         cap = 4096
         budget = 1 << 24
-    elif config.mode == "injectivity":
+    elif config.delta is None:
         per_trial = config.n * words_needed(config.m) * 8
         cap = 8192
         budget = 1 << 22
@@ -184,7 +177,7 @@ def _run_chunk(config: TrialConfig, chunk_index: int, count: int, band) -> int:
     step = max(1, _BLOCK_BYTES // (n * (12 * m + 8 * n)))
 
     if config.points is None:
-        if config.mode == "injectivity":
+        if config.delta is None:
             return _count_distinct([draw_codes((count, n), m, rng)])
         bits = rng.integers(0, 2, size=(count, n, m), dtype=np.uint8)
         blocks = (bits[k : k + step] for k in range(0, count, step))
@@ -193,7 +186,7 @@ def _run_chunk(config: TrialConfig, chunk_index: int, count: int, band) -> int:
         # matter, so direction normalization is skipped (it cannot change a sign).
         normals = rng.standard_normal((count, m, config.points.dim))
         blocks = (np.einsum("tmd,nd->tnm", normals[k : k + step], config.points.matrix) >= 0.0 for k in range(0, count, step))
-        if config.mode == "injectivity":
+        if config.delta is None:
             return _count_distinct(pack_bits(b) for b in blocks)
     return _count_band_ok(blocks, *band)
 
@@ -201,9 +194,9 @@ def _run_chunk(config: TrialConfig, chunk_index: int, count: int, band) -> int:
 def run_trials(config: TrialConfig, threads: int = 1) -> EstimateRow:
     """Estimate the success probability for one (n, m) cell.
 
-    Success means check_one_to_one passes (injectivity mode) or every pair
-    stays inside the delta band (rip mode, boundary per config).  The result
-    depends only on (config), never on ``threads``.
+    Success means check_one_to_one passes (no delta) or every pair stays
+    inside the delta band (boundary per config).  The result depends only
+    on (config), never on ``threads``.
     """
     if threads < 1:
         raise ValueError("threads must be >= 1")
@@ -212,11 +205,15 @@ def run_trials(config: TrialConfig, threads: int = 1) -> EstimateRow:
         raise ResourceBudgetError(f"pairs*trials*words = {cost} exceeds budget {PAIR_WORD_BUDGET}; reduce trials")
 
     band = None
-    if config.mode == "rip":
+    if config.delta is not None:
         n, m = config.n, config.m
         # Sums of m products of ±1 are exact integers in float32 up to 2**24.  The Gram
         # matrix is symmetric, so below the diagonal every value in [-m, m] passes.
-        band = np.empty((2, n, n), np.float32 if m <= 1 << 24 else np.float64)
+        dtype = np.dtype(np.float32 if m <= 1 << 24 else np.float64)
+        size = 2 * n * n * dtype.itemsize
+        if size > BAND_BYTES_BUDGET:
+            raise ResourceBudgetError(f"the {n} x {n} band needs {size} bytes, over budget {BAND_BYTES_BUDGET}; reduce n")
+        band = np.empty((2, n, n), dtype)
         band[0], band[1] = -m, m
         for i in range(0, n, PAIR_BLOCK_ROWS):
             if config.points is None:
@@ -242,7 +239,7 @@ def run_trials(config: TrialConfig, threads: int = 1) -> EstimateRow:
     elapsed = time.perf_counter() - start
 
     p_hat = successes / config.trials
-    lo, hi = wilson_interval(successes, config.trials)
+    lo, hi = wilson_interval(successes, config.trials, Z95)
     return EstimateRow(
         m=config.m,
         successes=successes,
@@ -270,12 +267,12 @@ def sweep(
         raise ValueError("m grid must be nonempty")
     if any(b <= a for a, b in zip(m_grid, m_grid[1:])):
         raise ValueError("m grid must be strictly increasing")
-    if config.mode == "rip" and eta_form not in (None, "general"):
+    if config.delta is not None and eta_form not in (None, "general"):
         raise ValueError("rip windows exist only in the general form")
 
-    # Every window is evaluated first, so that a config they reject (delta >= 1/2
-    # in rip mode) fails before any trial runs.
-    if config.mode == "injectivity":
+    # Every window is evaluated first, so that a config they reject (delta >= 1/2)
+    # fails before any trial runs.
+    if config.delta is None:
         windows = [one_to_one_window(config.n, int(m), eta_form or "pairwise") for m in m_grid]
     else:
         windows = [rip_window(config.n, int(m), config.delta) for m in m_grid]

@@ -19,10 +19,9 @@ from .embedding import band_range
 
 @dataclass(frozen=True)
 class ExactProbability:
-    """An exactly known probability with the method that produced it."""
+    """An exactly known probability."""
 
     value: Fraction
-    method: str
 
     def __post_init__(self) -> None:
         if not 0 <= self.value <= 1:
@@ -57,11 +56,11 @@ def birthday_exact(n: int, m: int) -> ExactProbability:
         raise ValueError(f"code length must be >= 1, got {m}")
     space = 1 << m
     if n > space:
-        return ExactProbability(Fraction(0), "birthday_product")
+        return ExactProbability(Fraction(0))
     num = 1
     for k in range(1, n):
         num *= space - k
-    return ExactProbability(Fraction(num, space ** (n - 1)), "birthday_product")
+    return ExactProbability(Fraction(num, space ** (n - 1)))
 
 
 def rip_exact_three(m: int, delta: float, boundary: str = "strict") -> ExactProbability:
@@ -97,15 +96,13 @@ def rip_exact_three(m: int, delta: float, boundary: str = "strict") -> ExactProb
             rest = m - a - b
             for c in range(c_lo, c_hi + 1):
                 count += cb * math.comb(rest, c)
-    return ExactProbability(Fraction(count, 4**m), "multinomial_dp")
+    return ExactProbability(Fraction(count, 4**m))
 
 
 @dataclass(frozen=True)
 class EtaComparison:
     """Exact injectivity probability vs its Poisson estimate, against both error widths."""
 
-    n: int
-    m: int
     exact: ExactProbability
     poisson_estimate: float
     deviation: float
@@ -130,8 +127,6 @@ def eta_comparison(n: int, m: int) -> EtaComparison:
     deviation = abs(exact.float_value - poisson)
     eta_pairwise, eta_general = window.eta, one_to_one_window(n, m, "general").eta
     return EtaComparison(
-        n=n,
-        m=m,
         exact=exact,
         poisson_estimate=poisson,
         deviation=deviation,

@@ -28,7 +28,7 @@ from onebit.montecarlo import (
     first_upward_crossing,
     run_trials,
     sweep,
-    wilson_interval_z,
+    wilson_interval,
 )
 from onebit.oracles import birthday_exact, eta_comparison, rip_exact_three
 from reference import code_set, first_pair_bits, hamming_bitloop
@@ -110,9 +110,9 @@ def test_criterion_4_birthday_agreement():
     cells = []
     for m in range(4, 15):
         exact = birthday_exact(10, m).float_value
-        cfg = TrialConfig(n=10, m=m, mode="injectivity", trials=100_000, base_seed=2024_04)
+        cfg = TrialConfig(n=10, m=m, trials=100_000, base_seed=2024_04)
         row = run_trials(cfg, threads=THREADS)
-        lo, hi = wilson_interval_z(row.successes, row.trials, 3.0)
+        lo, hi = wilson_interval(row.successes, row.trials, 3.0)
         inside = lo <= exact <= hi
         hits += inside
         cells.append((m, row.p_hat, exact, inside))
@@ -129,10 +129,9 @@ def test_criterion_5_rip_oracle_agreement():
     for m in (8, 16, 32):
         for boundary in ("strict", "inclusive"):
             exact = rip_exact_three(m, 0.2, boundary).float_value
-            cfg = TrialConfig(n=3, m=m, mode="rip", delta=0.2, trials=100_000,
-                              base_seed=2024_05, boundary=boundary)
+            cfg = TrialConfig(n=3, m=m, delta=0.2, trials=100_000, base_seed=2024_05, boundary=boundary)
             row = run_trials(cfg, threads=THREADS)
-            lo, hi = wilson_interval_z(row.successes, row.trials, 3.0)
+            lo, hi = wilson_interval(row.successes, row.trials, 3.0)
             if not lo <= exact <= hi:
                 failures.append((m, boundary, row.p_hat, exact))
     elapsed = time.perf_counter() - t0
@@ -146,7 +145,7 @@ def test_criterion_6_figure_reproduction():
     t0 = time.perf_counter()
     transition = rip_m_window(800, 0.2, 0.5, 0.1)
     grid = default_phase_grid(transition.m_eps1, transition.m_eps2)
-    cfg = TrialConfig(n=800, m=grid[0], mode="rip", delta=0.2, trials=200, base_seed=2024_06)
+    cfg = TrialConfig(n=800, m=grid[0], delta=0.2, trials=200, base_seed=2024_06)
     rows = sweep(cfg, grid, threads=THREADS)
 
     crossing = first_upward_crossing(rows)
@@ -154,7 +153,7 @@ def test_criterion_6_figure_reproduction():
 
     outside = []
     for row in rows:
-        wlo, whi = wilson_interval_z(row.successes, row.trials, 3.0)
+        wlo, whi = wilson_interval(row.successes, row.trials, 3.0)
         if not (wlo <= row.window_hi and whi >= row.window_lo):
             outside.append((row.m, row.p_hat, row.window_lo, row.window_hi))
     elapsed = time.perf_counter() - t0
@@ -171,7 +170,7 @@ def test_criterion_7_union_bound_validation():
     t0 = time.perf_counter()
     report = m_rip_union(100, 0.1, 0.2)
     assert report.m_int == 144
-    cfg = TrialConfig(n=100, m=144, mode="rip", delta=0.2, trials=10_000, base_seed=2024_07)
+    cfg = TrialConfig(n=100, m=144, delta=0.2, trials=10_000, base_seed=2024_07)
     row = run_trials(cfg, threads=THREADS)
     failure_rate = 1.0 - row.p_hat
     elapsed = time.perf_counter() - t0

@@ -339,7 +339,7 @@ class TestCsvOutputs:
         assert ",225," in lines[1]
 
     def test_window_csv_injectivity(self):
-        text = window_csv("injectivity", 10, [7])
+        text = window_csv(10, [7])
         lines = text.strip().split("\n")
         assert lines[0] == "n,m,delta,lambda_lo,lambda_hi,eta_pairwise,eta_general,lo,hi"
         fields = lines[1].split(",")
@@ -349,7 +349,7 @@ class TestCsvOutputs:
         assert float(fields[6]) == pytest.approx(0.09063720703125, rel=1e-9)
 
     def test_window_csv_rip(self):
-        text = window_csv("rip", 800, [150], 0.2)
+        text = window_csv(800, [150], 0.2)
         fields = text.strip().split("\n")[1].split(",")
         assert fields[2] == "0.2"
         assert fields[5] == ""  # no pairwise width for the rip window

@@ -1,4 +1,3 @@
-import io
 import math
 import tracemalloc
 from fractions import Fraction
@@ -98,11 +97,11 @@ class TestBitCode:
         assert code_bits(codes, 0) == bits
 
     @given(st.lists(st.integers(0, 1), min_size=1, max_size=130))
-    def test_bytes_roundtrip(self, bits):
+    def test_bytes_roundtrip(self, tmp_path_factory, bits):
         codes = code_set([bits])
-        buf = io.BytesIO()
-        write_code_set(codes, buf)
-        back = read_code_set(io.BytesIO(buf.getvalue()))
+        path = tmp_path_factory.mktemp("roundtrip") / "codes.ob1j"
+        write_code_set(codes, path)
+        back = read_code_set(path)
         assert np.array_equal(back.words, codes.words)
         assert code_bits(back, 0) == bits
 
@@ -527,36 +526,38 @@ class TestSerialization:
         assert back.n == cs.n and back.m == cs.m
         assert np.array_equal(back.words, cs.words)
 
-    def test_header_layout(self):
+    def test_header_layout(self, tmp_path):
         cs = code_set([[1, 0, 1]])
-        buf = io.BytesIO()
-        write_code_set(cs, buf)
-        data = buf.getvalue()
+        path = tmp_path / "codes.ob1j"
+        write_code_set(cs, path)
+        data = path.read_bytes()
         assert data[:4] == CODESET_MAGIC == b"OB1J"
         assert data[4] == 1
         assert int.from_bytes(data[5:13], "little") == 1
         assert int.from_bytes(data[13:21], "little") == 3
         assert data[21:29] == (0b101).to_bytes(8, "little")
 
-    def test_bad_magic(self):
+    def test_bad_magic(self, tmp_path):
+        path = tmp_path / "codes.ob1j"
+        path.write_bytes(b"XXXX" + bytes(17))
         with pytest.raises(CodeSetFormatError, match="magic"):
-            read_code_set(io.BytesIO(b"XXXX" + bytes(17)))
+            read_code_set(path)
 
-    def test_truncation(self):
-        cs = code_set([[1, 0, 1]])
-        buf = io.BytesIO()
-        write_code_set(cs, buf)
+    def test_truncation(self, tmp_path):
+        path = tmp_path / "codes.ob1j"
+        write_code_set(code_set([[1, 0, 1]]), path)
+        path.write_bytes(path.read_bytes()[:-1])
         with pytest.raises(CodeSetFormatError, match="expected"):
-            read_code_set(io.BytesIO(buf.getvalue()[:-1]))
+            read_code_set(path)
 
-    def test_nonzero_padding_rejected(self):
-        cs = code_set([[1, 0, 1]])
-        buf = io.BytesIO()
-        write_code_set(cs, buf)
-        data = bytearray(buf.getvalue())
+    def test_nonzero_padding_rejected(self, tmp_path):
+        path = tmp_path / "codes.ob1j"
+        write_code_set(code_set([[1, 0, 1]]), path)
+        data = bytearray(path.read_bytes())
         data[22] = 0xFF  # bits past m=3 in the first word
+        path.write_bytes(bytes(data))
         with pytest.raises(CodeSetFormatError, match="padding"):
-            read_code_set(io.BytesIO(bytes(data)))
+            read_code_set(path)
 
     def test_hexdump(self):
         cs = code_set([[1, 0, 1], [0, 1, 0]])

@@ -1,4 +1,3 @@
-import io
 import math
 
 import numpy as np
@@ -184,39 +183,45 @@ class TestOrthonormalSet:
         assert geo[0, 1] == pytest.approx(0.5, abs=1e-15)
 
 
+def _points_file(tmp_path, data: bytes):
+    path = tmp_path / "points.csv"
+    path.write_bytes(data)
+    return path
+
+
 class TestReadPointSet:
-    def test_basic_rows(self):
-        ps = read_point_set(io.BytesIO(b"1,0,0\n0,1,0\n"), normalize=False)
+    def test_basic_rows(self, tmp_path):
+        ps = read_point_set(_points_file(tmp_path, b"1,0,0\n0,1,0\n"), normalize=False)
         assert ps.n == 2
         assert np.allclose(ps.matrix, np.eye(2, 3))
 
-    def test_normalize_rescales(self):
-        ps = read_point_set(io.StringIO("2,0\n"), normalize=True)
+    def test_normalize_rescales(self, tmp_path):
+        ps = read_point_set(_points_file(tmp_path, b"2,0\n"), normalize=True)
         assert np.allclose(ps.matrix, [[1.0, 0.0]])
 
-    def test_zero_norm_under_normalize(self):
+    def test_zero_norm_under_normalize(self, tmp_path):
         with pytest.raises(PointSetParseError, match="row 1"):
-            read_point_set(io.StringIO("0,0,0\n"), normalize=True)
+            read_point_set(_points_file(tmp_path, b"0,0,0\n"), normalize=True)
 
-    def test_ragged_rows_named(self):
+    def test_ragged_rows_named(self, tmp_path):
         with pytest.raises(PointSetParseError, match="row 2"):
-            read_point_set(io.StringIO("1,0,0\n0,1\n"))
+            read_point_set(_points_file(tmp_path, b"1,0,0\n0,1\n"))
 
-    def test_non_unit_row_without_normalize(self):
+    def test_non_unit_row_without_normalize(self, tmp_path):
         with pytest.raises(PointSetParseError, match="row 2"):
-            read_point_set(io.StringIO("1,0\n0.5,0.5\n"))
+            read_point_set(_points_file(tmp_path, b"1,0\n0.5,0.5\n"))
 
-    def test_unparseable_component(self):
+    def test_unparseable_component(self, tmp_path):
         with pytest.raises(PointSetParseError, match="row 1"):
-            read_point_set(io.StringIO("1,zebra\n"))
+            read_point_set(_points_file(tmp_path, b"1,zebra\n"))
 
-    def test_single_component_row(self):
+    def test_single_component_row(self, tmp_path):
         with pytest.raises(PointSetParseError, match="at least 2"):
-            read_point_set(io.StringIO("1\n"))
+            read_point_set(_points_file(tmp_path, b"1\n"))
 
-    def test_empty_file(self):
+    def test_empty_file(self, tmp_path):
         with pytest.raises(PointSetParseError, match="empty"):
-            read_point_set(io.StringIO(""))
+            read_point_set(_points_file(tmp_path, b""))
 
     def test_roundtrip(self, tmp_path):
         rng = np.random.default_rng(3)

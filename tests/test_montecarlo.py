@@ -1,4 +1,5 @@
 import math
+import statistics
 import tracemalloc
 
 import numpy as np
@@ -10,6 +11,7 @@ from onebit.embedding import band_fails, draw_codes, embed_points, sample_map
 from onebit.geometry import PointSet, geodesic_matrix
 from onebit.montecarlo import (
     CSV_HEADER,
+    Z95,
     EstimateRow,
     ResourceBudgetError,
     TrialConfig,
@@ -19,7 +21,6 @@ from onebit.montecarlo import (
     run_trials,
     sweep,
     wilson_interval,
-    wilson_interval_z,
 )
 from onebit.oracles import birthday_exact, rip_exact_three
 
@@ -53,63 +54,58 @@ def count_band_ok_pairwise(config: TrialConfig) -> int:
 
 
 def inj_config(n, m, trials, seed, **kw) -> TrialConfig:
-    return TrialConfig(n=n, m=m, mode="injectivity", trials=trials, base_seed=seed, **kw)
+    return TrialConfig(n=n, m=m, trials=trials, base_seed=seed, **kw)
 
 
 def rip_config(n, m, delta, trials, seed, **kw) -> TrialConfig:
-    return TrialConfig(n=n, m=m, mode="rip", delta=delta, trials=trials, base_seed=seed, **kw)
+    return TrialConfig(n=n, m=m, delta=delta, trials=trials, base_seed=seed, **kw)
 
 
 class TestWilson:
+    def test_z95_is_the_two_sided_95_percent_critical_value(self):
+        assert Z95 == statistics.NormalDist().inv_cdf(0.5 * (1.0 + 0.95))
+
     def test_zero_successes_floor(self):
-        lo, hi = wilson_interval(0, 100)
+        lo, hi = wilson_interval(0, 100, Z95)
         assert lo == 0.0 and 0.0 < hi < 0.1
 
     def test_all_successes_ceiling(self):
-        lo, hi = wilson_interval(100, 100)
+        lo, hi = wilson_interval(100, 100, Z95)
         assert hi == 1.0 and 0.9 < lo < 1.0
 
     def test_half_contains_and_symmetric(self):
-        lo, hi = wilson_interval(50, 100, 0.95)
+        lo, hi = wilson_interval(50, 100, Z95)
         assert lo < 0.5 < hi
         assert (0.5 - lo) == pytest.approx(hi - 0.5, abs=1e-12)
 
     def test_narrows_with_trials(self):
-        lo1, hi1 = wilson_interval(50, 100)
-        lo2, hi2 = wilson_interval(5000, 10000)
+        lo1, hi1 = wilson_interval(50, 100, Z95)
+        lo2, hi2 = wilson_interval(5000, 10000, Z95)
         assert (hi2 - lo2) < (hi1 - lo1)
 
     def test_z_variant_wider_for_larger_z(self):
-        lo3, hi3 = wilson_interval_z(60, 100, 3.0)
-        lo2, hi2 = wilson_interval_z(60, 100, 2.0)
+        lo3, hi3 = wilson_interval(60, 100, 3.0)
+        lo2, hi2 = wilson_interval(60, 100, 2.0)
         assert lo3 < lo2 and hi3 > hi2
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            wilson_interval(5, 0)
+            wilson_interval(5, 0, Z95)
         with pytest.raises(ValueError):
-            wilson_interval(5, 4)
+            wilson_interval(5, 4, Z95)
         with pytest.raises(ValueError):
-            wilson_interval(1, 10, confidence=1.0)
+            wilson_interval(1, 10, 0.0)
 
 
 class TestTrialConfig:
-    def test_delta_only_in_rip_mode(self):
-        with pytest.raises(ValueError):
-            TrialConfig(n=4, m=8, mode="injectivity", trials=10, base_seed=0, delta=0.2)
-        with pytest.raises(ValueError):
-            TrialConfig(n=4, m=8, mode="rip", trials=10, base_seed=0)
-
     def test_explicit_needs_points(self):
         pts = PointSet(np.eye(3, 5))
         with pytest.raises(ValueError, match="n=4"):
-            TrialConfig(n=4, m=8, mode="injectivity", trials=10, base_seed=0, points=pts)
+            TrialConfig(n=4, m=8, trials=10, base_seed=0, points=pts)
 
     def test_bad_enums(self):
         with pytest.raises(ValueError):
-            TrialConfig(n=4, m=8, mode="sideways", trials=10, base_seed=0)
-        with pytest.raises(ValueError):
-            TrialConfig(n=4, m=8, mode="rip", delta=0.2, trials=10, base_seed=0, boundary="loose")
+            TrialConfig(n=4, m=8, delta=0.2, trials=10, base_seed=0, boundary="loose")
 
 
 class TestDeterminism:
@@ -134,14 +130,14 @@ class TestDeterminism:
 class TestInjectivityAgainstBirthday:
     def test_two_points_one_bit(self):
         row = run_trials(inj_config(2, 1, 100_000, seed=3))
-        lo, hi = wilson_interval_z(row.successes, row.trials, 3.0)
+        lo, hi = wilson_interval(row.successes, row.trials, 3.0)
         assert lo <= 0.5 <= hi
 
     @pytest.mark.parametrize("m", [5, 9, 13])
     def test_matches_exact_probability(self, m):
         exact = birthday_exact(10, m).float_value
         row = run_trials(inj_config(10, m, 30_000, seed=11), threads=2)
-        lo, hi = wilson_interval_z(row.successes, row.trials, 3.0)
+        lo, hi = wilson_interval(row.successes, row.trials, 3.0)
         assert lo <= exact <= hi
 
     def test_multiword_codes(self):
@@ -171,12 +167,35 @@ class TestInjectivityGoldenCounts:
         assert run_trials(inj_config(20, 12, 3_000, seed=7, points=pts), threads=threads).successes == 878
 
 
+class TestRipGoldenCounts:
+    """Rip success counts pinned at fixed seeds: they guard the path a config with delta selects."""
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_fast_path(self, threads):
+        assert run_trials(rip_config(20, 60, 0.2, 30_000, seed=5), threads=threads).successes == 24520
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("boundary, golden", [("strict", 14091), ("inclusive", 5655)])
+    def test_lattice_both_boundaries(self, threads, boundary, golden):
+        assert run_trials(rip_config(3, 10, 0.2, 20_000, seed=1, boundary=boundary), threads=threads).successes == golden
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_large_n(self, threads):
+        assert run_trials(rip_config(800, 140, 0.2, 40, seed=7), threads=threads).successes == 25
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_explicit_path(self, threads):
+        raw = np.random.default_rng(0).standard_normal((10, 5))
+        pts = PointSet(raw / np.linalg.norm(raw, axis=1)[:, None])
+        assert run_trials(rip_config(10, 40, 0.2, 3_000, seed=7, points=pts), threads=threads).successes == 2334
+
+
 class TestRipAgainstExactThree:
     @pytest.mark.parametrize("boundary", ["strict", "inclusive"])
     def test_matches_dp_oracle_m16(self, boundary):
         exact = rip_exact_three(16, 0.2, boundary).float_value
         row = run_trials(rip_config(3, 16, 0.2, 30_000, seed=21, boundary=boundary))
-        lo, hi = wilson_interval_z(row.successes, row.trials, 3.0)
+        lo, hi = wilson_interval(row.successes, row.trials, 3.0)
         assert lo <= exact <= hi
 
     @pytest.mark.parametrize("boundary", ["strict", "inclusive"])
@@ -185,7 +204,7 @@ class TestRipAgainstExactThree:
         # so the two conventions have genuinely different oracles.
         exact = rip_exact_three(10, 0.2, boundary).float_value
         row = run_trials(rip_config(3, 10, 0.2, 40_000, seed=22, boundary=boundary))
-        lo, hi = wilson_interval_z(row.successes, row.trials, 3.0)
+        lo, hi = wilson_interval(row.successes, row.trials, 3.0)
         assert lo <= exact <= hi
 
     def test_gram_path_probability_sandwich(self):
@@ -195,7 +214,7 @@ class TestRipAgainstExactThree:
 
         row = run_trials(rip_config(12, 64, 0.2, 20_000, seed=23))
         p = float(p_delta_exact(64, 0.2))
-        lo, hi = wilson_interval_z(row.successes, row.trials, 4.0)
+        lo, hi = wilson_interval(row.successes, row.trials, 4.0)
         assert hi >= 1.0 - 66.0 * p
         assert lo <= 1.0 - p
 
@@ -236,7 +255,7 @@ class TestExplicitPath:
         cfg = inj_config(4, 6, 20_000, seed=31, points=pts)
         row = run_trials(cfg, threads=2)
         exact = birthday_exact(4, 6).float_value
-        lo, hi = wilson_interval_z(row.successes, row.trials, 3.0)
+        lo, hi = wilson_interval(row.successes, row.trials, 3.0)
         assert lo <= exact <= hi
 
     def test_rip_matches_dp_oracle(self):
@@ -244,7 +263,7 @@ class TestExplicitPath:
         cfg = rip_config(3, 16, 0.2, 20_000, seed=32, points=pts)
         row = run_trials(cfg)
         exact = rip_exact_three(16, 0.2).float_value
-        lo, hi = wilson_interval_z(row.successes, row.trials, 3.0)
+        lo, hi = wilson_interval(row.successes, row.trials, 3.0)
         assert lo <= exact <= hi
 
     def test_general_points_allowed(self):
@@ -390,6 +409,11 @@ class TestResourceGuard:
         cfg = rip_config(800, 224, 0.2, 100_000, seed=1)
         with pytest.raises(ResourceBudgetError):
             run_trials(cfg)
+
+    def test_band_bytes_capped(self):
+        # 2e8 pair-words pass the work budget, but the 20000 x 20000 band would take 3.2 GB.
+        with pytest.raises(ResourceBudgetError, match="band"):
+            run_trials(rip_config(20_000, 1, 0.2, 1, seed=1))
 
     def test_custom_budget(self, monkeypatch):
         cfg = inj_config(10, 7, 1_000, seed=1)

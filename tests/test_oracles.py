@@ -44,7 +44,7 @@ def brute_rip_three(m: int, delta: float, boundary: str) -> Fraction:
 class TestExactProbability:
     def test_range_validated(self):
         with pytest.raises(ValueError):
-            ExactProbability(Fraction(3, 2), "birthday_product")
+            ExactProbability(Fraction(3, 2))
 
     def test_fraction_string(self):
         assert birthday_exact(2, 1).fraction_string() == "1/2"
@@ -86,9 +86,6 @@ class TestBirthdayExact:
     @pytest.mark.parametrize("m", [1, 2, 3, 4])
     def test_brute_force_equivalence(self, n, m):
         assert birthday_exact(n, m).value == brute_birthday(n, m)
-
-    def test_method_tag(self):
-        assert birthday_exact(3, 2).method == "birthday_product"
 
 
 class TestBinomialTail:
@@ -146,9 +143,6 @@ class TestRipExactThree:
     @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
     def test_brute_force_equivalence_small(self, m, delta, boundary):
         assert rip_exact_three(m, delta, boundary).value == brute_rip_three(m, delta, boundary)
-
-    def test_method_tag(self):
-        assert rip_exact_three(3, 0.2).method == "multinomial_dp"
 
 
 class TestEtaComparison:

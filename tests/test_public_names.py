@@ -1,10 +1,17 @@
-"""Every public name of the package is used by the package itself.
+"""Every public name of the package is used by the package itself, and every record field is read by it.
 
 A public module-level function or class, or a public method, that no code in
 ``src/onebit`` refers to is reachable only from tests: a second path that
 never ships.  References are ``ast.Name`` and ``ast.Attribute`` nodes outside
 the name's own definition; matching is by bare name, so it errs towards
 counting a name as used.
+
+Likewise a field of a dataclass or ``NamedTuple`` that no package code reads,
+as an ``ast.Attribute`` load outside its class's ``__post_init__`` validation,
+is a value the package computes and stores only for tests to look at.  A read
+in one of the class's own methods counts: ``ExactProbability.value`` is read
+only through ``float_value`` and ``fraction_string``.  Matching is again by
+bare name.
 """
 
 import ast
@@ -13,6 +20,10 @@ from pathlib import Path
 import onebit
 
 PACKAGE = Path(onebit.__file__).resolve().parent
+
+
+def _package_trees():
+    return {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(PACKAGE.glob("*.py"))}
 
 
 def _public_definitions(tree):
@@ -33,8 +44,22 @@ def _referenced_name(node):
     return None
 
 
+def _record_fields(tree):
+    """(class, field name, class's __post_init__ or None) for each field of a module-level dataclass or NamedTuple."""
+    for node in tree.body:
+        if not isinstance(node, ast.ClassDef):
+            continue
+        kinds = {_referenced_name(d.func if isinstance(d, ast.Call) else d) for d in node.decorator_list}
+        kinds |= {_referenced_name(b) for b in node.bases}
+        if kinds & {"dataclass", "NamedTuple"}:
+            init = next((item for item in node.body if isinstance(item, ast.FunctionDef) and item.name == "__post_init__"), None)
+            for item in node.body:
+                if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
+                    yield node, item.target.id, init
+
+
 def test_every_public_name_is_referenced_in_the_package():
-    trees = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(PACKAGE.glob("*.py"))}
+    trees = _package_trees()
     references = [node for tree in trees.values() for node in ast.walk(tree) if _referenced_name(node)]
     unused = []
     for module, tree in trees.items():
@@ -43,3 +68,18 @@ def test_every_public_name_is_referenced_in_the_package():
             if not any(_referenced_name(node) == definition.name and id(node) not in own for node in references):
                 unused.append(f"{module}:{definition.lineno} {definition.name}")
     assert not unused, "public names no package code refers to:\n" + "\n".join(unused)
+
+
+def test_every_record_field_is_read_in_the_package():
+    trees = _package_trees()
+    reads = [
+        node for tree in trees.values() for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    ]
+    unread = []
+    for module, tree in trees.items():
+        for record, field, init in _record_fields(tree):
+            validation = {id(node) for node in ast.walk(init)} if init else set()
+            if not any(node.attr == field and id(node) not in validation for node in reads):
+                unread.append(f"{module}:{record.lineno} {record.name}.{field}")
+    assert not unread, "record fields no package code reads:\n" + "\n".join(unread)
