@@ -13,6 +13,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
+from .embedding import band_range
+
 LOG_2PI = math.log(2.0 * math.pi)
 LN2 = math.log(2.0)
 
@@ -110,9 +112,9 @@ def m_linear_jl(n: int, delta: float) -> BoundsReport:
     return _report("linear_jl", n, m_value, delta=delta)
 
 
-def tail_start(m: int, delta: float) -> int:
-    """The index A = ceil(m/2 + m*delta) where the deviation tail begins."""
-    return math.ceil(m / 2.0 + m * delta)
+def _tail_start(m: int, delta: float) -> int:
+    """The least count A >= m/2 past band_range's inclusive band at g = 1/2; ceil(m/2) if the band is empty."""
+    return max(int(band_range(m, 0.5, delta, "inclusive")[1]) + 1, (m + 1) // 2)
 
 
 def tail_probability(m: int, a: int) -> Fraction:
@@ -125,14 +127,14 @@ def tail_probability(m: int, a: int) -> Fraction:
 
 
 def p_delta_exact(m: int, delta: float) -> Fraction:
-    """Exact P(|Y - m/2| >= m*delta as realized by the tail sum), Y ~ Bin(m, 1/2).
+    """Exact P(|Y - m/2| >= m*delta), Y ~ Bin(m, 1/2), with delta read as band_fails reads it.
 
-    Twice the upper tail P(Y >= A) with A = ceil(m/2 + m*delta), in exact
-    integer arithmetic.
+    Twice the upper tail P(Y >= A), A the first count past the inclusive band
+    at g = 1/2, in exact integer arithmetic.
     """
     if not 0.0 < delta < 0.5:
         raise ValueError(f"delta must lie in (0, 1/2), got {delta}")
-    return 2 * tail_probability(m, tail_start(m, delta))
+    return 2 * tail_probability(m, _tail_start(m, delta))
 
 
 def p_delta_float(m: int, delta: float) -> float:
@@ -148,7 +150,7 @@ def log_p_delta(m: int, delta: float) -> float:
         raise ValueError(f"m must be >= 1, got {m}")
     if not 0.0 < delta < 0.5:
         raise ValueError(f"delta must lie in (0, 1/2), got {delta}")
-    a = tail_start(m, delta)
+    a = _tail_start(m, delta)
     if a > m:
         return -math.inf
     lgm = math.lgamma(m + 1)

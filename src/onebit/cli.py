@@ -17,10 +17,12 @@ import sys
 from . import bounds as bnd
 from .bounds import ValidityRangeError
 from .embedding import (
+    CodeSet,
     check_one_to_one,
     check_rip,
     code_set_hexdump,
     embed_points,
+    pack_bits,
     pair_stream,
     read_code_set,
     sample_map,
@@ -154,8 +156,7 @@ def _cmd_bounds(args) -> int:
 def _cmd_embed(args) -> int:
     seed = _resolve_seed(args)
     points = read_point_set(args.points, normalize=args.normalize)
-    emap = sample_map(args.m, points.dim, seed)
-    codes = embed_points(emap, points)
+    codes = CodeSet(pack_bits(embed_points(sample_map(args.m, points.dim, seed), points)), args.m)
     write_code_set(codes, args.codes)
 
     out = args.out if args.out else str(args.codes) + ".pairs.csv"

@@ -1,7 +1,7 @@
 """The random m-dimensional one-bit map, bit-packed Hamming codes, and pair checkers.
 
-A map is a list of m uniform directions theta_1..theta_m; a sphere point x is
-sent to the m-bit code with bit j = 1 iff x.theta_j >= 0.  The normalized
+A map is an (m, dim) array of m uniform directions theta_1..theta_m; a sphere
+point x is sent to the m-bit code with bit j = 1 iff x.theta_j >= 0.  The normalized
 Hamming distance between two codes is popcount(xor)/m, a multiple of 1/m.
 """
 
@@ -88,33 +88,8 @@ class CodeSet:
         return self.words.shape[0]
 
 
-@dataclass(frozen=True, eq=False)
-class EmbeddingMap:
-    """m random unit directions defining a one-bit map."""
-
-    directions: np.ndarray
-
-    def __post_init__(self) -> None:
-        mat = np.array(self.directions, dtype=np.float64, copy=True)
-        if mat.ndim != 2 or mat.shape[0] < 1 or mat.shape[1] < 2:
-            raise ValueError("directions must form an (m, dim) matrix with m >= 1, dim >= 2")
-        norms = np.linalg.norm(mat, axis=1)
-        if np.any(np.abs(norms - 1.0) > 1e-9):
-            raise ValueError("every direction must be a unit vector")
-        mat.setflags(write=False)
-        object.__setattr__(self, "directions", mat)
-
-    @property
-    def m(self) -> int:
-        return self.directions.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.directions.shape[1]
-
-
-def sample_map(m: int, dim: int, seed: int) -> EmbeddingMap:
-    """Draw m iid uniform directions from a stream deterministically derived from ``seed``.
+def sample_map(m: int, dim: int, seed: int) -> np.ndarray:
+    """Draw m iid uniform directions, as an (m, dim) array, from a stream deterministically derived from ``seed``.
 
     Each direction is a vector of independent standard normals scaled to unit
     norm, the standard rotation-invariant construction.  Calling twice with
@@ -131,14 +106,18 @@ def sample_map(m: int, dim: int, seed: int) -> EmbeddingMap:
         redo = norms < 1e-12
         raw[redo] = rng.standard_normal((int(redo.sum()), dim))
         norms = np.linalg.norm(raw, axis=1)
-    return EmbeddingMap(raw / norms[:, None])
+    return raw / norms[:, None]
 
 
-def embed_points(emap: EmbeddingMap, points: PointSet) -> CodeSet:
-    """Embed every point of a set through one map (order preserved)."""
-    if points.dim != emap.dim:
-        raise DimensionMismatchError(f"point dimension {points.dim} != map dimension {emap.dim}")
-    return CodeSet(pack_bits(points.matrix @ emap.directions.T >= 0.0), emap.m)
+def embed_points(directions: np.ndarray, points: PointSet) -> np.ndarray:
+    """The one-bit sign map: bit j of point x is x.theta_j >= 0, for every point of the set in order.
+
+    ``directions`` is one (m, dim) map, giving (n, m) bits, or a (T, m, dim)
+    stack of maps, giving (T, n, m) bits.
+    """
+    if directions.shape[-1] != points.dim:
+        raise DimensionMismatchError(f"point dimension {points.dim} != map dimension {directions.shape[-1]}")
+    return points.matrix @ np.swapaxes(directions, -1, -2) >= 0.0
 
 
 def pair_stream(codes: CodeSet, points: PointSet) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:

@@ -10,8 +10,8 @@ Two paths are supported, chosen by whether the config holds points.  Without
 points (the orthogonal fast path) the code bits are drawn as fair coins
 directly, which is exact for pairwise orthogonal points: their sign bits are
 independent fair coins, at geodesic distance 1/2.  With an explicit PointSet
-every trial embeds it through a fresh random map, projected one block of
-trials at a time so that memory stays bounded as n grows.
+every trial embeds it through a fresh random map, by embedding.embed_points on
+one block of trials at a time so that memory stays bounded as n grows.
 
 One kernel decides the band on both paths and at every n.  For ±1 code rows
 <s_i, s_j> = m - 2H, so embedding.band_range turns each pair's geodesic into
@@ -31,7 +31,7 @@ from typing import Optional
 import numpy as np
 
 from .bounds import one_to_one_window, rip_window
-from .embedding import PAIR_BLOCK_ROWS, band_range, draw_codes, pack_bits, sort_codes, words_needed
+from .embedding import PAIR_BLOCK_ROWS, band_range, draw_codes, embed_points, pack_bits, sort_codes, words_needed
 from .geometry import PointSet, geodesic_matrix
 
 #: Largest pairs * trials * 64-bit words a single estimate may cost.
@@ -185,7 +185,7 @@ def _run_chunk(config: TrialConfig, chunk_index: int, count: int, band) -> int:
         # Explicit path: a fresh map per trial.  Only the signs of the projections
         # matter, so direction normalization is skipped (it cannot change a sign).
         normals = rng.standard_normal((count, m, config.points.dim))
-        blocks = (np.einsum("tmd,nd->tnm", normals[k : k + step], config.points.matrix) >= 0.0 for k in range(0, count, step))
+        blocks = (embed_points(normals[k : k + step], config.points) for k in range(0, count, step))
         if config.delta is None:
             return _count_distinct(pack_bits(b) for b in blocks)
     return _count_band_ok(blocks, *band)
@@ -261,7 +261,9 @@ def sweep(
 
     Injectivity rows carry the e^{-C(n,2)/2^m} +- eta window (pairwise width by
     default); rip rows carry the [e^{-lambda2} - eta, e^{-lambda1} + eta]
-    window, which only exists in the general form.
+    window, which only exists in the general form.  Both windows are for n
+    pairwise orthogonal points, so explicit points with any other geodesic
+    get no window (NaN bounds, empty eta_form).
     """
     if not m_grid:
         raise ValueError("m grid must be nonempty")
@@ -276,11 +278,19 @@ def sweep(
         windows = [one_to_one_window(config.n, int(m), eta_form or "pairwise") for m in m_grid]
     else:
         windows = [rip_window(config.n, int(m), config.delta) for m in m_grid]
+    if config.points is not None and not _pairwise_orthogonal(config.points):
+        windows = [None] * len(windows)
     rows = []
     for m, w in zip(m_grid, windows):
         row = run_trials(dataclasses.replace(config, m=int(m)), threads=threads)
-        rows.append(dataclasses.replace(row, window_lo=w.lo, window_hi=w.hi, eta_form=w.eta_form))
+        rows.append(row if w is None else dataclasses.replace(row, window_lo=w.lo, window_hi=w.hi, eta_form=w.eta_form))
     return tuple(rows)
+
+
+def _pairwise_orthogonal(points: PointSet) -> bool:
+    """Is every off-diagonal geodesic exactly 1/2, as the closed-form windows assume?  Checked in row blocks."""
+    return not any(np.triu(geodesic_matrix(points, lo, lo + PAIR_BLOCK_ROWS) - 0.5, 1).any()
+                   for lo in range(0, points.n, PAIR_BLOCK_ROWS))
 
 
 def first_upward_crossing(rows: tuple[EstimateRow, ...], level: float = 0.5) -> float:

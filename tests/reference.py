@@ -36,9 +36,9 @@ def hamming_bitloop(codes: CodeSet, i: int, k: int) -> int:
     return sum(a != b for a, b in zip(code_bits(codes, i), code_bits(codes, k)))
 
 
-def embed_bits(emap, x) -> list[int]:
+def embed_bits(directions, x) -> list[int]:
     """The one-bit map on one point, one direction at a time: bit j = 1 iff x.theta_j >= 0."""
-    return [1 if float(theta @ x) >= 0.0 else 0 for theta in emap.directions]
+    return [1 if float(theta @ x) >= 0.0 else 0 for theta in directions]
 
 
 def geodesic_pair(x, y) -> float:

@@ -22,9 +22,9 @@ from onebit.bounds import (
     rip_window,
     solve_threshold,
     stein_chen_eta,
-    tail_start,
     window_csv,
 )
+from onebit.embedding import band_range
 
 
 class TestMInjective:
@@ -106,7 +106,18 @@ class TestPDeltaExact:
         assert p == Fraction(352, 1024)
         assert p == Fraction(11, 32)
         assert float(p) == 0.34375
-        assert tail_start(10, 0.2) == 7
+        assert band_range(10, 0.5, 0.2, "inclusive")[1] + 1 == 7  # the tail starts at H = 7
+
+    def test_one_minus_band_probability(self):
+        # p_delta is the probability that an orthogonal pair fails the inclusive band,
+        # H ~ Bin(m, 1/2), over every 3-decimal delta at small m (where odd m and
+        # 2m*delta <= 1 leave the band empty) and a few cells at large m.
+        cells = [(m, k / 1000) for m in range(1, 17) for k in range(1, 500)]
+        cells += [(m, d) for m in (99, 100, 1499) for d in (0.001, 0.2, 0.333, 0.499)]
+        for m, delta in cells:
+            h_lo, h_hi = band_range(m, 0.5, delta, "inclusive")
+            inside = Fraction(sum(math.comb(m, h) for h in range(int(h_lo), int(h_hi) + 1)), 1 << m)
+            assert p_delta_exact(m, delta) == 1 - inside, (m, delta)
 
     def test_near_half_delta(self):
         # band just below 1/2: only the all-heads / all-tails outcomes deviate

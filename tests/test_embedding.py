@@ -12,7 +12,6 @@ from onebit.embedding import (
     CodeSet,
     PAIR_BLOCK_ROWS,
     CodeSetFormatError,
-    EmbeddingMap,
     band_fails,
     band_range,
     check_one_to_one,
@@ -110,16 +109,16 @@ class TestSampleMap:
     def test_deterministic(self):
         a = sample_map(8, 3, seed=42)
         b = sample_map(8, 3, seed=42)
-        assert np.array_equal(a.directions, b.directions)
+        assert np.array_equal(a, b)
 
     def test_single_direction(self):
         emap = sample_map(1, 2, seed=0)
-        assert emap.m == 1 and emap.dim == 2
+        assert emap.shape == (1, 2)
 
     def test_row_norms(self):
         emap = sample_map(64, 50, seed=5)
-        assert emap.m == 64
-        assert np.all(np.abs(np.linalg.norm(emap.directions, axis=1) - 1.0) <= 1e-9)
+        assert emap.shape[0] == 64
+        assert np.all(np.abs(np.linalg.norm(emap, axis=1) - 1.0) <= 1e-9)
 
     def test_zero_m_rejected(self):
         with pytest.raises(ValueError):
@@ -128,33 +127,44 @@ class TestSampleMap:
 
 class TestEmbed:
     def test_direct_signs(self):
-        emap = EmbeddingMap(np.array([[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0]]))
-        codes = embed_points(emap, PointSet([basis(0, 3)]))
+        emap = np.array([[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0]])
+        codes = code_set(embed_points(emap, PointSet([basis(0, 3)])))
         assert code_bits(codes, 0) == [1, 0]
 
     def test_deterministic(self):
         emap = sample_map(16, 4, seed=9)
         x = PointSet([basis(2, 4)])
-        assert np.array_equal(embed_points(emap, x).words, embed_points(emap, x).words)
+        assert np.array_equal(embed_points(emap, x), embed_points(emap, x))
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatchError):
             embed_points(sample_map(4, 3, seed=0), PointSet([basis(0, 4)]))
+
+    def test_stacked_maps_match_single_maps(self):
+        rng = np.random.default_rng(12)
+        points = random_points(rng, 9, 5)
+        maps = np.stack([sample_map(13, 5, seed=s) for s in range(6)])
+        bits = embed_points(maps, points)
+        assert bits.shape == (6, 9, 13)
+        for t in range(6):
+            assert np.array_equal(bits[t], embed_points(maps[t], points))
+        with pytest.raises(DimensionMismatchError):
+            embed_points(maps, random_points(rng, 9, 4))
 
     def test_antipodal_complement(self):
         emap = sample_map(64, 5, seed=77)
         rng = np.random.default_rng(3)
         raw = rng.standard_normal(5)
         x = raw / np.linalg.norm(raw)
-        dots = emap.directions @ x
+        dots = emap @ x
         assert np.min(np.abs(dots)) > 1e-12  # no ties, so the codes of x and -x are exact complements
         points = PointSet([x, -x])
-        assert next(pair_stream(embed_points(emap, points), points))[1][0] == 64
+        assert next(pair_stream(code_set(embed_points(emap, points)), points))[1][0] == 64
 
     def test_embed_points_matches_single(self):
         emap = sample_map(10, 4, seed=21)
         ps = PointSet(np.eye(3, 4))
-        cs = embed_points(emap, ps)
+        cs = code_set(embed_points(emap, ps))
         for i in range(3):
             assert code_bits(cs, i) == embed_bits(emap, ps.matrix[i])
 
@@ -183,11 +193,11 @@ class TestHammingDistance:
         assert first_pair_bits(codes) == hamming_bitloop(codes, 0, 1)
 
 
-def pair_deviation(emap: EmbeddingMap, x: np.ndarray, y: np.ndarray) -> float:
+def pair_deviation(emap: np.ndarray, x: np.ndarray, y: np.ndarray) -> float:
     """check_rip's signed deviation (Hamming distance of the images) - (geodesic distance) for one pair."""
     points = PointSet([x, y])
     # At the smallest delta every pair with a nonzero deviation is a violation.
-    report = check_rip(embed_points(emap, points), points, delta=np.nextafter(0.0, 1.0), boundary="inclusive")
+    report = check_rip(code_set(embed_points(emap, points)), points, delta=np.nextafter(0.0, 1.0), boundary="inclusive")
     return report.violations[0].deviation if report.violations else report.max_deviation
 
 
@@ -203,7 +213,7 @@ class TestMetricDeviation:
         # Exactly half of the 4 directions separate e1 from e2, so both
         # metrics equal 1/2 and the deviation vanishes exactly.
         s = 1.0 / math.sqrt(2.0)
-        emap = EmbeddingMap(np.array([[s, s], [-s, -s], [s, -s], [-s, s]]))
+        emap = np.array([[s, s], [-s, -s], [s, -s], [-s, s]])
         assert pair_deviation(emap, basis(0, 2), basis(1, 2)) == 0.0
 
     def test_concentration_large_m(self):
@@ -218,7 +228,7 @@ class TestMetricDeviation:
         raw /= np.linalg.norm(raw, axis=1)[:, None]
         x, y = raw
         differing = sum(a != b for a, b in zip(embed_bits(emap, x), embed_bits(emap, y)))
-        expected = differing / emap.m - geodesic_pair(x, y)
+        expected = differing / emap.shape[0] - geodesic_pair(x, y)
         assert pair_deviation(emap, x, y) == expected
 
 
@@ -329,7 +339,7 @@ class TestCheckRip:
         raw = rng.standard_normal((5, 4))
         raw /= np.linalg.norm(raw, axis=1)[:, None]
         pts = PointSet(raw)
-        codes = embed_points(sample_map(16, 4, seed=1), pts)
+        codes = code_set(embed_points(sample_map(16, 4, seed=1), pts))
         assert check_rip(codes, pts, delta=0.999).passed
 
     def test_boundary_conventions(self):
@@ -391,7 +401,7 @@ class TestPairStream:
         assert n > 2 * PAIR_BLOCK_ROWS  # at least three blocks
         rng = np.random.default_rng(700)
         points = random_points(rng, n, 6)
-        codes = embed_points(sample_map(m, 6, seed=7), points)
+        codes = code_set(embed_points(sample_map(m, 6, seed=7), points))
         # Whole-matrix references: every pair's XOR popcount, and every pair's geodesic.
         h_all = np.bitwise_count(codes.words[:, None, :] ^ codes.words[None, :, :]).sum(axis=2)
         geo_all = np.arccos(np.clip(points.matrix @ points.matrix.T, -1.0, 1.0)) / math.pi
@@ -415,7 +425,7 @@ class TestPairStream:
         # The (n, n) float64 geodesic matrix alone would take n * n * 8 = 72 MB at n = 3000.
         n = 3000
         points = random_points(np.random.default_rng(3000), n, 16)
-        codes = embed_points(sample_map(512, 16, seed=3), points)
+        codes = code_set(embed_points(sample_map(512, 16, seed=3), points))
         tracemalloc.start()
         try:
             report = check_rip(codes, points, 0.2)
@@ -444,7 +454,8 @@ class TestEmbedOrthogonal:
         exact = birthday_exact(10, 7).float_value
         rng = np.random.default_rng(52)
         trials = 100_000
-        ok = sum(1 for _ in range(trials) if check_one_to_one(orthogonal_codes(10, 7, rng))[0])
+        # All trials in one draw (the same stream as one draw per trial), each sorted on its own.
+        ok = int(np.count_nonzero(~sort_codes(draw_codes((trials, 10), 7, rng))[1].any(axis=-1)))
         se = math.sqrt(exact * (1.0 - exact) / trials)
         assert abs(ok / trials - exact) <= 3.0 * se
 

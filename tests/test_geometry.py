@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from onebit.embedding import EmbeddingMap, embed_points, pair_stream, sample_map
+from onebit.embedding import embed_points, pair_stream, sample_map
 from onebit.geometry import PointSet, PointSetParseError, geodesic_matrix, read_point_set
+from reference import code_set
 
 
 def unit(*comps) -> np.ndarray:
@@ -25,7 +26,7 @@ def geodesic(x: np.ndarray, y: np.ndarray) -> float:
 def separated(x: np.ndarray, y: np.ndarray, theta: np.ndarray) -> bool:
     """Does the one-direction map {theta} give x and y different bits?"""
     points = PointSet([x, y])
-    return bool(next(pair_stream(embed_points(EmbeddingMap(theta[None, :]), points), points))[1][0])
+    return bool(next(pair_stream(code_set(embed_points(theta[None, :], points)), points))[1][0])
 
 
 class TestUnitVector:
@@ -69,7 +70,7 @@ class TestSampleDirection:
 
     def test_unit_norm(self):
         for dim in (2, 3, 50):
-            v = sample_map(1, dim, seed=1).directions[0]
+            v = sample_map(1, dim, seed=1)[0]
             assert abs(np.linalg.norm(v) - 1.0) <= 1e-9
             assert v.size == dim
 
@@ -82,7 +83,7 @@ class TestSampleDirection:
         # and the first-coordinate sign is a fair coin.
         trials = 100_000
         dim = 50
-        rows = sample_map(trials, dim, seed=7).directions
+        rows = sample_map(trials, dim, seed=7)
         acc = rows.sum(axis=0)
         positive = int(np.count_nonzero(rows[:, 0] >= 0))
         means = acc / trials
@@ -93,7 +94,7 @@ class TestSampleDirection:
 
     def test_positive_first_coordinate_dim2(self):
         trials = 100_000
-        positive = int(np.count_nonzero(sample_map(trials, 2, seed=13).directions[:, 0] > 0))
+        positive = int(np.count_nonzero(sample_map(trials, 2, seed=13)[:, 0] > 0))
         assert abs(positive / trials - 0.5) <= 4.0 * math.sqrt(0.25 / trials)
 
 
@@ -164,7 +165,7 @@ class TestInWedge:
         assert geodesic(x, y) == pytest.approx(exact, abs=1e-12)
         trials = 100_000
         points = PointSet([x, y])
-        hits = int(next(pair_stream(embed_points(sample_map(trials, 50, seed=29), points), points))[1][0])
+        hits = int(next(pair_stream(code_set(embed_points(sample_map(trials, 50, seed=29), points)), points))[1][0])
         tol = 4.0 * math.sqrt(exact * (1.0 - exact) / trials)
         assert abs(hits / trials - exact) <= tol
 
@@ -236,6 +237,6 @@ class TestReadPointSet:
 @given(seed=st.integers(0, 2**31 - 1), dim=st.sampled_from([2, 3, 7, 50]))
 @settings(max_examples=40)
 def test_geodesic_range_and_symmetry_random(seed, dim):
-    geo = geodesic_matrix(PointSet(sample_map(2, dim, seed).directions))
+    geo = geodesic_matrix(PointSet(sample_map(2, dim, seed)))
     assert 0.0 <= geo[0, 1] <= 1.0
     assert geo[1, 0] == geo[0, 1]

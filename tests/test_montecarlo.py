@@ -7,7 +7,7 @@ import pytest
 
 import onebit.montecarlo as mc
 from onebit.bounds import one_to_one_window, rip_window
-from onebit.embedding import band_fails, draw_codes, embed_points, sample_map
+from onebit.embedding import band_fails, draw_codes, embed_points, pack_bits, sample_map
 from onebit.geometry import PointSet, geodesic_matrix
 from onebit.montecarlo import (
     CSV_HEADER,
@@ -51,6 +51,12 @@ def count_band_ok_pairwise(config: TrialConfig) -> int:
                 fails |= band_fails(h, m, geo[i, j], config.delta, config.boundary)
         ok += int(count - fails.sum())
     return ok
+
+
+def clustered_points() -> PointSet:
+    """40 unit points clustered around e_1 in dim 8: the rows of e_1 + 0.15 N(0, I), normalised."""
+    raw = np.eye(8)[0] + 0.15 * np.random.default_rng(0).standard_normal((40, 8))
+    return PointSet(raw / np.linalg.norm(raw, axis=1)[:, None])
 
 
 def inj_config(n, m, trials, seed, **kw) -> TrialConfig:
@@ -288,20 +294,20 @@ def test_fast_vs_explicit_pair_collision_rates():
     n, m, dim = 4, 16, 50
     pair_ids = [(i, j) for i in range(n) for j in range(i + 1, n)]
 
-    # counts[i, j]: trials in which codes i and j are equal
-    rng = np.random.default_rng(41)
-    fast_counts = np.zeros((n, n), dtype=np.int64)
-    for _ in range(trials):
-        words = draw_codes((n,), m, rng)
-        fast_counts += np.all(words[:, None] == words[None, :], axis=2)
+    def equal_pairs(words):  # counts[i, j]: trials in which codes i and j are equal
+        return np.all(words[:, :, None] == words[:, None, :], axis=3).sum(axis=0)
 
+    # One draw of all trials' codes is the same stream as one draw per trial.
+    fast_counts = equal_pairs(draw_codes((trials, n), m, np.random.default_rng(41)))
+
+    # Every trial keeps its own map seed; the maps are stacked a block of trials at a time.
     pts = PointSet(np.eye(n, dim))
     seed_rng = np.random.default_rng(42)
     explicit_counts = np.zeros((n, n), dtype=np.int64)
-    for _ in range(trials):
-        emap = sample_map(m, dim, seed=int(seed_rng.integers(0, 2**62)))
-        words = embed_points(emap, pts).words
-        explicit_counts += np.all(words[:, None] == words[None, :], axis=2)
+    block = 5_000
+    for _ in range(trials // block):
+        maps = np.stack([sample_map(m, dim, seed=int(seed_rng.integers(0, 2**62))) for _ in range(block)])
+        explicit_counts += equal_pairs(pack_bits(embed_points(maps, pts)))
 
     oracle = 2.0**-m
     expected = trials * oracle
@@ -342,6 +348,23 @@ class TestSweep:
         with pytest.raises(ValueError, match="general"):
             sweep(cfg, [16], eta_form="pairwise")
 
+    def test_points_windows_only_for_orthogonal_points(self):
+        # The closed-form windows are for n pairwise orthogonal points: 40 points
+        # clustered around one pole get none, 40 signed coordinate vectors keep them.
+        clustered = clustered_points()
+        signs = np.where(np.random.default_rng(1).random(40) < 0.5, -1.0, 1.0)
+        signed = PointSet(np.eye(40) * signs[:, None])
+        for points in (clustered, signed):
+            rows = sweep(rip_config(40, 40, 0.2, 200, seed=1, points=points), [40, 80])
+            rows += sweep(inj_config(40, 18, 200, seed=1, points=points), [18, 24])
+            windows = [rip_window(40, 40, 0.2), rip_window(40, 80, 0.2)]
+            windows += [one_to_one_window(40, 18, "pairwise"), one_to_one_window(40, 24, "pairwise")]
+            for r, w in zip(rows, windows):
+                if points is clustered:
+                    assert math.isnan(r.window_lo) and math.isnan(r.window_hi) and r.eta_form == ""
+                else:
+                    assert (r.window_lo, r.window_hi, r.eta_form) == (w.lo, w.hi, w.eta_form)
+
     def test_rip_delta_rejected_before_simulating(self, monkeypatch):
         import onebit.montecarlo as mc
 
@@ -351,6 +374,8 @@ class TestSweep:
         monkeypatch.setattr(mc, "run_trials", no_trials)
         with pytest.raises(ValueError, match="1/2"):
             sweep(rip_config(10, 4, 0.6, 20_000, seed=1), [4, 6, 8])
+        with pytest.raises(ValueError, match="1/2"):
+            sweep(rip_config(40, 4, 0.6, 20_000, seed=1, points=clustered_points()), [4, 6, 8])
 
     def test_grid_validation(self):
         cfg = inj_config(10, 4, 100, seed=55)
