@@ -27,10 +27,6 @@ class ValidityRangeError(ValueError):
     """Inputs are outside the proven range of a closed form (overridable with force)."""
 
 
-class NoCrossingError(ValueError):
-    """A threshold equation has no solution in the searched range."""
-
-
 @dataclass(frozen=True)
 class BoundsReport:
     """One evaluated sample-size formula: the raw real value and its ceiled integer.
@@ -114,7 +110,8 @@ def m_linear_jl(n: int, delta: float) -> BoundsReport:
 
 def _tail_start(m: int, delta: float) -> int:
     """The least count A >= m/2 past band_range's inclusive band at g = 1/2; ceil(m/2) if the band is empty."""
-    return max(int(band_range(m, 0.5, delta, "inclusive")[1]) + 1, (m + 1) // 2)
+    h_lo, h_hi = band_range(m, 0.5, delta, "inclusive")
+    return (m + 1) // 2 if h_lo > h_hi else int(h_hi) + 1
 
 
 def tail_probability(m: int, a: int) -> Fraction:
@@ -262,6 +259,13 @@ def rip_window(n: int, m: int, delta: float) -> PhaseWindow:
     return _clamped_window(lam1, lam2, eta, "general")
 
 
+def _validity_note(n: int, minimum: int, force: bool) -> str:
+    """The note of a transition formula proven for n >= minimum; below it, refused unless forced."""
+    if n < minimum and not force:
+        raise ValidityRangeError(f"transition formulas proven for n >= {minimum}, got n={n} (use force to evaluate anyway)")
+    return f"requires n >= {minimum}" + (" (forced)" if n < minimum else "")
+
+
 @dataclass(frozen=True)
 class OneToOneTransition:
     """Closed-form code lengths bracketing the injectivity phase transition."""
@@ -284,14 +288,12 @@ def one_to_one_m_window(n: int, eps1: float, eps2: float, force: bool = False) -
     _check_unit("eps2", eps2)
     if not eps2 < eps1:
         raise ValueError(f"need eps2 < eps1, got eps1={eps1}, eps2={eps2}")
-    if n < MIN_N_ONE_TO_ONE and not force:
-        raise ValidityRangeError(f"transition formulas proven for n >= {MIN_N_ONE_TO_ONE}, got n={n} (use force to evaluate anyway)")
+    note = _validity_note(n, MIN_N_ONE_TO_ONE, force)
     d1, d2 = _lambda_targets(eps1, eps2)
     m_lower = math.log2(n * (n - 1) / (2.0 * d1))
     m_upper = math.log2(n * (n - 1) / (2.0 * d2))
     if not m_lower < m_upper:
         raise ValueError(f"eps1={eps1}, eps2={eps2} too close: thresholds cross (m_lower={m_lower}, m_upper={m_upper})")
-    note = f"requires n >= {MIN_N_ONE_TO_ONE}" + (" (forced)" if n < MIN_N_ONE_TO_ONE else "")
     return OneToOneTransition(m_lower=m_lower, m_upper=m_upper, validity_note=note)
 
 
@@ -331,8 +333,7 @@ def rip_m_window(n: int, delta: float, eps1: float, eps2: float, force: bool = F
     _check_unit("eps2", eps2)
     if not eps2 < eps1 or not eps1 < 0.99:
         raise ValueError(f"need 0 < eps2 < eps1 < 0.99, got eps1={eps1}, eps2={eps2}")
-    if n < MIN_N_RIP and not force:
-        raise ValidityRangeError(f"transition formulas proven for n >= {MIN_N_RIP}, got n={n} (use force to evaluate anyway)")
+    note = _validity_note(n, MIN_N_RIP, force)
 
     d1, d2 = _lambda_targets(eps1, eps2)
     # A and B are the envelopes' prefactors at m = 1 over the target rates.
@@ -342,20 +343,12 @@ def rip_m_window(n: int, delta: float, eps1: float, eps2: float, force: bool = F
         raise ValueError("closed forms undefined: inner logarithms are non-positive at these parameters")
     m1 = q * (log_a - math.log(log_a))
     m2 = q * (log_b + math.log(log_b))
-
-    def _crossing(target: float, which: str) -> float:
-        try:
-            return solve_threshold(n, delta, target, which)
-        except NoCrossingError:
-            return math.nan
-
-    note = f"requires n >= {MIN_N_RIP}" + (" (forced)" if n < MIN_N_RIP else "")
     return RipTransition(
         q=q,
         m_eps1=m1,
         m_eps2=m2,
-        crossing_eps1=_crossing(d1, "lambda1"),
-        crossing_eps2=_crossing(d2, "lambda2"),
+        crossing_eps1=solve_threshold(n, delta, d1, "lambda1"),
+        crossing_eps2=solve_threshold(n, delta, d2, "lambda2"),
         validity_note=note,
     )
 
@@ -367,7 +360,7 @@ def solve_threshold(n: int, delta: float, target_lambda: float, which: str = "la
     """Solve lambda(m) = target for m, on the decreasing branch of the selected form.
 
     ``lambda1`` / ``lambda2``: returns the real root to absolute tolerance
-    1e-6 in m, by bisection.
+    1e-6 in m, by bisection, or NaN when there is none below m = 10^7.
     """
     _check_n(n)
     if target_lambda <= 0:
@@ -387,7 +380,7 @@ def solve_threshold(n: int, delta: float, target_lambda: float, which: str = "la
         return _log_envelope(which, logc, m, rate)
 
     if f(m_lo) < log_target or f(float(_M_SEARCH_MAX)) > log_target:
-        raise NoCrossingError(f"{which} does not cross {target_lambda} in [{m_lo:.0f}, {_M_SEARCH_MAX}]")
+        return math.nan
     lo, hi = m_lo, float(_M_SEARCH_MAX)
     while hi - lo > 1e-6:
         mid = 0.5 * (lo + hi)

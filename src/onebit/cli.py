@@ -106,6 +106,7 @@ def _text_out(path_or_dash):
 
 def _cmd_bounds(args) -> int:
     n = args.n
+    rip_delta = args.delta if args.delta is not None and 0 < args.delta < 0.5 else None  # rip formulas need delta < 1/2
     reports: list[bnd.BoundsReport] = []
     trailer: list[str] = []
 
@@ -113,7 +114,7 @@ def _cmd_bounds(args) -> int:
         reports.append(bnd.m_injective(n, args.eps, args.delta))
     if args.eps is not None:
         reports.append(bnd.m_injective_orthogonal(n, args.eps))
-    if args.eps is not None and args.delta is not None and 0 < args.delta < 0.5:
+    if args.eps is not None and rip_delta is not None:
         reports.append(bnd.m_rip_union(n, args.eps, args.delta))
     if args.delta is not None:
         reports.append(bnd.m_linear_jl(n, args.delta))
@@ -122,7 +123,7 @@ def _cmd_bounds(args) -> int:
         t11 = bnd.one_to_one_m_window(n, args.eps1, args.eps2, force=args.force)
         for fid, val in (("one_to_one_m_lower", t11.m_lower), ("one_to_one_m_upper", t11.m_upper)):
             reports.append(bnd._report(fid, n, val, eps1=args.eps1, eps2=args.eps2, validity_note=t11.validity_note))
-        if args.delta is not None and 0 < args.delta < 0.5:
+        if rip_delta is not None:
             rt = bnd.rip_m_window(n, args.delta, args.eps1, args.eps2, force=args.force)
             for fid, val in (("rip_m_eps1", rt.m_eps1), ("rip_m_eps2", rt.m_eps2),
                              ("rip_crossing_eps1", rt.crossing_eps1), ("rip_crossing_eps2", rt.crossing_eps2)):
@@ -147,7 +148,7 @@ def _cmd_bounds(args) -> int:
     if args.m is not None:
         if reports:
             print()
-        print(bnd.window_csv(n, [args.m], args.delta if args.delta is not None and 0 < args.delta < 0.5 else None), end="")
+        print(bnd.window_csv(n, [args.m], rip_delta), end="")
     return EXIT_OK
 
 
@@ -183,9 +184,9 @@ def _cmd_check(args) -> int:
 
     if args.delta is not None:
         report = check_rip(codes, points, args.delta, boundary=args.boundary)
-        print(f"delta = {report.delta}, boundary = {args.boundary}")
+        print(f"delta = {args.delta}, boundary = {args.boundary}")
         print(f"max deviation = {report.max_deviation:.10g}")
-        if report.passed:
+        if not report.violations:
             print("RIP check: PASS")
             return EXIT_OK
         print(f"RIP check: FAIL ({len(report.violations)} violating pairs)")
@@ -193,8 +194,8 @@ def _cmd_check(args) -> int:
             print(f"  pair {v.pair}: hamming={v.hamming:.10g} geodesic={v.geodesic:.10g} deviation={v.deviation:.10g}")
         return EXIT_CHECK_FAILED
 
-    ok, collisions = check_one_to_one(codes)
-    if ok:
+    collisions = check_one_to_one(codes)
+    if not collisions:
         print("one-to-one check: PASS")
         return EXIT_OK
     print(f"one-to-one check: FAIL ({len(collisions)} colliding pairs)")

@@ -16,7 +16,7 @@ from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from .geometry import DimensionMismatchError, PointSet, geodesic_matrix
+from .geometry import DimensionMismatchError, PointSet, geodesic_blocks
 
 WORD_BITS = 64
 _WORD_MASK = (1 << WORD_BITS) - 1
@@ -25,9 +25,6 @@ _WORD_MASK = (1 << WORD_BITS) - 1
 #: 8-byte little-endian integers, then each code's words little-endian.
 CODESET_MAGIC = b"OB1J"
 CODESET_VERSION = 1
-
-#: Rows per block of pair_stream's geodesics and of the simulator's band ranges.
-PAIR_BLOCK_ROWS = 256
 
 
 class CodeSetFormatError(ValueError):
@@ -123,14 +120,13 @@ def embed_points(directions: np.ndarray, points: PointSet) -> np.ndarray:
 def pair_stream(codes: CodeSet, points: PointSet) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
     """For each i < n-1 in turn: i, code i's differing-bit counts against codes i+1.., and those pairs' geodesics.
 
-    The counts are XOR and popcount over the packed words; the geodesics are
-    computed PAIR_BLOCK_ROWS rows at a time, so memory grows as n, not n^2.
-    A block's last row is yielded as a copy and the block freed before the
-    next is computed, so no view the caller holds keeps two blocks alive.
+    The counts are XOR and popcount over the packed words; the geodesics come
+    from geometry.geodesic_blocks, so memory grows as n, not n^2.  A block's
+    last row is yielded as a copy and the block freed before the next is
+    computed, so no view the caller holds keeps two blocks alive.
     """
-    for lo in range(0, codes.n - 1, PAIR_BLOCK_ROWS):
-        geo = geodesic_matrix(points, lo, lo + PAIR_BLOCK_ROWS)
-        last = min(PAIR_BLOCK_ROWS, codes.n - 1 - lo) - 1
+    for lo, geo in geodesic_blocks(points):
+        last = min(len(geo), codes.n - 1 - lo) - 1
         for k in range(last + 1):
             g = geo[k, k + 1 :] if k < last else geo[k, k + 1 :].copy()
             yield lo + k, np.bitwise_count(codes.words[lo + k] ^ codes.words[lo + k + 1 :]).sum(axis=1), g
@@ -148,14 +144,14 @@ def sort_codes(words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return order, np.all(ranked[..., 1:, :] == ranked[..., :-1, :], axis=-1)
 
 
-def check_one_to_one(codes: CodeSet) -> tuple[bool, list[tuple[int, int]]]:
-    """Are all codes pairwise distinct?  Returns the complete, lexicographically sorted collision list."""
+def check_one_to_one(codes: CodeSet) -> list[tuple[int, int]]:
+    """Every pair of equal codes, lexicographically sorted: the codes are pairwise distinct iff it is empty."""
     if codes.n < 2:
         raise ValueError("one-to-one check needs at least 2 codes")
     order, same = sort_codes(codes.words)
     groups = np.split(order, np.flatnonzero(~same) + 1) if same.any() else []
     collisions = sorted(pair for g in groups if g.size > 1 for pair in itertools.combinations(sorted(g.tolist()), 2))
-    return (not collisions, collisions)
+    return collisions
 
 
 class RipViolation(NamedTuple):
@@ -167,12 +163,10 @@ class RipViolation(NamedTuple):
 
 @dataclass(frozen=True)
 class RipReport:
-    """Outcome of checking |d_Hamming - d_geodesic| <= delta over all pairs."""
+    """Outcome of checking |d_Hamming - d_geodesic| <= delta over all pairs: it passed iff there are no violations."""
 
-    delta: float
     violations: tuple[RipViolation, ...]
     max_deviation: float
-    passed: bool
 
 
 def check_rip(
@@ -194,8 +188,6 @@ def check_rip(
         raise ValueError("need at least 2 points")
     if not 0.0 < delta < 1.0:
         raise ValueError(f"delta must lie in (0, 1), got {delta}")
-    if boundary not in ("strict", "inclusive"):
-        raise ValueError(f"unknown boundary convention {boundary!r}")
 
     violations = []
     max_dev = 0.0
@@ -205,7 +197,7 @@ def check_rip(
         max_dev = max(max_dev, float(np.abs(dev).max()))
         for k in np.flatnonzero(band_fails(h, codes.m, dg, delta, boundary)).tolist():
             violations.append(RipViolation((i, i + 1 + k), float(dh[k]), float(dg[k]), float(dev[k])))
-    return RipReport(delta=delta, violations=tuple(violations), max_deviation=max_dev, passed=not violations)
+    return RipReport(violations=tuple(violations), max_deviation=max_dev)
 
 
 def band_fails(h, m: int, geodesic, delta: float, boundary: str) -> np.ndarray:
@@ -243,8 +235,8 @@ def _band_edge(m: int, delta: float, boundary: str) -> tuple[float, bool]:
 def band_range(m: int, geodesic, delta: float, boundary: str) -> tuple[np.ndarray, np.ndarray]:
     """Per geodesic g (any array shape), the differing-bit counts h_lo..h_hi in 0..m that pass band_fails.
 
-    |2h - 2m*g| is V-shaped in h, so they form one interval (empty when h_lo > h_hi), whose
-    ends band_fails itself decides, stepping inward from just outside m*g -+ m*delta.
+    |2h - 2m*g| is V-shaped in h, so they form one interval, whose ends band_fails itself
+    decides, stepping inward from just outside m*g -+ m*delta.  An empty band is (m + 1, m).
     """
     g = np.asarray(geodesic, dtype=np.float64)
     h_lo = np.floor(m * (g - delta)).astype(np.int64) - 1
@@ -252,7 +244,8 @@ def band_range(m: int, geodesic, delta: float, boundary: str) -> tuple[np.ndarra
     for _ in range(3):
         h_lo += band_fails(h_lo, m, g, delta, boundary)
         h_hi -= band_fails(h_hi, m, g, delta, boundary)
-    return np.where(band_fails(h_lo, m, g, delta, boundary), m + 1, np.maximum(h_lo, 0)), np.minimum(h_hi, m)
+    empty = band_fails(h_lo, m, g, delta, boundary)
+    return np.where(empty, m + 1, np.maximum(h_lo, 0)), np.where(empty, m, np.minimum(h_hi, m))
 
 
 def write_code_set(codes: CodeSet, path: str | Path) -> None:

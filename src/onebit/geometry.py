@@ -12,12 +12,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
 #: Tolerance on |norm - 1| for vectors claimed to lie on the sphere.
 UNIT_NORM_TOL = 1e-9
+
+#: Rows per block of geodesic_blocks, the one walk over a point set's pairs.
+PAIR_BLOCK_ROWS = 256
 
 
 class DimensionMismatchError(ValueError):
@@ -71,6 +74,15 @@ def geodesic_matrix(points: PointSet, lo: int = 0, hi: Optional[int] = None) -> 
     np.arccos(geo, out=geo)
     geo /= math.pi
     return geo
+
+
+def geodesic_blocks(points: PointSet) -> Iterator[tuple[int, np.ndarray]]:
+    """(lo, geodesic_matrix(points, lo, lo + PAIR_BLOCK_ROWS)) for lo = 0, PAIR_BLOCK_ROWS, ... below n - 1.
+
+    Together the blocks hold every pair i < j once, and memory grows as n, not n^2.
+    """
+    for lo in range(0, points.n - 1, PAIR_BLOCK_ROWS):
+        yield lo, geodesic_matrix(points, lo, lo + PAIR_BLOCK_ROWS)
 
 
 def read_point_set(path: str | Path, normalize: bool = False) -> PointSet:

@@ -31,8 +31,8 @@ from typing import Optional
 import numpy as np
 
 from .bounds import one_to_one_window, rip_window
-from .embedding import PAIR_BLOCK_ROWS, band_range, draw_codes, embed_points, pack_bits, sort_codes, words_needed
-from .geometry import PointSet, geodesic_matrix
+from .embedding import band_range, draw_codes, embed_points, pack_bits, sort_codes, words_needed
+from .geometry import PointSet, geodesic_blocks
 
 #: Largest pairs * trials * 64-bit words a single estimate may cost.
 PAIR_WORD_BUDGET = 10**10
@@ -207,22 +207,22 @@ def run_trials(config: TrialConfig, threads: int = 1) -> EstimateRow:
     band = None
     if config.delta is not None:
         n, m = config.n, config.m
-        # Sums of m products of ±1 are exact integers in float32 up to 2**24.  The Gram
-        # matrix is symmetric, so below the diagonal every value in [-m, m] passes.
+        # Sums of m products of ±1 are exact integers in float32 up to 2**24, so the Gram matrix
+        # is exactly symmetric: the explicit path decides each pair above the diagonal only.
         dtype = np.dtype(np.float32 if m <= 1 << 24 else np.float64)
         size = 2 * n * n * dtype.itemsize
         if size > BAND_BYTES_BUDGET:
             raise ResourceBudgetError(f"the {n} x {n} band needs {size} bytes, over budget {BAND_BYTES_BUDGET}; reduce n")
         band = np.empty((2, n, n), dtype)
-        band[0], band[1] = -m, m
-        for i in range(0, n, PAIR_BLOCK_ROWS):
-            if config.points is None:
-                geo = np.full((min(PAIR_BLOCK_ROWS, n - i), n - i), 0.5)
-            else:
-                geo = geodesic_matrix(config.points, i, i + PAIR_BLOCK_ROWS)
-            np.fill_diagonal(geo, 0.0)
-            h_lo, h_hi = band_range(m, geo, config.delta, config.boundary)
-            band[:, i : i + PAIR_BLOCK_ROWS, i:] = m - 2 * h_hi, m - 2 * h_lo
+        if config.points is None:
+            h_lo, h_hi = band_range(m, 0.5, config.delta, config.boundary)
+            band[0], band[1] = m - 2 * h_hi, m - 2 * h_lo
+        else:
+            band[0], band[1] = -m, m
+            for lo, geo in geodesic_blocks(config.points):
+                h_lo, h_hi = band_range(m, geo, config.delta, config.boundary)
+                band[:, lo : lo + len(geo), lo:] = m - 2 * h_hi, m - 2 * h_lo
+        band[:, range(n), range(n)] = [[-m], [m]]  # a code always agrees with itself
 
     size = _chunk_size(config)
     counts = [size] * (config.trials // size)
@@ -289,30 +289,27 @@ def sweep(
 
 def _pairwise_orthogonal(points: PointSet) -> bool:
     """Is every off-diagonal geodesic exactly 1/2, as the closed-form windows assume?  Checked in row blocks."""
-    return not any(np.triu(geodesic_matrix(points, lo, lo + PAIR_BLOCK_ROWS) - 0.5, 1).any()
-                   for lo in range(0, points.n, PAIR_BLOCK_ROWS))
+    return not any(np.triu(geo - 0.5, 1).any() for _, geo in geodesic_blocks(points))
 
 
-def first_upward_crossing(rows: tuple[EstimateRow, ...], level: float = 0.5) -> float:
-    """Linearly interpolated m where the estimated curve first rises through ``level``.
+def first_upward_crossing(rows: tuple[EstimateRow, ...]) -> float:
+    """Linearly interpolated m where the estimated curve first rises through 1/2.
 
     Returns NaN when the curve never crosses.  With a jagged or noisy curve
     this picks the leftmost upward crossing.
     """
     for a, b in zip(rows, rows[1:]):
-        if a.p_hat < level <= b.p_hat:
-            frac = (level - a.p_hat) / (b.p_hat - a.p_hat)
+        if a.p_hat < 0.5 <= b.p_hat:
+            frac = (0.5 - a.p_hat) / (b.p_hat - a.p_hat)
             return a.m + frac * (b.m - a.m)
     return math.nan
 
 
-def default_phase_grid(m_eps1: float, m_eps2: float, count: int = 20) -> list[int]:
-    """Evenly spaced integer m grid spanning [0.8 * m_eps1, 1.1 * m_eps2]."""
-    if count < 2:
-        raise ValueError("grid needs at least 2 points")
+def default_phase_grid(m_eps1: float, m_eps2: float) -> list[int]:
+    """20 evenly spaced values, rounded to distinct integers, spanning [0.8 * m_eps1, 1.1 * m_eps2]."""
     lo = 0.8 * m_eps1
     hi = 1.1 * m_eps2
     if not lo < hi:
         raise ValueError(f"degenerate grid span [{lo}, {hi}]")
-    vals = sorted({max(1, int(round(v))) for v in np.linspace(lo, hi, count)})
+    vals = sorted({max(1, int(round(v))) for v in np.linspace(lo, hi, 20)})
     return vals

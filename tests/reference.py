@@ -59,7 +59,7 @@ def check_rip_loop(codes, points, delta, boundary="strict"):
             max_dev = max(max_dev, abs(dev))
             if abs(dev) > delta if boundary == "strict" else abs(dev) >= delta:
                 violations.append(RipViolation((i, j), dh, dg, dev))
-    return tuple(violations), max_dev, not violations
+    return tuple(violations), max_dev
 
 
 def check_one_to_one_dict(codes):
@@ -71,4 +71,4 @@ def check_one_to_one_dict(codes):
         (members[a], members[b]) for members in groups.values()
         for a in range(len(members)) for b in range(a + 1, len(members))
     )
-    return (not collisions, collisions)
+    return collisions

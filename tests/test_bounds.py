@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from onebit.bounds import (
-    NoCrossingError,
     ValidityRangeError,
     bounds_reports_csv,
     exponent_rate,
@@ -332,8 +331,7 @@ class TestSolveThreshold:
         assert log_val == pytest.approx(math.log(target), abs=1e-6)
 
     def test_no_crossing(self):
-        with pytest.raises(NoCrossingError):
-            solve_threshold(10, 0.2, 1e12, "lambda1")
+        assert math.isnan(solve_threshold(10, 0.2, 1e12, "lambda1"))
 
     def test_unknown_form(self):
         with pytest.raises(ValueError):

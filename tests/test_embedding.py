@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from onebit.embedding import (
     CODESET_MAGIC,
     CodeSet,
-    PAIR_BLOCK_ROWS,
     CodeSetFormatError,
     band_fails,
     band_range,
@@ -26,7 +25,7 @@ from onebit.embedding import (
     sort_codes,
     write_code_set,
 )
-from onebit.geometry import DimensionMismatchError, PointSet
+from onebit.geometry import PAIR_BLOCK_ROWS, DimensionMismatchError, PointSet
 from reference import (
     check_one_to_one_dict,
     check_rip_loop,
@@ -235,24 +234,21 @@ class TestMetricDeviation:
 class TestCheckOneToOne:
     def test_distinct(self):
         cs = code_set([[0, 1], [1, 0]])
-        assert check_one_to_one(cs) == (True, [])
+        assert check_one_to_one(cs) == []
 
     def test_single_collision(self):
         cs = code_set([[0, 1], [0, 1], [1, 1]])
-        assert check_one_to_one(cs) == (False, [(0, 1)])
+        assert check_one_to_one(cs) == [(0, 1)]
 
     def test_collision_list_complete_and_sorted(self):
         a, b = [0, 0], [1, 0]
         cs = code_set([a, a, b, a])
-        ok, collisions = check_one_to_one(cs)
-        assert not ok
-        assert collisions == [(0, 1), (0, 3), (1, 3)]
+        assert check_one_to_one(cs) == [(0, 1), (0, 3), (1, 3)]
 
     def test_pigeonhole(self):
         rng = np.random.default_rng(0)
         cs = orthogonal_codes(2**3 + 1, 3, rng)
-        ok, collisions = check_one_to_one(cs)
-        assert not ok and collisions
+        assert check_one_to_one(cs)
 
     def test_needs_two(self):
         with pytest.raises(ValueError):
@@ -321,13 +317,12 @@ class TestCheckRip:
         pts = PointSet(np.eye(2, 3))
         codes = code_set([[0, 0], [0, 1]])
         report = check_rip(codes, pts, delta=0.1)
-        assert report.passed and report.max_deviation == 0.0 and report.violations == ()
+        assert report.max_deviation == 0.0 and report.violations == ()
 
     def test_identical_codes_violate(self):
         pts = PointSet(np.eye(2, 3))
         codes = code_set([[0, 0], [0, 0]])
         report = check_rip(codes, pts, delta=0.4)
-        assert not report.passed
         assert len(report.violations) == 1
         v = report.violations[0]
         assert v.pair == (0, 1)
@@ -340,20 +335,20 @@ class TestCheckRip:
         raw /= np.linalg.norm(raw, axis=1)[:, None]
         pts = PointSet(raw)
         codes = code_set(embed_points(sample_map(16, 4, seed=1), pts))
-        assert check_rip(codes, pts, delta=0.999).passed
+        assert not check_rip(codes, pts, delta=0.999).violations
 
     def test_boundary_conventions(self):
         # Deviation exactly 0.5: passes at delta=0.5 strictly, fails inclusively.
         pts = PointSet(np.eye(2, 3))
         codes = code_set([[0, 0], [1, 1]])
-        assert check_rip(codes, pts, delta=0.5, boundary="strict").passed
-        assert not check_rip(codes, pts, delta=0.5, boundary="inclusive").passed
+        assert not check_rip(codes, pts, delta=0.5, boundary="strict").violations
+        assert check_rip(codes, pts, delta=0.5, boundary="inclusive").violations
 
     def test_monotone_in_delta(self):
         rng = np.random.default_rng(14)
         pts = PointSet(np.eye(4, 6))
         codes = orthogonal_codes(4, 8, rng)
-        passed_at = [check_rip(codes, pts, d).passed for d in (0.1, 0.2, 0.3, 0.4, 0.5, 0.6)]
+        passed_at = [not check_rip(codes, pts, d).violations for d in (0.1, 0.2, 0.3, 0.4, 0.5, 0.6)]
         # once passing, stays passing at larger delta
         for earlier, later in zip(passed_at, passed_at[1:]):
             assert later or not earlier
@@ -363,9 +358,9 @@ class TestCheckRip:
         # difference is 0.19999999999999996), so inclusive fails and strict passes.
         pts = PointSet(np.eye(2, 3))
         codes = code_set([[0] * 10, [1] * 7 + [0] * 3])
-        assert check_rip(codes, pts, delta=0.2, boundary="strict").passed
+        assert not check_rip(codes, pts, delta=0.2, boundary="strict").violations
         report = check_rip(codes, pts, delta=0.2, boundary="inclusive")
-        assert not report.passed and [v.pair for v in report.violations] == [(0, 1)]
+        assert [v.pair for v in report.violations] == [(0, 1)]
 
     @pytest.mark.parametrize("m", [1, 63, 64, 65, 130])
     @pytest.mark.parametrize("boundary", ["strict", "inclusive"])
@@ -377,7 +372,7 @@ class TestCheckRip:
             codes = random_code_set(rng, 14, m, duplicates)
             for delta in (0.05, 0.2, 0.45):
                 report = check_rip(codes, pts, delta, boundary)
-                assert (report.violations, report.max_deviation, report.passed) == check_rip_loop(
+                assert (report.violations, report.max_deviation) == check_rip_loop(
                     codes, pts, delta, boundary
                 )
 
@@ -432,7 +427,7 @@ class TestPairStream:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert report.passed
+        assert not report.violations
         assert peak < n * n * 8 / 4
         # One geodesic block is live at a time: the next is computed only after the last is freed.
         assert peak < 1.5 * PAIR_BLOCK_ROWS * n * 8
@@ -497,6 +492,14 @@ class TestBandLimit:
     def test_unknown_boundary(self):
         with pytest.raises(ValueError):
             band_range(8, 0.5, 0.2, "fuzzy")
+
+    def test_empty_band_is_canonical(self):
+        # Odd m with 2*m*delta <= 1 leaves no count within delta of m/2; an empty band is (m + 1, m).
+        for boundary in ("strict", "inclusive"):
+            assert band_range(1, 0.5, 0.1, boundary) == (2, 1)
+            assert band_range(3, 0.5, 0.1, boundary) == (4, 3)
+        assert band_range(5, 0.5, 0.1, "inclusive") == (6, 5)
+        assert band_range(5, 0.5, 0.1, "strict") == (2, 3)
 
     def test_delta_read_as_typed(self):
         # 2*50*0.29 is 28.999999999999996 in floating point; as typed it is 29,

@@ -8,7 +8,7 @@ import pytest
 import onebit.montecarlo as mc
 from onebit.bounds import one_to_one_window, rip_window
 from onebit.embedding import band_fails, draw_codes, embed_points, pack_bits, sample_map
-from onebit.geometry import PointSet, geodesic_matrix
+from onebit.geometry import PAIR_BLOCK_ROWS, PointSet, geodesic_matrix
 from onebit.montecarlo import (
     CSV_HEADER,
     Z95,
@@ -57,6 +57,12 @@ def clustered_points() -> PointSet:
     """40 unit points clustered around e_1 in dim 8: the rows of e_1 + 0.15 N(0, I), normalised."""
     raw = np.eye(8)[0] + 0.15 * np.random.default_rng(0).standard_normal((40, 8))
     return PointSet(raw / np.linalg.norm(raw, axis=1)[:, None])
+
+
+def signed_coordinate_vectors(n: int) -> PointSet:
+    """The n coordinate vectors of R^n, each negated by a fair coin from default_rng(1): pairwise orthogonal."""
+    signs = np.where(np.random.default_rng(1).random(n) < 0.5, -1.0, 1.0)
+    return PointSet(np.eye(n) * signs[:, None])
 
 
 def inj_config(n, m, trials, seed, **kw) -> TrialConfig:
@@ -242,6 +248,17 @@ class TestBandKernel:
             cfg = rip_config(n, m, delta, 1_500, seed=70 + n, boundary=boundary, points=points)
             assert run_trials(cfg).successes == count_band_ok_pairwise(cfg), (m, delta)
 
+    @pytest.mark.parametrize("path", ["fast", "signed"])
+    def test_matches_pairwise_reference_at_a_block_boundary(self, path):
+        # At n = PAIR_BLOCK_ROWS + 1 the last point heads no geodesic block: its
+        # pairs sit in the first block's last column, its diagonal in the band's own rule.
+        n = PAIR_BLOCK_ROWS + 1
+        points = None if path == "fast" else signed_coordinate_vectors(n)
+        cfg = rip_config(n, 64, 0.25, 100, seed=71, points=points)
+        successes = run_trials(cfg).successes
+        assert 0 < successes < cfg.trials
+        assert successes == count_band_ok_pairwise(cfg)
+
     def test_explicit_memory_bounded(self):
         # The chunk's projections are made one trial block at a time, not as one (chunk, n, m) array.
         raw = np.random.default_rng(62).standard_normal((50, 3))
@@ -350,15 +367,15 @@ class TestSweep:
 
     def test_points_windows_only_for_orthogonal_points(self):
         # The closed-form windows are for n pairwise orthogonal points: 40 points
-        # clustered around one pole get none, 40 signed coordinate vectors keep them.
+        # clustered around one pole get none, signed coordinate vectors keep them,
+        # also at n = PAIR_BLOCK_ROWS + 1, where the last point heads no geodesic block.
         clustered = clustered_points()
-        signs = np.where(np.random.default_rng(1).random(40) < 0.5, -1.0, 1.0)
-        signed = PointSet(np.eye(40) * signs[:, None])
-        for points in (clustered, signed):
-            rows = sweep(rip_config(40, 40, 0.2, 200, seed=1, points=points), [40, 80])
-            rows += sweep(inj_config(40, 18, 200, seed=1, points=points), [18, 24])
-            windows = [rip_window(40, 40, 0.2), rip_window(40, 80, 0.2)]
-            windows += [one_to_one_window(40, 18, "pairwise"), one_to_one_window(40, 24, "pairwise")]
+        for points in (clustered, signed_coordinate_vectors(40), signed_coordinate_vectors(PAIR_BLOCK_ROWS + 1)):
+            n = points.n
+            rows = sweep(rip_config(n, 40, 0.2, 200, seed=1, points=points), [40, 80])
+            rows += sweep(inj_config(n, 18, 200, seed=1, points=points), [18, 24])
+            windows = [rip_window(n, 40, 0.2), rip_window(n, 80, 0.2)]
+            windows += [one_to_one_window(n, 18, "pairwise"), one_to_one_window(n, 24, "pairwise")]
             for r, w in zip(rows, windows):
                 if points is clustered:
                     assert math.isnan(r.window_lo) and math.isnan(r.window_hi) and r.eta_form == ""
@@ -409,14 +426,14 @@ class TestCrossing:
             EstimateRow(m=m, successes=0, trials=1, p_hat=p, ci_lo=0, ci_hi=1)
             for m, p in ((10, 0.1), (20, 0.4), (30, 0.6), (40, 0.9))
         )
-        assert first_upward_crossing(rows, 0.5) == pytest.approx(25.0)
+        assert first_upward_crossing(rows) == pytest.approx(25.0)
 
     def test_no_crossing_is_nan(self):
         rows = tuple(
             EstimateRow(m=m, successes=0, trials=1, p_hat=p, ci_lo=0, ci_hi=1)
             for m, p in ((10, 0.1), (20, 0.2))
         )
-        assert math.isnan(first_upward_crossing(rows, 0.5))
+        assert math.isnan(first_upward_crossing(rows))
 
 
 class TestDefaultGrid:

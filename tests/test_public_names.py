@@ -12,6 +12,12 @@ is a value the package computes and stores only for tests to look at.  A read
 in one of the class's own methods counts: ``ExactProbability.value`` is read
 only through ``float_value`` and ``fraction_string``.  Matching is again by
 bare name.
+
+And a default of a public function's parameter that no package call
+overrides, by keyword or by position, is a knob only tests could turn: a
+constant.  ``cli.main(argv)`` is exempt, as the entry point that tests and
+the benchmark call with their own arguments.  Calls are matched by bare name;
+one that passes ``*args`` or ``**kwargs`` counts as overriding every default.
 """
 
 import ast
@@ -83,3 +89,37 @@ def test_every_record_field_is_read_in_the_package():
             if not any(node.attr == field and id(node) not in validation for node in reads):
                 unread.append(f"{module}:{record.lineno} {record.name}.{field}")
     assert not unread, "record fields no package code reads:\n" + "\n".join(unread)
+
+
+def _defaulted_parameters(definition):
+    """(index among the positional parameters or None, name) of each parameter of a function that has a default."""
+    args = definition.args
+    positional = args.posonlyargs + args.args
+    for index in range(len(positional) - len(args.defaults), len(positional)):
+        yield index, positional[index].arg
+    for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+        if default is not None:
+            yield None, arg.arg
+
+
+def _overrides(call, index, name, offset):
+    if any(isinstance(a, ast.Starred) for a in call.args) or any(kw.arg is None for kw in call.keywords):
+        return True
+    return any(kw.arg == name for kw in call.keywords) or (index is not None and len(call.args) > index - offset)
+
+
+def test_every_parameter_default_is_overridden_in_the_package():
+    trees = _package_trees()
+    calls = [node for tree in trees.values() for node in ast.walk(tree) if isinstance(node, ast.Call)]
+    unset = []
+    for module, tree in trees.items():
+        methods = {id(item) for node in tree.body if isinstance(node, ast.ClassDef) for item in node.body}
+        for definition in _public_definitions(tree):
+            if not isinstance(definition, ast.FunctionDef) or (module, definition.name) == ("cli.py", "main"):
+                continue
+            offset = 1 if id(definition) in methods else 0  # a method's self is not passed
+            mine = [call for call in calls if _referenced_name(call.func) == definition.name]
+            for index, name in _defaulted_parameters(definition):
+                if not any(_overrides(call, index, name, offset) for call in mine):
+                    unset.append(f"{module}:{definition.lineno} {definition.name}({name})")
+    assert not unset, "parameter defaults no package call overrides:\n" + "\n".join(unset)
