@@ -14,6 +14,8 @@ import os
 import secrets
 import sys
 
+import numpy as np
+
 from . import bounds as bnd
 from .bounds import ValidityRangeError
 from .embedding import (
@@ -162,12 +164,18 @@ def _cmd_embed(args) -> int:
 
     out = args.out if args.out else str(args.codes) + ".pairs.csv"
     # Written one point's pairs at a time, so neither the table nor a distance matrix is held whole.
+    # The m + 1 hamming fields are formatted once; each row is one %-operation over its pairs,
+    # and %.10g prints the same digits as format(x, ".10g").
+    hamming = np.array([f"{h / codes.m:.10g}" for h in range(codes.m + 1)], dtype=object)
     with _text_out(out) as f:
         f.write("i,j,hamming,geodesic,deviation\n")
         for i, h, dg in pair_stream(codes, points):
-            row = zip((h / codes.m).tolist(), dg.tolist())
-            f.write("".join(f"{i},{j},{dh:.10g},{dg:.10g},{dh - dg:.10g}\n"
-                            for j, (dh, dg) in enumerate(row, start=i + 1)))
+            fields = [None] * (4 * len(h))
+            fields[0::4] = range(i + 1, codes.n)
+            fields[1::4] = hamming[h].tolist()
+            fields[2::4] = dg.tolist()
+            fields[3::4] = (h / codes.m - dg).tolist()
+            f.write(f"{i},%d,%s,%.10g,%.10g\n" * len(h) % tuple(fields))
     print(f"wrote {codes.n} codes of length {codes.m} to {args.codes}; pair table to {out}", file=sys.stderr)
     if args.hexdump:
         sys.stdout.write(code_set_hexdump(codes))

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator, Optional
+from typing import Iterator
 
 import numpy as np
 
@@ -62,12 +62,11 @@ class PointSet:
     def dim(self) -> int:
         return self.matrix.shape[1]
 
-def geodesic_matrix(points: PointSet, lo: int = 0, hi: Optional[int] = None) -> np.ndarray:
+def geodesic_matrix(points: PointSet, lo: int, hi: int) -> np.ndarray:
     """Normalized geodesic distances from points lo..hi-1 to points lo..n-1: arccos of the clamped Gram block over pi.
 
     Pairs left of the block's diagonal are skipped, as each also appears to its
-    right; with no range the result is the whole (n, n) matrix.  Computed in
-    place in the Gram block, so only one array is allocated.
+    right.  Computed in place in the Gram block, so only one array is allocated.
     """
     geo = points.matrix[lo:hi] @ points.matrix[lo:].T
     np.clip(geo, -1.0, 1.0, out=geo)
@@ -101,12 +100,12 @@ def read_point_set(path: str | Path, normalize: bool = False) -> PointSet:
     for lineno, line in enumerate(lines, start=1):
         parts = line.split(",")
         try:
-            values = [float(p) for p in parts]
+            values = list(map(float, parts))
         except ValueError:
             raise PointSetParseError(f"row {lineno}: cannot parse components {line!r}") from None
         if len(values) < 2:
             raise PointSetParseError(f"row {lineno}: need at least 2 components, got {len(values)}")
-        if not all(math.isfinite(v) for v in values):
+        if not all(map(math.isfinite, values)):
             raise PointSetParseError(f"row {lineno}: components must be finite")
         if width is None:
             width = len(values)

@@ -62,6 +62,15 @@ def check_rip_loop(codes, points, delta, boundary="strict"):
     return tuple(violations), max_dev
 
 
+def pair_table_fstring(codes: CodeSet, points: PointSet) -> str:
+    """embed's pair table as the per-pair f-string writer formatted it: the header, then one row per pair i < j."""
+    rows = ["i,j,hamming,geodesic,deviation\n"]
+    for i, h, dg in pair_stream(codes, points):
+        row = zip((h / codes.m).tolist(), dg.tolist())
+        rows.extend(f"{i},{j},{dh:.10g},{dg:.10g},{dh - dg:.10g}\n" for j, (dh, dg) in enumerate(row, start=i + 1))
+    return "".join(rows)
+
+
 def check_one_to_one_dict(codes):
     """The dict-of-words collision finder check_one_to_one replaced."""
     groups = {}

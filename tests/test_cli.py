@@ -7,14 +7,16 @@ import sys
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import onebit
 import onebit.cli as cli
 import onebit.montecarlo as mc
 from onebit.cli import build_parser
-from onebit.embedding import write_code_set
-from reference import code_set
+from onebit.embedding import read_code_set, write_code_set
+from onebit.geometry import PAIR_BLOCK_ROWS, read_point_set
+from reference import code_set, pair_table_fstring
 
 SVG_NS = "{http://www.w3.org/2000/svg}"
 
@@ -203,6 +205,47 @@ class TestEmbedAndCheck:
         r = run_cli("embed", "--points", str(pts), "--m", "8", "--seed", "1",
                     "--codes", str(tmp_path / "c.bin"), "--normalize")
         assert r.returncode == 0
+
+
+def gaussian_points(n: int, dim: int, seed: int) -> np.ndarray:
+    x = np.random.default_rng(seed).standard_normal((n, dim))
+    return x / np.linalg.norm(x, axis=1)[:, None]
+
+
+def near_points() -> np.ndarray:
+    """e1 twice, -e1, and points a few 1e-5 of a half-turn from e1: duplicate, antipodal and nearly equal pairs."""
+    e1 = np.eye(3)[0]
+    near = [(math.cos(math.pi * t), math.sin(math.pi * t), 0.0) for t in (1.2e-5, 3e-5, 7e-5, 1.1e-4)]
+    return np.vstack([e1, e1, -e1, near, gaussian_points(3, 3, 5)])
+
+
+class TestPairTableBytes:
+    """embed's pair table, byte for byte, against the per-pair f-string writer in reference.py."""
+
+    @pytest.mark.parametrize("m, points", [
+        (100, gaussian_points(PAIR_BLOCK_ROWS + 2, 4, 11)),  # m not a multiple of 64; rows in two geodesic blocks
+        (20000, near_points()),  # h/m in exponent form, geodesics like 1.2e-05, h=0 and h=m
+    ], ids=["m100-two-blocks", "m20000-near-pairs"])
+    def test_matches_fstring_writer(self, tmp_path, m, points):
+        pts = write_points(tmp_path / "pts.csv", "".join(",".join(repr(float(v)) for v in row) + "\n" for row in points))
+        codes, pairs = tmp_path / "codes.bin", tmp_path / "pairs.csv"
+        r = run_cli("embed", "--points", str(pts), "--m", str(m), "--seed", "3", "--codes", str(codes), "--out", str(pairs))
+        assert r.returncode == 0, r.stderr
+        expected = pair_table_fstring(read_code_set(codes), read_point_set(pts))
+        assert pairs.read_bytes() == expected.encode("utf-8")
+        to_stdout = run_cli("embed", "--points", str(pts), "--m", str(m), "--seed", "3", "--codes", str(codes), "--out", "-")
+        assert to_stdout.stdout == expected
+
+        rows = [line.split(",") for line in expected.splitlines()[1:]]
+        assert len(rows) == len(points) * (len(points) - 1) // 2
+        assert any(dev.startswith("-") for *_, dev in rows)
+        if m == 100:
+            assert rows[-1][0] == str(PAIR_BLOCK_ROWS)
+        else:
+            hamming = {h for _, _, h, _, _ in rows}
+            assert {"0", "1"} <= hamming and any("e-" in h for h in hamming)
+            assert any("e-" in dg for _, _, _, dg, _ in rows)
+            assert any(dev == "0" for *_, dev in rows)
 
 
 class TestSimulateSweep:

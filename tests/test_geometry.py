@@ -20,7 +20,7 @@ def basis(i: int, dim: int) -> np.ndarray:
 
 def geodesic(x: np.ndarray, y: np.ndarray) -> float:
     """geodesic_matrix's distance between the two points of the set {x, y}."""
-    return float(geodesic_matrix(PointSet([x, y]))[0, 1])
+    return float(geodesic_matrix(PointSet([x, y]), 0, 2)[0, 1])
 
 
 def separated(x: np.ndarray, y: np.ndarray, theta: np.ndarray) -> bool:
@@ -123,7 +123,7 @@ class TestGeodesicDistance:
         trials = 10_000
         raw = rng.standard_normal((3 * trials, dim))
         raw /= np.linalg.norm(raw, axis=1)[:, None]
-        geo = np.stack([geodesic_matrix(PointSet(raw[3 * t : 3 * t + 3])) for t in range(trials)])
+        geo = np.stack([geodesic_matrix(PointSet(raw[3 * t : 3 * t + 3]), 0, 3) for t in range(trials)])
         assert np.all((0.0 <= geo) & (geo <= 1.0))
         assert np.all(np.abs(geo - geo.transpose(0, 2, 1)) <= 1e-12)
         # The self-dot of a float64 unit vector rounds to 1 - O(ulp), and
@@ -176,11 +176,11 @@ class TestOrthonormalSet:
     def test_standard_basis(self):
         ps = PointSet(np.eye(3, 5))
         assert ps.n == 3 and ps.dim == 5
-        geo = geodesic_matrix(ps)
+        geo = geodesic_matrix(ps, 0, ps.n)
         assert np.array_equal(geo, np.where(np.eye(3) == 1, 0.0, 0.5))
 
     def test_two_in_two_distance_half(self):
-        geo = geodesic_matrix(PointSet(np.eye(2)))
+        geo = geodesic_matrix(PointSet(np.eye(2)), 0, 2)
         assert geo[0, 1] == pytest.approx(0.5, abs=1e-15)
 
 
@@ -224,6 +224,20 @@ class TestReadPointSet:
         with pytest.raises(PointSetParseError, match="empty"):
             read_point_set(_points_file(tmp_path, b""))
 
+    @pytest.mark.parametrize("token", ["inf", "nan", "1e400"])
+    def test_non_finite_component_named(self, tmp_path, token):
+        with pytest.raises(PointSetParseError, match="row 2: components must be finite"):
+            read_point_set(_points_file(tmp_path, f"1,0\n0,{token}\n".encode()))
+
+    def test_non_finite_reported_before_later_ragged_row(self, tmp_path):
+        with pytest.raises(PointSetParseError, match="row 2: components must be finite"):
+            read_point_set(_points_file(tmp_path, b"1,0\nnan,0\n1,0,0\n"))
+
+    def test_components_parse_as_float_does(self, tmp_path):
+        ps = read_point_set(_points_file(tmp_path, b"1_0,0\n 0.5 , 0.5 \n"), normalize=True)
+        raw = np.array([[float("1_0"), float("0")], [float(" 0.5 "), float(" 0.5 ")]])
+        assert np.array_equal(ps.matrix, raw / np.linalg.norm(raw, axis=1)[:, None])
+
     def test_roundtrip(self, tmp_path):
         rng = np.random.default_rng(3)
         raw = rng.standard_normal((5, 4))
@@ -237,6 +251,6 @@ class TestReadPointSet:
 @given(seed=st.integers(0, 2**31 - 1), dim=st.sampled_from([2, 3, 7, 50]))
 @settings(max_examples=40)
 def test_geodesic_range_and_symmetry_random(seed, dim):
-    geo = geodesic_matrix(PointSet(sample_map(2, dim, seed)))
+    geo = geodesic_matrix(PointSet(sample_map(2, dim, seed)), 0, 2)
     assert 0.0 <= geo[0, 1] <= 1.0
     assert geo[1, 0] == geo[0, 1]

@@ -33,7 +33,7 @@ def count_band_ok_pairwise(config: TrialConfig) -> int:
     band_fails on its differing-bit count.
     """
     n, m = config.n, config.m
-    geo = np.full((n, n), 0.5) if config.points is None else geodesic_matrix(config.points)
+    geo = np.full((n, n), 0.5) if config.points is None else geodesic_matrix(config.points, 0, n)
     size = mc._chunk_size(config)
     ok = 0
     for index, start in enumerate(range(0, config.trials, size)):
