@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import html
 import os
 import secrets
 import sys
@@ -57,6 +56,17 @@ class _Parser(argparse.ArgumentParser):
 
 def _default_threads() -> int:
     return max(1, os.cpu_count() or 1)
+
+
+def _thread_count(text: str) -> int:
+    """The --threads type: a count below 1 is a usage error before a command opens (and truncates) its outputs."""
+    try:
+        threads = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if threads < 1:
+        raise argparse.ArgumentTypeError(f"threads must be >= 1, got {threads}")
+    return threads
 
 
 def _default_trials(n: int) -> int:
@@ -157,6 +167,8 @@ def _cmd_bounds(args) -> int:
 # ---------------------------------------------------------------- embed
 
 def _cmd_embed(args) -> int:
+    if args.out == "-" and args.hexdump:
+        raise ValueError("--out - and --hexdump would both write to stdout: the pair table would end in non-CSV lines")
     seed = _resolve_seed(args)
     points = read_point_set(args.points, normalize=args.normalize)
     codes = CodeSet(pack_bits(embed_points(sample_map(args.m, points.dim, seed), points)), args.m)
@@ -270,6 +282,8 @@ def render_phase_svg(rows, vline_red: float, vline_green: float, title: str) -> 
 
     The red rule marks the closed-form m for the eps1 threshold, the green
     rule the closed-form m for eps2, matching the simulation figure layout.
+    ``title`` goes into the SVG as is, so it must hold no markup characters
+    (the figure's title is numbers and fixed words).
     """
     width, height = 720, 480
     left, right, top, bottom = 70, width - 30, 56, height - 56
@@ -284,7 +298,7 @@ def render_phase_svg(rows, vline_red: float, vline_green: float, title: str) -> 
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
         f'viewBox="0 0 {width} {height}" font-family="sans-serif" font-size="13">',
         f'<rect x="0" y="0" width="{width}" height="{height}" fill="white"/>',
-        f'<text x="{width / 2:.1f}" y="24" text-anchor="middle" font-size="15">{html.escape(title, quote=False)}</text>',
+        f'<text x="{width / 2:.1f}" y="24" text-anchor="middle" font-size="15">{title}</text>',
     ]
     for frac in (0.0, 0.25, 0.5, 0.75, 1.0):
         y = _svg_y(frac, top, bottom)
@@ -307,7 +321,7 @@ def render_phase_svg(rows, vline_red: float, vline_green: float, title: str) -> 
         parts.append(f'<line class="rule" x1="{x:.1f}" y1="{top}" x2="{x:.1f}" y2="{bottom}" '
                      f'stroke="{color}" stroke-width="1.5"/>')
         parts.append(f'<text class="rule-label" x="{x + 4:.1f}" y="{top + 14}" fill="{color}">'
-                     f'{html.escape(tag, quote=False)}: m={value:.1f}</text>')
+                     f'{tag}: m={value:.1f}</text>')
 
     pts = " ".join(
         f"{_svg_x(r.m, m_lo, m_hi, left, right):.2f},{_svg_y(r.p_hat, top, bottom):.2f}" for r in rows
@@ -384,7 +398,8 @@ def _cmd_oracle(args) -> int:
 def _add_common_sim_flags(p: _Parser) -> None:
     p.add_argument("--trials", type=int, default=None, help="trials per estimate (default: 100000 for n<=100, else 200)")
     p.add_argument("--seed", type=int, default=None, help=f"base seed (default: ${SEED_ENV_VAR} or system entropy)")
-    p.add_argument("--threads", type=int, default=_default_threads(), help="worker threads (output is thread-count independent)")
+    p.add_argument("--threads", type=_thread_count, default=_default_threads(),
+                   help="worker threads (output is thread-count independent)")
     p.add_argument("--boundary", choices=["strict", "inclusive"], default="strict",
                    help="does a deviation exactly equal to delta pass (strict) or fail (inclusive)")
     p.add_argument("--out", default=None, help="output CSV path (default: stdout)")
@@ -451,7 +466,7 @@ def build_parser() -> _Parser:
     p.add_argument("--m-grid", default=None, help="override the default 20-point grid")
     p.add_argument("--trials", type=int, default=None, help="trials per m (default 200)")
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--threads", type=int, default=_default_threads())
+    p.add_argument("--threads", type=_thread_count, default=_default_threads())
     p.add_argument("--boundary", choices=["strict", "inclusive"], default="strict")
     p.add_argument("--force", action="store_true")
     p.add_argument("--out", default="phase_figure", help="output base path (writes BASE.csv and BASE.svg)")

@@ -136,12 +136,19 @@ def pair_stream(codes: CodeSet, points: PointSet) -> Iterator[tuple[int, np.ndar
 def sort_codes(words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Stable lexicographic sort of each set of codes in a (..., n, w) uint64 word array, last word leading.
 
-    Returns the order (..., n), in which equal codes are adjacent and in index order, and the mask
-    (..., n-1) of sorted codes equal to the next one: a set is pairwise distinct iff its mask is all False.
+    Returns the order (..., n), in which equal codes are adjacent and in index order, and
+    same_as_next of the sorted codes.
     """
     order = np.lexsort(np.moveaxis(words, -1, 0), axis=-1)
-    ranked = np.take_along_axis(words, order[..., None], axis=-2)
-    return order, np.all(ranked[..., 1:, :] == ranked[..., :-1, :], axis=-1)
+    return order, same_as_next(np.take_along_axis(words, order[..., None], axis=-2))
+
+
+def same_as_next(ranked: np.ndarray) -> np.ndarray:
+    """The mask (..., n-1) of codes equal to the next one, in a (..., n, w) word array sorted within each set.
+
+    Any sort order puts equal codes next to each other, so a set is pairwise distinct iff its mask is all False.
+    """
+    return np.all(ranked[..., 1:, :] == ranked[..., :-1, :], axis=-1)
 
 
 def check_one_to_one(codes: CodeSet) -> list[tuple[int, int]]:

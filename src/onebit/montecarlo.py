@@ -24,14 +24,13 @@ from __future__ import annotations
 import dataclasses
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from .bounds import one_to_one_window, rip_window
-from .embedding import band_range, draw_codes, embed_points, pack_bits, sort_codes, words_needed
+from .embedding import band_range, draw_codes, embed_points, pack_bits, same_as_next, sort_codes, words_needed
 from .geometry import PointSet, geodesic_blocks
 
 #: Largest pairs * trials * 64-bit words a single estimate may cost.
@@ -155,8 +154,20 @@ def _chunk_size(config: TrialConfig) -> int:
 
 
 def _count_distinct(blocks) -> int:
-    """Number of trials whose n codes are pairwise distinct; blocks yield (T, n, w) uint64 words, sorted per trial."""
-    return sum(int(np.count_nonzero(~sort_codes(words)[1].any(axis=-1))) for words in blocks)
+    """Number of trials whose n codes are pairwise distinct; blocks yield fresh (T, n, w) uint64 words.
+
+    Distinctness does not depend on the sort order, so one-word codes (m <= 64) are sorted in place
+    as plain integers, with no argsort and no gather; longer codes go through sort_codes.
+    """
+    ok = 0
+    for words in blocks:
+        if words.shape[-1] == 1:
+            words.sort(axis=-2)
+            same = same_as_next(words)
+        else:
+            same = sort_codes(words)[1]
+        ok += int(np.count_nonzero(~same.any(axis=-1)))
+    return ok
 
 
 def _count_band_ok(blocks, g_lo: np.ndarray, g_hi: np.ndarray) -> int:
@@ -233,6 +244,8 @@ def run_trials(config: TrialConfig, threads: int = 1) -> EstimateRow:
     if threads == 1:
         successes = sum(_run_chunk(config, i, c, band) for i, c in enumerate(counts))
     else:
+        from concurrent.futures import ThreadPoolExecutor  # here, so a serial run never imports it
+
         with ThreadPoolExecutor(max_workers=threads) as pool:
             futures = [pool.submit(_run_chunk, config, i, c, band) for i, c in enumerate(counts)]
             successes = sum(f.result() for f in futures)

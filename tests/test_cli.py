@@ -193,6 +193,15 @@ class TestEmbedAndCheck:
         assert r.returncode == 0
         assert len(r.stdout.strip().split("\n")) == 2
 
+    def test_stdout_table_with_hexdump_is_usage_error(self, tmp_path):
+        pts = write_points(tmp_path / "pts.csv", "1,0,0\n0,1,0\n")
+        codes = tmp_path / "c.bin"
+        r = run_cli("embed", "--points", str(pts), "--m", "6", "--seed", "1",
+                    "--codes", str(codes), "--out", "-", "--hexdump")
+        assert r.returncode == 1
+        assert "--hexdump" in r.stderr
+        assert r.stdout == "" and not codes.exists()
+
     def test_bad_points_file_is_usage_error(self, tmp_path):
         pts = write_points(tmp_path / "bad.csv", "1,0\n7,0\n")
         r = run_cli("embed", "--points", str(pts), "--m", "8", "--seed", "1",
@@ -313,7 +322,7 @@ class TestSimulateSweep:
 
 
 class TestOutputOpenedFirst:
-    """An --out that cannot be opened fails with exit 1 before any trial runs."""
+    """An --out that cannot be opened fails with exit 1 before any trial runs; --threads 0 before --out is opened."""
 
     @pytest.fixture(autouse=True)
     def no_trials(self, monkeypatch):
@@ -332,6 +341,19 @@ class TestOutputOpenedFirst:
         out = tmp_path / "missing" / "out"
         assert cli.main([*argv, "--seed", "1", "--threads", "1", "--out", str(out)]) == 1
         assert "No such file or directory" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--n", "10", "--m", "7"],
+        ["sweep", "--n", "10", "--m-grid", "4:14:1"],
+        ["figure", "--n", "800"],
+    ], ids=["simulate", "sweep", "figure"])
+    def test_zero_threads_keeps_existing_out(self, argv, tmp_path, capsys):
+        out = tmp_path / "f.csv"  # figure writes f.csv and f.svg
+        for path in (out, tmp_path / "f.svg"):
+            path.write_bytes(b"earlier output\n")
+        assert cli.main([*argv, "--seed", "1", "--threads", "0", "--out", str(out)]) == 1
+        assert "threads must be >= 1" in capsys.readouterr().err
+        assert out.read_bytes() == (tmp_path / "f.svg").read_bytes() == b"earlier output\n"
 
 
 class TestFigure:

@@ -291,7 +291,7 @@ def planted_trials(rng, n: int, m: int) -> np.ndarray:
 
 
 class TestSortCodes:
-    """sort_codes, the one per-set sort behind check_one_to_one and the injectivity simulator."""
+    """sort_codes, the per-set sort behind check_one_to_one and the simulator's multi-word (m > 64) codes."""
 
     @pytest.mark.parametrize("m", [5, 64, 65, 130, 190])
     @pytest.mark.parametrize("n", [2, 3, 10])

@@ -7,7 +7,7 @@ import pytest
 
 import onebit.montecarlo as mc
 from onebit.bounds import one_to_one_window, rip_window
-from onebit.embedding import band_fails, draw_codes, embed_points, pack_bits, sample_map
+from onebit.embedding import band_fails, draw_codes, embed_points, pack_bits, sample_map, sort_codes
 from onebit.geometry import PAIR_BLOCK_ROWS, PointSet, geodesic_matrix
 from onebit.montecarlo import (
     CSV_HEADER,
@@ -177,6 +177,39 @@ class TestInjectivityGoldenCounts:
         raw = np.random.default_rng(0).standard_normal((20, 5))
         pts = PointSet(raw / np.linalg.norm(raw, axis=1)[:, None])
         assert run_trials(inj_config(20, 12, 3_000, seed=7, points=pts), threads=threads).successes == 878
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_explicit_path_word_boundary(self, threads):
+        # 5 near-duplicate pairs collide often, so the counts move at m = 63, 64 (one word) and 65 (two words).
+        rng = np.random.default_rng(64)
+        base = rng.standard_normal((5, 6))
+        raw = np.vstack([base, base + 0.02 * rng.standard_normal((5, 6))])
+        pts = PointSet(raw / np.linalg.norm(raw, axis=1)[:, None])
+        counts = [run_trials(inj_config(10, m, 2_000, seed=9, points=pts), threads=threads).successes for m in (63, 64, 65)]
+        assert counts == [5, 8, 12]
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_large_n_many_trials(self, threads):
+        assert run_trials(inj_config(300, 20, 20_000, seed=5), threads=threads).successes == 19160
+
+
+@pytest.mark.parametrize("m", [1, 7, 63, 64])
+@pytest.mark.parametrize("n", [2, 3, 10])
+def test_one_word_count_matches_sort_codes(n, m):
+    """The in-place integer sort of one-word codes counts the distinct sets that sort_codes counts."""
+    rng = np.random.default_rng(100 * m + n)
+    trials = 600
+    words = draw_codes((trials, n), m, rng)
+    i = rng.integers(0, n, trials)
+    j = (i + rng.integers(1, n, trials)) % n
+    dup, near = np.arange(0, trials, 3), np.arange(1, trials, 3)  # an equal pair, a pair one top bit apart
+    words[dup, j[dup]] = words[dup, i[dup]]
+    words[near, j[near]] = words[near, i[near]] ^ np.uint64(1 << (m - 1))
+    expect = int(np.count_nonzero(~sort_codes(words)[1].any(axis=-1)))
+    assert 0 < expect < trials or (m == 1 and n > 2)
+    if m == 64:
+        assert (words >= np.uint64(1 << 63)).any()  # the integer sort must not read them as negative
+    assert mc._count_distinct([words.copy()]) == expect
 
 
 class TestRipGoldenCounts:
