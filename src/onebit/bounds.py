@@ -22,6 +22,9 @@ LN2 = math.log(2.0)
 MIN_N_ONE_TO_ONE = 10
 MIN_N_RIP = 800
 
+#: The two Stein-Chen error widths, pairwise first: the injectivity default.
+ETA_FORMS = ("pairwise", "general")
+
 
 class ValidityRangeError(ValueError):
     """Inputs are outside the proven range of a closed form (overridable with force)."""
@@ -66,22 +69,21 @@ def m_injective(n: int, eps: float, delta_sep: float) -> BoundsReport:
     """Code length making the one-bit map injective with probability >= 1 - eps.
 
     Valid for point sets whose pairwise geodesic distances all exceed
-    1 - delta_sep:  m >= ln(n^2 / (2 eps)) / ln(1 / delta_sep).
+    1 - delta_sep:  m >= ln(n^2 / (2 eps)) / ln(1 / delta_sep), evaluated as
+    (2 log2 n + log2(1/(2 eps))) / log2(1/delta_sep), which is exact where n,
+    eps and delta_sep are powers of two.
     """
     _check_n(n)
     _check_unit("eps", eps)
     if not 0.0 < delta_sep < 1.0:
         raise ValueError(f"delta_sep must lie in (0, 1), got {delta_sep} (the bound diverges at 1)")
-    m_value = math.log(n * n / (2.0 * eps)) / math.log(1.0 / delta_sep)
+    m_value = (2.0 * math.log2(n) + math.log2(1.0 / (2.0 * eps))) / math.log2(1.0 / delta_sep)
     return _report("injective", n, m_value, eps1=eps, delta=delta_sep)
 
 
 def m_injective_orthogonal(n: int, eps: float) -> BoundsReport:
-    """Injectivity code length for pairwise orthogonal points: 2 log2 n + log2(1/(2 eps))."""
-    _check_n(n)
-    _check_unit("eps", eps)
-    m_value = 2.0 * math.log2(n) + math.log2(1.0 / (2.0 * eps))
-    return _report("injective_orthogonal", n, m_value, eps1=eps)
+    """Injectivity code length for pairwise orthogonal points: m_injective at delta_sep = 1/2, 2 log2 n + log2(1/(2 eps))."""
+    return _report("injective_orthogonal", n, m_injective(n, eps, 0.5).m_value, eps1=eps)
 
 
 def m_rip_union(n: int, eps: float, delta: float) -> BoundsReport:
@@ -192,12 +194,10 @@ def stein_chen_eta(n: int, p: float, form: str) -> float:
     each pair that share a point.
     """
     _check_n(n)
+    if form not in ETA_FORMS:
+        raise ValueError(f"unknown eta form {form!r}")
     pairs = math.comb(n, 2)
-    if form == "pairwise":
-        return pairs * p * p
-    if form == "general":
-        return pairs * (4 * n - 7) * p * p
-    raise ValueError(f"unknown eta form {form!r}")
+    return (pairs if form == "pairwise" else pairs * (4 * n - 7)) * p * p
 
 
 @dataclass(frozen=True)
@@ -411,22 +411,19 @@ def bounds_reports_csv(reports: list[BoundsReport]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def window_csv(n: int, m_values: list[int], delta: Optional[float] = None) -> str:
-    """Window table: n,m,delta,lambda_lo,lambda_hi,eta_pairwise,eta_general,lo,hi.
+def window_csv(n: int, m: int, delta: Optional[float] = None) -> str:
+    """Window table at one m: n,m,delta,lambda_lo,lambda_hi,eta_pairwise,eta_general,lo,hi.
 
-    Without ``delta`` the rows are injectivity windows, whose [lo, hi] column
+    Without ``delta`` the row is the injectivity window, whose [lo, hi] column
     uses the pairwise width (the general width is still tabulated); with it
-    they are rip windows, for which only the general width is defined and the
+    it is the rip window, for which only the general width is defined and the
     eta_pairwise column is left empty.
     """
-    lines = ["n,m,delta,lambda_lo,lambda_hi,eta_pairwise,eta_general,lo,hi"]
-    for m in m_values:
-        if delta is None:
-            wp = one_to_one_window(n, m, "pairwise")
-            wg = one_to_one_window(n, m, "general")
-            row = [n, m, None, wp.lambda_lo, wp.lambda_hi, wp.eta, wg.eta, wp.lo, wp.hi]
-        else:
-            w = rip_window(n, m, delta)
-            row = [n, m, delta, w.lambda_lo, w.lambda_hi, None, w.eta, w.lo, w.hi]
-        lines.append(",".join(_fmt(v) for v in row))
-    return "\n".join(lines) + "\n"
+    if delta is None:
+        wp = one_to_one_window(n, m, "pairwise")
+        wg = one_to_one_window(n, m, "general")
+        row = [n, m, None, wp.lambda_lo, wp.lambda_hi, wp.eta, wg.eta, wp.lo, wp.hi]
+    else:
+        w = rip_window(n, m, delta)
+        row = [n, m, delta, w.lambda_lo, w.lambda_hi, None, w.eta, w.lo, w.hi]
+    return "n,m,delta,lambda_lo,lambda_hi,eta_pairwise,eta_general,lo,hi\n" + ",".join(_fmt(v) for v in row) + "\n"

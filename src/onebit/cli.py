@@ -18,6 +18,7 @@ import numpy as np
 from . import bounds as bnd
 from .bounds import ValidityRangeError
 from .embedding import (
+    BOUNDARIES,
     CodeSet,
     check_one_to_one,
     check_rip,
@@ -160,7 +161,7 @@ def _cmd_bounds(args) -> int:
     if args.m is not None:
         if reports:
             print()
-        print(bnd.window_csv(n, [args.m], rip_delta), end="")
+        print(bnd.window_csv(n, args.m, rip_delta), end="")
     return EXIT_OK
 
 
@@ -338,15 +339,7 @@ def _cmd_figure(args) -> int:
         grid = _parse_m_grid(args.m_grid)
     else:
         grid = default_phase_grid(transition.m_eps1, transition.m_eps2)
-    trials = args.trials if args.trials is not None else 200
-    config = TrialConfig(
-        n=args.n,
-        m=grid[0],
-        trials=trials,
-        base_seed=seed,
-        delta=args.delta,
-        boundary=args.boundary,
-    )
+    config = _build_config(args, grid[0], seed)
 
     base = str(args.out)
     for suffix in (".svg", ".csv"):
@@ -358,7 +351,7 @@ def _cmd_figure(args) -> int:
     with open(csv_path, "w", encoding="utf-8") as csv_file, open(svg_path, "w", encoding="utf-8") as svg_file:
         rows = sweep(config, grid, threads=args.threads)
         csv_file.write(rows_csv(rows))
-        title = f"delta-band isometry probability, n={args.n}, delta={args.delta}, {trials} trials/m"
+        title = f"delta-band isometry probability, n={args.n}, delta={args.delta}, {config.trials} trials/m"
         svg_file.write(render_phase_svg(rows, transition.m_eps1, transition.m_eps2, title))
 
     crossing = first_upward_crossing(rows)
@@ -370,20 +363,21 @@ def _cmd_figure(args) -> int:
 
 # ---------------------------------------------------------------- oracle
 
+#: The flags each oracle needs, in the order its usage error names them.
+_ORACLE_FLAGS = {"birthday": ("n", "m"), "rip_three": ("m", "delta"), "eta": ("n", "m")}
+
+
 def _cmd_oracle(args) -> int:
+    needed = _ORACLE_FLAGS[args.which]
+    if any(getattr(args, flag) is None for flag in needed):
+        raise ValueError(f"oracle {args.which} needs " + " and ".join(f"--{flag}" for flag in needed))
     if args.which == "birthday":
-        if args.n is None or args.m is None:
-            raise ValueError("oracle birthday needs --n and --m")
         p = birthday_exact(args.n, args.m)
         print(f"{p.float_value:.10g} = {p.fraction_string()}")
     elif args.which == "rip_three":
-        if args.m is None or args.delta is None:
-            raise ValueError("oracle rip_three needs --m and --delta")
         p = rip_exact_three(args.m, args.delta, boundary=args.boundary)
         print(f"{p.float_value:.10g} = {p.fraction_string()}")
-    elif args.which == "eta":
-        if args.n is None or args.m is None:
-            raise ValueError("oracle eta needs --n and --m")
+    else:
         rep = eta_comparison(args.n, args.m)
         print(f"exact          = {rep.exact.float_value:.10g} = {rep.exact.fraction_string()}")
         print(f"poisson        = {rep.poisson_estimate:.10g}")
@@ -400,7 +394,7 @@ def _add_common_sim_flags(p: _Parser) -> None:
     p.add_argument("--seed", type=int, default=None, help=f"base seed (default: ${SEED_ENV_VAR} or system entropy)")
     p.add_argument("--threads", type=_thread_count, default=_default_threads(),
                    help="worker threads (output is thread-count independent)")
-    p.add_argument("--boundary", choices=["strict", "inclusive"], default="strict",
+    p.add_argument("--boundary", choices=BOUNDARIES, default="strict",
                    help="does a deviation exactly equal to delta pass (strict) or fail (inclusive)")
     p.add_argument("--out", default=None, help="output CSV path (default: stdout)")
 
@@ -434,7 +428,7 @@ def build_parser() -> _Parser:
     p.add_argument("--points", required=True)
     p.add_argument("--codes", required=True)
     p.add_argument("--delta", type=float, default=None)
-    p.add_argument("--boundary", choices=["strict", "inclusive"], default="strict")
+    p.add_argument("--boundary", choices=BOUNDARIES, default="strict")
     p.add_argument("--normalize", action="store_true")
     p.set_defaults(func=_cmd_check)
 
@@ -453,7 +447,7 @@ def build_parser() -> _Parser:
     p.add_argument("--delta", type=float, default=None)
     p.add_argument("--points", default=None)
     p.add_argument("--normalize", action="store_true")
-    p.add_argument("--eta-form", choices=["pairwise", "general"], default=None,
+    p.add_argument("--eta-form", choices=bnd.ETA_FORMS, default=None,
                    help="window width form for injectivity sweeps (default pairwise)")
     _add_common_sim_flags(p)
     p.set_defaults(func=_cmd_sweep)
@@ -464,20 +458,20 @@ def build_parser() -> _Parser:
     p.add_argument("--eps1", type=float, default=0.5)
     p.add_argument("--eps2", type=float, default=0.1)
     p.add_argument("--m-grid", default=None, help="override the default 20-point grid")
-    p.add_argument("--trials", type=int, default=None, help="trials per m (default 200)")
+    p.add_argument("--trials", type=int, default=200, help="trials per m (default 200)")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--threads", type=_thread_count, default=_default_threads())
-    p.add_argument("--boundary", choices=["strict", "inclusive"], default="strict")
+    p.add_argument("--boundary", choices=BOUNDARIES, default="strict")
     p.add_argument("--force", action="store_true")
     p.add_argument("--out", default="phase_figure", help="output base path (writes BASE.csv and BASE.svg)")
     p.set_defaults(func=_cmd_figure)
 
     p = sub.add_parser("oracle", help="exact probabilities as fractions and decimals")
-    p.add_argument("which", choices=["birthday", "rip_three", "eta"])
+    p.add_argument("which", choices=_ORACLE_FLAGS)
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--m", type=int, default=None)
     p.add_argument("--delta", type=float, default=None)
-    p.add_argument("--boundary", choices=["strict", "inclusive"], default="strict")
+    p.add_argument("--boundary", choices=BOUNDARIES, default="strict")
     p.set_defaults(func=_cmd_oracle)
 
     return parser

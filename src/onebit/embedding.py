@@ -26,6 +26,9 @@ _WORD_MASK = (1 << WORD_BITS) - 1
 CODESET_MAGIC = b"OB1J"
 CODESET_VERSION = 1
 
+#: band_fails' two readings of a deviation exactly equal to delta: it passes (strict) or fails (inclusive).
+BOUNDARIES = ("strict", "inclusive")
+
 
 class CodeSetFormatError(ValueError):
     """A serialized code set is malformed or truncated."""
@@ -217,7 +220,7 @@ def band_fails(h, m: int, geodesic, delta: float, boundary: str) -> np.ndarray:
     points) the left side is an exact integer too.  Broadcasts over arrays of
     h and g.
     """
-    if boundary not in ("strict", "inclusive"):
+    if boundary not in BOUNDARIES:
         raise ValueError(f"unknown boundary convention {boundary!r}")
     below, equal_fails = _band_edge(m, delta, boundary)
     dev = np.abs(2 * np.asarray(h) - 2 * m * np.asarray(geodesic, dtype=np.float64))

@@ -29,8 +29,8 @@ from typing import Optional
 
 import numpy as np
 
-from .bounds import one_to_one_window, rip_window
-from .embedding import band_range, draw_codes, embed_points, pack_bits, same_as_next, sort_codes, words_needed
+from .bounds import ETA_FORMS, one_to_one_window, rip_window
+from .embedding import BOUNDARIES, band_range, draw_codes, embed_points, pack_bits, same_as_next, sort_codes, words_needed
 from .geometry import PointSet, geodesic_blocks
 
 #: Largest pairs * trials * 64-bit words a single estimate may cost.
@@ -79,7 +79,7 @@ class TrialConfig:
             raise ValueError(f"base_seed must be non-negative, got {self.base_seed}")
         if self.delta is not None and not 0.0 < self.delta < 1.0:
             raise ValueError(f"delta must lie in (0, 1), got {self.delta}")
-        if self.boundary not in ("strict", "inclusive"):
+        if self.boundary not in BOUNDARIES:
             raise ValueError(f"unknown boundary convention {self.boundary!r}")
         if self.points is not None and self.points.n != self.n:
             raise ValueError(f"points has {self.points.n} rows, config says n={self.n}")
@@ -193,10 +193,11 @@ def _run_chunk(config: TrialConfig, chunk_index: int, count: int, band) -> int:
         bits = rng.integers(0, 2, size=(count, n, m), dtype=np.uint8)
         blocks = (bits[k : k + step] for k in range(0, count, step))
     else:
-        # Explicit path: a fresh map per trial.  Only the signs of the projections
-        # matter, so direction normalization is skipped (it cannot change a sign).
-        normals = rng.standard_normal((count, m, config.points.dim))
-        blocks = (embed_points(normals[k : k + step], config.points) for k in range(0, count, step))
+        # Explicit path: a fresh map per trial, its normals drawn one block at a time (consecutive
+        # draws continue one draw).  Only the signs of the projections matter, so direction
+        # normalization is skipped (it cannot change a sign).
+        shapes = ((min(step, count - k), m, config.points.dim) for k in range(0, count, step))
+        blocks = (embed_points(rng.standard_normal(shape), config.points) for shape in shapes)
         if config.delta is None:
             return _count_distinct(pack_bits(b) for b in blocks)
     return _count_band_ok(blocks, *band)
@@ -288,7 +289,7 @@ def sweep(
     # Every window is evaluated first, so that a config they reject (delta >= 1/2)
     # fails before any trial runs.
     if config.delta is None:
-        windows = [one_to_one_window(config.n, int(m), eta_form or "pairwise") for m in m_grid]
+        windows = [one_to_one_window(config.n, int(m), eta_form or ETA_FORMS[0]) for m in m_grid]
     else:
         windows = [rip_window(config.n, int(m), config.delta) for m in m_grid]
     if config.points is not None and not _pairwise_orthogonal(config.points):

@@ -9,7 +9,6 @@ probability via a multinomial dynamic program.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -32,15 +31,10 @@ class ExactProbability:
         return float(self.value)
 
     def fraction_string(self) -> str:
-        """numerator/denominator in full: Python's int-to-str digit limit (3.10.7+) is lifted for this call only."""
-        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-        try:
-            if limit:
-                sys.set_int_max_str_digits(0)
-            return f"{self.value.numerator}/{self.value.denominator}"
-        finally:
-            if limit:
-                sys.set_int_max_str_digits(limit)
+        """numerator/denominator in full, printed through Decimal, which Python's int-to-str digit limit does not cover."""
+        from decimal import Decimal  # here: from Python 3.12 on, fractions no longer imports decimal at start-up
+
+        return f"{Decimal(self.value.numerator)}/{Decimal(self.value.denominator)}"
 
 
 def birthday_exact(n: int, m: int) -> ExactProbability:

@@ -37,10 +37,15 @@ class TestMInjective:
 
     def test_matches_orthogonal_special_case(self):
         for n in (2, 10, 100, 1024):
-            for eps in (0.9, 0.5, 0.1, 0.01):
-                general = m_injective(n, eps, 0.5).m_value
-                special = m_injective_orthogonal(n, eps).m_value
-                assert abs(general - special) <= 1e-12 * max(1.0, abs(special))
+            for eps in (0.9, 0.5, 0.1, 0.01, 2**-10):
+                general = m_injective(n, eps, 0.5)
+                special = m_injective_orthogonal(n, eps)
+                assert (general.m_value, general.m_int) == (special.m_value, special.m_int)
+
+    def test_exact_at_powers_of_two(self):
+        # ln(2^29) / ln 2 rounds to 29.000000000000004, whose ceiling would be 30.
+        assert m_injective(1024, 2**-10, 0.5).m_int == 29
+        assert m_injective(1024, 2**-10, 0.25).m_value == 14.5
 
     def test_separation_parameter_range(self):
         with pytest.raises(ValueError, match="diverges"):
@@ -58,6 +63,17 @@ class TestMInjectiveOrthogonal:
     def test_reference_values(self):
         assert m_injective_orthogonal(1024, 0.5).m_value == pytest.approx(20.0, rel=1e-12)
         assert m_injective_orthogonal(2, 0.5).m_value == pytest.approx(2.0, rel=1e-12)
+
+    @pytest.mark.parametrize("n, eps, printed, m_int", [
+        (800, 0.01, "24.93156857", 25),
+        (10, 0.01, "12.28771238", 13),
+        (37, 0.3, "11.15587233", 12),
+        (10**6, 1e-6, "58.79470571", 59),
+        (1024, 2**-10, "29", 29),
+    ])
+    def test_printed_values(self, n, eps, printed, m_int):
+        r = m_injective_orthogonal(n, eps)
+        assert (r.formula_id, f"{r.m_value:.10g}", r.m_int, r.delta, r.eps1) == ("injective_orthogonal", printed, m_int, None, eps)
 
     def test_monotone_in_eps(self):
         vals = [m_injective_orthogonal(100, e).m_value for e in (0.01, 0.1, 0.5, 0.9)]
@@ -348,7 +364,7 @@ class TestCsvOutputs:
         assert ",225," in lines[1]
 
     def test_window_csv_injectivity(self):
-        text = window_csv(10, [7])
+        text = window_csv(10, 7)
         lines = text.strip().split("\n")
         assert lines[0] == "n,m,delta,lambda_lo,lambda_hi,eta_pairwise,eta_general,lo,hi"
         fields = lines[1].split(",")
@@ -358,7 +374,7 @@ class TestCsvOutputs:
         assert float(fields[6]) == pytest.approx(0.09063720703125, rel=1e-9)
 
     def test_window_csv_rip(self):
-        text = window_csv(800, [150], 0.2)
+        text = window_csv(800, 150, 0.2)
         fields = text.strip().split("\n")[1].split(",")
         assert fields[2] == "0.2"
         assert fields[5] == ""  # no pairwise width for the rip window

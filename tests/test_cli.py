@@ -116,8 +116,15 @@ class TestOracle:
         assert "contains deviation: False" in r.stdout
         assert "contains deviation: True" in r.stdout
 
-    def test_missing_params(self):
+    def test_missing_params(self, capsys):
         assert run_cli("oracle", "birthday", "--n", "10").returncode == 1
+        for argv, message in (
+            (["birthday", "--n", "10"], "oracle birthday needs --n and --m"),
+            (["rip_three", "--m", "10", "--n", "5"], "oracle rip_three needs --m and --delta"),
+            (["eta", "--m", "7", "--delta", "0.2"], "oracle eta needs --n and --m"),
+        ):
+            assert cli.main(["oracle", *argv]) == 1
+            assert capsys.readouterr() == ("", f"onebit: error: {message}\n")
 
     @pytest.mark.parametrize("kind", ["birthday", "eta"])
     def test_fraction_beyond_int_digit_limit(self, kind):
@@ -391,6 +398,13 @@ class TestFigure:
         assert r.returncode == 1
         assert "delta must lie in (0, 1/2)" in r.stderr
         assert not (tmp_path / "f.csv").exists()
+
+    def test_trials_default_is_200(self, tmp_path):
+        assert cli.main(["figure", "--n", "50", "--force", "--m-grid", "10:10:1", "--seed", "1", "--threads", "1",
+                         "--out", str(tmp_path / "f")]) == 0
+        header, row = (tmp_path / "f.csv").read_text().splitlines()
+        assert header.split(",")[1] == "trials" and row.split(",")[1] == "200"
+        assert "200 trials/m" in (tmp_path / "f.svg").read_text()
 
     def test_figure_without_force_below_threshold(self, tmp_path):
         r = run_cli("figure", "--n", "50", "--trials", "10", "--seed", "1",

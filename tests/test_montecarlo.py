@@ -322,6 +322,20 @@ class TestExplicitPath:
         lo, hi = wilson_interval(row.successes, row.trials, 3.0)
         assert lo <= exact <= hi
 
+    @pytest.mark.parametrize("delta", [None, 0.3])
+    def test_blockwise_normals_equal_one_chunk_draw(self, monkeypatch, delta):
+        # A chunk's normals are drawn one trial block at a time; consecutive standard_normal
+        # draws continue one draw, so no count depends on the block size.
+        raw = np.random.default_rng(9).standard_normal((12, 4))
+        cfg = TrialConfig(n=12, m=10, trials=700, base_seed=3, delta=delta,
+                          points=PointSet(raw / np.linalg.norm(raw, axis=1)[:, None]))
+        counts = []
+        for block_bytes in (1 << 40, 37 * 12 * (12 * 10 + 8 * 12)):  # one block per chunk, then blocks of 37 trials
+            monkeypatch.setattr(mc, "_BLOCK_BYTES", block_bytes)
+            counts.append(run_trials(cfg).successes)
+        assert counts[0] == counts[1]
+        assert 0 < counts[0] < cfg.trials
+
     def test_general_points_allowed(self):
         rng = np.random.default_rng(8)
         raw = rng.standard_normal((5, 7))
