@@ -137,26 +137,16 @@ def p_delta_exact(m: int, delta: float) -> Fraction:
 
 
 def p_delta_float(m: int, delta: float) -> float:
-    """Float view of p_delta_exact; switches to log-space summation for very large m."""
+    """Float view of p_delta_exact; for m > 2000 the same tail by log-gamma terms and a stable log-sum-exp."""
     if m <= 2000:
         return float(p_delta_exact(m, delta))
-    return math.exp(log_p_delta(m, delta))
-
-
-def log_p_delta(m: int, delta: float) -> float:
-    """ln p_delta via log-gamma and stable log-sum-exp, for m too large for exact sums."""
-    if m < 1:
-        raise ValueError(f"m must be >= 1, got {m}")
     if not 0.0 < delta < 0.5:
         raise ValueError(f"delta must lie in (0, 1/2), got {delta}")
-    a = _tail_start(m, delta)
-    if a > m:
-        return -math.inf
     lgm = math.lgamma(m + 1)
-    logs = [lgm - math.lgamma(k + 1) - math.lgamma(m - k + 1) for k in range(a, m + 1)]
+    logs = [lgm - math.lgamma(k + 1) - math.lgamma(m - k + 1) for k in range(_tail_start(m, delta), m + 1)]
     peak = max(logs)
     s = sum(math.exp(v - peak) for v in logs)
-    return LN2 + peak + math.log(s) - m * LN2
+    return math.exp(LN2 + peak + math.log(s) - m * LN2)
 
 
 def exponent_rate(delta: float) -> float:

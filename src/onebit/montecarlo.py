@@ -15,8 +15,8 @@ one block of trials at a time so that memory stays bounded as n grows.
 
 One kernel decides the band on both paths and at every n.  For ±1 code rows
 <s_i, s_j> = m - 2H, so embedding.band_range turns each pair's geodesic into
-a range of that inner product; a trial succeeds iff every entry of its ±1 Gram
-matrix (one batched matmul) lies in its range, as band_fails decides check_rip.
+a range of that inner product; a trial succeeds iff its ±1 Gram matrix (one batched
+matmul) lies in those ranges off its diagonal, as band_fails decides check_rip.
 """
 
 from __future__ import annotations
@@ -39,7 +39,8 @@ PAIR_WORD_BUDGET = 10**10
 #: Byte cap on one block of trials: its float64 projections, ±1 rows and Gram matrices.
 _BLOCK_BYTES = 1 << 23
 
-#: Largest byte size of the (2, n, n) band of Gram ranges a rip estimate builds.
+#: Largest byte size of the (2, n, n) band of Gram ranges an explicit rip estimate builds.  The fast
+#: path's band is two numbers, but each of its trials holds an n x n Gram matrix, so it refuses the same n.
 BAND_BYTES_BUDGET = 1 << 30
 
 #: The two-sided 95% normal critical value, NormalDist().inv_cdf(0.975) to the last bit.
@@ -137,7 +138,10 @@ def _chunk_stream(base_seed: int, m: int, chunk_index: int) -> np.random.Generat
 
 
 def _chunk_size(config: TrialConfig) -> int:
-    """Fixed chunk size per config -- part of the determinism contract, never tied to worker count."""
+    """Fixed chunk size per config -- a unit of determinism, never tied to worker count.
+
+    Memory follows _run_chunk's trial blocks, except on the fast injectivity path, whose chunk is its one block.
+    """
     if config.points is not None:
         per_trial = config.m * config.points.dim * 8
         cap = 4096
@@ -170,37 +174,41 @@ def _count_distinct(blocks) -> int:
     return ok
 
 
-def _count_band_ok(blocks, g_lo: np.ndarray, g_hi: np.ndarray) -> int:
-    """Number of trials whose ±1 Gram matrix lies entrywise in [g_lo, g_hi]; blocks yield (T, n, m) 0/1 bits."""
-    ok = 0
-    for bits in blocks:
-        s = bits.astype(g_lo.dtype)
-        s *= 2
-        s -= 1
-        gram = np.matmul(s, s.transpose(0, 2, 1))
-        ok += int(np.count_nonzero(((gram >= g_lo) & (gram <= g_hi)).all(axis=(1, 2))))
-    return ok
+def _count_band_ok(bits: np.ndarray, g_lo: np.ndarray, g_hi: np.ndarray) -> int:
+    """Trials of a (T, n, m) block of 0/1 bits whose ±1 Gram matrix lies in [g_lo, g_hi] off its diagonal.
+
+    g_lo and g_hi are n x n or one number each; the diagonal (always m) passes here, so no band holds it.
+    One call per block frees the block's Gram matrix before the next block is drawn.
+    """
+    s = bits.astype(g_lo.dtype)
+    s *= 2
+    s -= 1
+    gram = np.matmul(s, s.transpose(0, 2, 1))
+    inside = (gram >= g_lo) & (gram <= g_hi)
+    t, n, _ = bits.shape
+    inside.reshape(t, -1)[:, :: n + 1] = True
+    return int(np.count_nonzero(inside.all(axis=(1, 2))))
 
 
 def _run_chunk(config: TrialConfig, chunk_index: int, count: int, band) -> int:
     rng = _chunk_stream(config.base_seed, config.m, chunk_index)
     n, m = config.n, config.m
-    step = max(1, _BLOCK_BYTES // (n * (12 * m + 8 * n)))
+    if config.points is None and config.delta is None:
+        return _count_distinct([draw_codes((count, n), m, rng)])
 
+    # Blocks of a multiple of 4 // gcd(n*m, 4) trials: numpy takes uint8 coins four to a 32-bit word,
+    # so such draws continue one chunk draw exactly, as standard normals do at any block size.
+    step = max(1, _BLOCK_BYTES // (n * (12 * m + 8 * n)))
+    step += -step % (4 // math.gcd(n * m, 4))
+    sizes = (min(step, count - k) for k in range(0, count, step))
     if config.points is None:
-        if config.delta is None:
-            return _count_distinct([draw_codes((count, n), m, rng)])
-        bits = rng.integers(0, 2, size=(count, n, m), dtype=np.uint8)
-        blocks = (bits[k : k + step] for k in range(0, count, step))
+        blocks = (rng.integers(0, 2, size=(t, n, m), dtype=np.uint8) for t in sizes)
     else:
-        # Explicit path: a fresh map per trial, its normals drawn one block at a time (consecutive
-        # draws continue one draw).  Only the signs of the projections matter, so direction
-        # normalization is skipped (it cannot change a sign).
-        shapes = ((min(step, count - k), m, config.points.dim) for k in range(0, count, step))
-        blocks = (embed_points(rng.standard_normal(shape), config.points) for shape in shapes)
+        # A fresh map per trial; only signs matter, so the directions are not normalized.
+        blocks = (embed_points(rng.standard_normal((t, m, config.points.dim)), config.points) for t in sizes)
         if config.delta is None:
             return _count_distinct(pack_bits(b) for b in blocks)
-    return _count_band_ok(blocks, *band)
+    return sum(_count_band_ok(bits, *band) for bits in blocks)
 
 
 def run_trials(config: TrialConfig, threads: int = 1) -> EstimateRow:
@@ -225,16 +233,15 @@ def run_trials(config: TrialConfig, threads: int = 1) -> EstimateRow:
         size = 2 * n * n * dtype.itemsize
         if size > BAND_BYTES_BUDGET:
             raise ResourceBudgetError(f"the {n} x {n} band needs {size} bytes, over budget {BAND_BYTES_BUDGET}; reduce n")
-        band = np.empty((2, n, n), dtype)
         if config.points is None:
             h_lo, h_hi = band_range(m, 0.5, config.delta, config.boundary)
-            band[0], band[1] = m - 2 * h_hi, m - 2 * h_lo
+            band = np.array([m - 2 * h_hi, m - 2 * h_lo], dtype)
         else:
+            band = np.empty((2, n, n), dtype)
             band[0], band[1] = -m, m
             for lo, geo in geodesic_blocks(config.points):
                 h_lo, h_hi = band_range(m, geo, config.delta, config.boundary)
                 band[:, lo : lo + len(geo), lo:] = m - 2 * h_hi, m - 2 * h_lo
-        band[:, range(n), range(n)] = [[-m], [m]]  # a code always agrees with itself
 
     size = _chunk_size(config)
     counts = [size] * (config.trials // size)

@@ -161,6 +161,10 @@ class TestPDeltaExact:
     def test_float_view_matches(self):
         for m in (1, 10, 37, 60):
             assert p_delta_float(m, 0.2) == pytest.approx(float(p_delta_exact(m, 0.2)), rel=1e-12)
+        # Past m = 2000 the float view sums the tail in log space.
+        for m in (2001, 2500):
+            for delta in (0.01, 0.2):
+                assert p_delta_float(m, delta) == pytest.approx(float(p_delta_exact(m, delta)), rel=1e-11)
 
     def test_hoeffding_domination_sample(self):
         for m in range(1, 121):

@@ -7,7 +7,7 @@ import pytest
 
 import onebit.montecarlo as mc
 from onebit.bounds import one_to_one_window, rip_window
-from onebit.embedding import band_fails, draw_codes, embed_points, pack_bits, sample_map, sort_codes
+from onebit.embedding import band_fails, draw_codes, embed_points, pack_bits, sort_codes
 from onebit.geometry import PAIR_BLOCK_ROWS, PointSet, geodesic_matrix
 from onebit.montecarlo import (
     CSV_HEADER,
@@ -51,6 +51,16 @@ def count_band_ok_pairwise(config: TrialConfig) -> int:
                 fails |= band_fails(h, m, geo[i, j], config.delta, config.boundary)
         ok += int(count - fails.sum())
     return ok
+
+
+def blockwise_counts(monkeypatch, config: TrialConfig) -> list[int]:
+    """Successes of config with one block per chunk, then with blocks of 1, 37 and 5 trials (before rounding)."""
+    per_trial = config.n * (12 * config.m + 8 * config.n)
+    counts = []
+    for block_bytes in (1 << 40, 1, 37 * per_trial, 5 * per_trial):
+        monkeypatch.setattr(mc, "_BLOCK_BYTES", block_bytes)
+        counts.append(run_trials(config).successes)
+    return counts
 
 
 def clustered_points() -> PointSet:
@@ -304,6 +314,19 @@ class TestBandKernel:
             tracemalloc.stop()
         assert peak < 100 * 2**20
 
+    def test_fast_memory_bounded(self):
+        # One full chunk (149 trials) at figure size: the coins are drawn one block at a time and
+        # the band is two numbers, so neither a (chunk, n, m) coin array nor an n x n band is held.
+        cfg = rip_config(800, 140, 0.2, 149, seed=64)
+        assert mc._chunk_size(cfg) == cfg.trials
+        tracemalloc.start()
+        try:
+            run_trials(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < mc._BLOCK_BYTES
+
 
 class TestExplicitPath:
     def test_injectivity_matches_birthday(self):
@@ -329,12 +352,19 @@ class TestExplicitPath:
         raw = np.random.default_rng(9).standard_normal((12, 4))
         cfg = TrialConfig(n=12, m=10, trials=700, base_seed=3, delta=delta,
                           points=PointSet(raw / np.linalg.norm(raw, axis=1)[:, None]))
-        counts = []
-        for block_bytes in (1 << 40, 37 * 12 * (12 * 10 + 8 * 12)):  # one block per chunk, then blocks of 37 trials
-            monkeypatch.setattr(mc, "_BLOCK_BYTES", block_bytes)
-            counts.append(run_trials(cfg).successes)
-        assert counts[0] == counts[1]
+        counts = blockwise_counts(monkeypatch, cfg)
+        assert len(set(counts)) == 1, counts
         assert 0 < counts[0] < cfg.trials
+
+    @pytest.mark.parametrize("n, m", [(7, 9), (6, 7), (4, 4)])  # n*m odd, 2 mod 4, 0 mod 4
+    def test_blockwise_coins_equal_one_chunk_draw(self, monkeypatch, n, m):
+        # uint8 coins continue one draw only in multiples of 4, so the fast path's blocks are
+        # rounded to a multiple of 4 // gcd(n*m, 4) trials; without that the counts differ.
+        cfg = rip_config(n, m, 0.3, 700, seed=3)
+        counts = blockwise_counts(monkeypatch, cfg)
+        assert len(set(counts)) == 1, counts
+        assert 0 < counts[0] < cfg.trials
+        assert counts[0] == count_band_ok_pairwise(cfg)
 
     def test_general_points_allowed(self):
         rng = np.random.default_rng(8)
@@ -352,7 +382,11 @@ def test_fast_vs_explicit_pair_collision_rates():
     """The coin-flip shortcut and real embeddings of orthogonal points agree pairwise.
 
     Per-pair collision counts over T trials are compared two ways: two-sample
-    agreement at 4 sigma, and each path against the exact rate 2^-16.
+    agreement at 4 sigma, and each path against the exact rate 2^-16.  Seeds:
+    the fast half is one draw_codes draw from default_rng(41); the explicit
+    half draws its maps as the simulator's explicit path does, from one
+    default_rng(42) stream, standard_normal((5000, m, dim)) per block of
+    trials (a sign map needs no normalization).
     """
     trials = 100_000
     n, m, dim = 4, 16, 50
@@ -364,14 +398,12 @@ def test_fast_vs_explicit_pair_collision_rates():
     # One draw of all trials' codes is the same stream as one draw per trial.
     fast_counts = equal_pairs(draw_codes((trials, n), m, np.random.default_rng(41)))
 
-    # Every trial keeps its own map seed; the maps are stacked a block of trials at a time.
     pts = PointSet(np.eye(n, dim))
-    seed_rng = np.random.default_rng(42)
+    rng = np.random.default_rng(42)
     explicit_counts = np.zeros((n, n), dtype=np.int64)
     block = 5_000
     for _ in range(trials // block):
-        maps = np.stack([sample_map(m, dim, seed=int(seed_rng.integers(0, 2**62))) for _ in range(block)])
-        explicit_counts += equal_pairs(pack_bits(embed_points(maps, pts)))
+        explicit_counts += equal_pairs(pack_bits(embed_points(rng.standard_normal((block, m, dim)), pts)))
 
     oracle = 2.0**-m
     expected = trials * oracle
