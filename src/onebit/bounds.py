@@ -2,8 +2,9 @@
 
 Quantities here span hundreds of orders of magnitude in m, so every
 exponential-scale expression is assembled in log space and only exponentiated
-at the end.  Binomial tail probabilities are exact dyadic rationals (see
-p_delta_exact); the Stirling-style envelopes around them are floats.
+at the end, or, when dyadic, scaled by 2^-m with ldexp.  Binomial tail
+probabilities are exact dyadic rationals (see p_delta_exact); the
+Stirling-style envelopes around them are floats.
 """
 
 from __future__ import annotations
@@ -63,6 +64,11 @@ def _check_n(n: int) -> None:
 def _check_unit(name: str, value: float) -> None:
     if not 0.0 < value < 1.0:
         raise ValueError(f"{name} must lie in (0, 1), got {value}")
+
+
+def _check_delta(delta: float) -> None:
+    if not 0.0 < delta < 0.5:
+        raise ValueError(f"delta must lie in (0, 1/2), got {delta}")
 
 
 def m_injective(n: int, eps: float, delta_sep: float) -> BoundsReport:
@@ -131,17 +137,15 @@ def p_delta_exact(m: int, delta: float) -> Fraction:
     Twice the upper tail P(Y >= A), A the first count past the inclusive band
     at g = 1/2, in exact integer arithmetic.
     """
-    if not 0.0 < delta < 0.5:
-        raise ValueError(f"delta must lie in (0, 1/2), got {delta}")
+    _check_delta(delta)
     return 2 * tail_probability(m, _tail_start(m, delta))
 
 
 def p_delta_float(m: int, delta: float) -> float:
     """Float view of p_delta_exact; for m > 2000 the same tail by log-gamma terms and a stable log-sum-exp."""
+    _check_delta(delta)
     if m <= 2000:
         return float(p_delta_exact(m, delta))
-    if not 0.0 < delta < 0.5:
-        raise ValueError(f"delta must lie in (0, 1/2), got {delta}")
     lgm = math.lgamma(m + 1)
     logs = [lgm - math.lgamma(k + 1) - math.lgamma(m - k + 1) for k in range(_tail_start(m, delta), m + 1)]
     peak = max(logs)
@@ -151,8 +155,7 @@ def p_delta_float(m: int, delta: float) -> float:
 
 def exponent_rate(delta: float) -> float:
     """Per-unit-m exponential decay rate -1/2 ln(1-4d^2) + d ln((1-2d)/(1+2d)); negative."""
-    if not 0.0 < delta < 0.5:
-        raise ValueError(f"delta must lie in (0, 1/2), got {delta}")
+    _check_delta(delta)
     return -0.5 * math.log1p(-4.0 * delta * delta) - 2.0 * delta * math.atanh(2.0 * delta)
 
 
@@ -216,20 +219,14 @@ def one_to_one_window(n: int, m: int, eta_form: str = "pairwise") -> PhaseWindow
 
     The Poisson rate is lambda = C(n,2)/2^m; the window is e^{-lambda} +- eta
     with eta = C(n,2) 2^{-2m} (pairwise form) or C(n,2)(4n-7) 2^{-2m}
-    (general form), clamped to [0, 1].
+    (general form), clamped to [0, 1].  C(n,2) and 1 are scaled by 2^-m with
+    ldexp, which is exact until the result goes subnormal.
     """
     _check_n(n)
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
-    if m <= 1000:
-        # Exact dyadic arithmetic while 2^-m is representable.
-        pairs = math.comb(n, 2)
-        lam = pairs * 2.0**-m
-        p = 2.0**-m
-    else:
-        lam = math.exp(_log_pairs(n) - m * LN2)
-        p = math.exp(-m * LN2)
-    eta = stein_chen_eta(n, p, eta_form)
+    lam = math.ldexp(math.comb(n, 2), -m)
+    eta = stein_chen_eta(n, math.ldexp(1.0, -m), eta_form)
     return _clamped_window(lam, lam, eta, eta_form)
 
 
@@ -280,8 +277,8 @@ def one_to_one_m_window(n: int, eps1: float, eps2: float, force: bool = False) -
         raise ValueError(f"need eps2 < eps1, got eps1={eps1}, eps2={eps2}")
     note = _validity_note(n, MIN_N_ONE_TO_ONE, force)
     d1, d2 = _lambda_targets(eps1, eps2)
-    m_lower = math.log2(n * (n - 1) / (2.0 * d1))
-    m_upper = math.log2(n * (n - 1) / (2.0 * d2))
+    m_lower = math.log2(math.comb(n, 2) / d1)
+    m_upper = math.log2(math.comb(n, 2) / d2)
     if not m_lower < m_upper:
         raise ValueError(f"eps1={eps1}, eps2={eps2} too close: thresholds cross (m_lower={m_lower}, m_upper={m_upper})")
     return OneToOneTransition(m_lower=m_lower, m_upper=m_upper, validity_note=note)
@@ -389,16 +386,17 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def csv_text(header: str, rows) -> str:
+    """The header line, then one comma-joined line per row: floats at 10 significant digits, None empty."""
+    return "\n".join([header, *(",".join(map(_fmt, row)) for row in rows)]) + "\n"
+
+
 def bounds_reports_csv(reports: list[BoundsReport]) -> str:
     """Serialize reports: formula_id,n,delta,eps1,eps2,m_value,m_int,validity_note."""
-    lines = ["formula_id,n,delta,eps1,eps2,m_value,m_int,validity_note"]
-    for r in reports:
-        lines.append(
-            ",".join(
-                [r.formula_id, str(r.n), _fmt(r.delta), _fmt(r.eps1), _fmt(r.eps2), _fmt(r.m_value), str(r.m_int), r.validity_note]
-            )
-        )
-    return "\n".join(lines) + "\n"
+    return csv_text(
+        "formula_id,n,delta,eps1,eps2,m_value,m_int,validity_note",
+        [(r.formula_id, r.n, r.delta, r.eps1, r.eps2, r.m_value, r.m_int, r.validity_note) for r in reports],
+    )
 
 
 def window_csv(n: int, m: int, delta: Optional[float] = None) -> str:
@@ -416,4 +414,4 @@ def window_csv(n: int, m: int, delta: Optional[float] = None) -> str:
     else:
         w = rip_window(n, m, delta)
         row = [n, m, delta, w.lambda_lo, w.lambda_hi, None, w.eta, w.lo, w.hi]
-    return "n,m,delta,lambda_lo,lambda_hi,eta_pairwise,eta_general,lo,hi\n" + ",".join(_fmt(v) for v in row) + "\n"
+    return csv_text("n,m,delta,lambda_lo,lambda_hi,eta_pairwise,eta_general,lo,hi", [row])

@@ -29,18 +29,19 @@ from typing import Optional
 
 import numpy as np
 
-from .bounds import ETA_FORMS, one_to_one_window, rip_window
+from .bounds import ETA_FORMS, PhaseWindow, csv_text, one_to_one_window, rip_window
 from .embedding import BOUNDARIES, band_range, draw_codes, embed_points, pack_bits, same_as_next, sort_codes, words_needed
 from .geometry import PointSet, geodesic_blocks
 
-#: Largest pairs * trials * 64-bit words a single estimate may cost.
+#: Largest units * trials * 64-bit words one estimate may cost: a rip unit is a pair, which its kernel visits,
+#: an injectivity unit a code, since a trial sorts its n codes and never visits a pair.
 PAIR_WORD_BUDGET = 10**10
 
 #: Byte cap on one block of trials: its float64 projections, ±1 rows and Gram matrices.
 _BLOCK_BYTES = 1 << 23
 
-#: Largest byte size of the (2, n, n) band of Gram ranges an explicit rip estimate builds.  The fast
-#: path's band is two numbers, but each of its trials holds an n x n Gram matrix, so it refuses the same n.
+#: Largest byte size of the (2, n, n) band of Gram ranges an explicit rip estimate builds.  A fast trial's
+#: n x n Gram matrix and comparison masks take at most as many bytes, so the fast path refuses the same n.
 BAND_BYTES_BUDGET = 1 << 30
 
 #: The two-sided 95% normal critical value, NormalDist().inv_cdf(0.975) to the last bit.
@@ -88,7 +89,7 @@ class TrialConfig:
 
 @dataclass(frozen=True)
 class EstimateRow:
-    """One Monte Carlo estimate with its Wilson interval and (optionally) an analytic window."""
+    """One Monte Carlo estimate with its Wilson interval and its analytic window; None is no window."""
 
     m: int
     successes: int
@@ -96,9 +97,7 @@ class EstimateRow:
     p_hat: float
     ci_lo: float
     ci_hi: float
-    window_lo: float = math.nan
-    window_hi: float = math.nan
-    eta_form: str = ""
+    window: Optional[PhaseWindow] = None
     wall_time: float = 0.0
 
 
@@ -106,14 +105,9 @@ CSV_HEADER = "m,trials,successes,p_hat,ci_lo,ci_hi,window_lo,window_hi,eta_form"
 
 
 def rows_csv(rows: tuple[EstimateRow, ...]) -> str:
-    """Estimate rows as CSV (10 significant digits; wall times are deliberately excluded)."""
-    lines = [CSV_HEADER]
-    for r in rows:
-        lines.append(
-            f"{r.m},{r.trials},{r.successes},{r.p_hat:.10g},{r.ci_lo:.10g},"
-            f"{r.ci_hi:.10g},{r.window_lo:.10g},{r.window_hi:.10g},{r.eta_form}"
-        )
-    return "\n".join(lines) + "\n"
+    """Estimate rows as CSV (10 significant digits; wall times are deliberately excluded); no window prints nan,nan,."""
+    windows = [(r.window.lo, r.window.hi, r.window.eta_form) if r.window else (math.nan, math.nan, None) for r in rows]
+    return csv_text(CSV_HEADER, [(r.m, r.trials, r.successes, r.p_hat, r.ci_lo, r.ci_hi, *w) for r, w in zip(rows, windows)])
 
 
 def wilson_interval(successes: int, trials: int, z: float) -> tuple[float, float]:
@@ -220,9 +214,10 @@ def run_trials(config: TrialConfig, threads: int = 1) -> EstimateRow:
     """
     if threads < 1:
         raise ValueError("threads must be >= 1")
-    cost = config.n * (config.n - 1) // 2 * config.trials * words_needed(config.m)
+    units, unit = (math.comb(config.n, 2), "pairs") if config.delta is not None else (config.n, "codes")
+    cost = units * config.trials * words_needed(config.m)
     if cost > PAIR_WORD_BUDGET:
-        raise ResourceBudgetError(f"pairs*trials*words = {cost} exceeds budget {PAIR_WORD_BUDGET}; reduce trials")
+        raise ResourceBudgetError(f"{unit}*trials*words = {cost} exceeds budget {PAIR_WORD_BUDGET}; reduce trials")
 
     band = None
     if config.delta is not None:
@@ -232,7 +227,8 @@ def run_trials(config: TrialConfig, threads: int = 1) -> EstimateRow:
         dtype = np.dtype(np.float32 if m <= 1 << 24 else np.float64)
         size = 2 * n * n * dtype.itemsize
         if size > BAND_BYTES_BUDGET:
-            raise ResourceBudgetError(f"the {n} x {n} band needs {size} bytes, over budget {BAND_BYTES_BUDGET}; reduce n")
+            held = "band needs" if config.points is not None else "Gram matrix of a trial, with its masks, needs up to"
+            raise ResourceBudgetError(f"the {n} x {n} {held} {size} bytes, over budget {BAND_BYTES_BUDGET}; reduce n")
         if config.points is None:
             h_lo, h_hi = band_range(m, 0.5, config.delta, config.boundary)
             band = np.array([m - 2 * h_hi, m - 2 * h_lo], dtype)
@@ -244,9 +240,7 @@ def run_trials(config: TrialConfig, threads: int = 1) -> EstimateRow:
                 band[:, lo : lo + len(geo), lo:] = m - 2 * h_hi, m - 2 * h_lo
 
     size = _chunk_size(config)
-    counts = [size] * (config.trials // size)
-    if config.trials % size:
-        counts.append(config.trials % size)
+    counts = [min(size, config.trials - k) for k in range(0, config.trials, size)]
 
     start = time.perf_counter()
     if threads == 1:
@@ -284,7 +278,7 @@ def sweep(
     default); rip rows carry the [e^{-lambda2} - eta, e^{-lambda1} + eta]
     window, which only exists in the general form.  Both windows are for n
     pairwise orthogonal points, so explicit points with any other geodesic
-    get no window (NaN bounds, empty eta_form).
+    get no window (window None).
     """
     if not m_grid:
         raise ValueError("m grid must be nonempty")
@@ -301,11 +295,10 @@ def sweep(
         windows = [rip_window(config.n, int(m), config.delta) for m in m_grid]
     if config.points is not None and not _pairwise_orthogonal(config.points):
         windows = [None] * len(windows)
-    rows = []
-    for m, w in zip(m_grid, windows):
-        row = run_trials(dataclasses.replace(config, m=int(m)), threads=threads)
-        rows.append(row if w is None else dataclasses.replace(row, window_lo=w.lo, window_hi=w.hi, eta_form=w.eta_form))
-    return tuple(rows)
+    return tuple(
+        dataclasses.replace(run_trials(dataclasses.replace(config, m=int(m)), threads=threads), window=w)
+        for m, w in zip(m_grid, windows)
+    )
 
 
 def _pairwise_orthogonal(points: PointSet) -> bool:

@@ -154,8 +154,8 @@ def test_criterion_6_figure_reproduction():
     outside = []
     for row in rows:
         wlo, whi = wilson_interval(row.successes, row.trials, 3.0)
-        if not (wlo <= row.window_hi and whi >= row.window_lo):
-            outside.append((row.m, row.p_hat, row.window_lo, row.window_hi))
+        if not (wlo <= row.window.hi and whi >= row.window.lo):
+            outside.append((row.m, row.p_hat, row.window.lo, row.window.hi))
     elapsed = time.perf_counter() - t0
     ok = crossing_ok and not outside and elapsed <= 600.0
     _report(6, ok, elapsed,

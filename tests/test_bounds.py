@@ -147,8 +147,9 @@ class TestPDeltaExact:
     def test_range_checks(self):
         with pytest.raises(ValueError):
             p_delta_exact(0, 0.2)
-        with pytest.raises(ValueError):
-            p_delta_exact(10, 0.5)
+        for call in (lambda: p_delta_exact(10, 0.5), lambda: p_delta_float(2001, 0.5), lambda: exponent_rate(0.5)):
+            with pytest.raises(ValueError, match=r"delta must lie in \(0, 1/2\)"):
+                call()
 
     @given(st.integers(1, 80), st.floats(0.01, 0.49))
     @settings(max_examples=80)
@@ -242,6 +243,12 @@ class TestOneToOneWindow:
     def test_ten_seven_general(self):
         w = one_to_one_window(10, 7, "general")
         assert w.eta == pytest.approx(0.09063720703125, rel=1e-15)
+
+    def test_rate_is_the_exact_dyadic_double(self):
+        # lambda = C(n,2) / 2^m rounded once to a double, also past m = 1000 and into the subnormal range.
+        for n in (10, 800, 10**6):
+            for m in (1, 7, 1000, 1001, 1050, 1074, 1200):
+                assert one_to_one_window(n, m).lambda_lo == float(Fraction(math.comb(n, 2), 2**m)), (n, m)
 
     def test_two_points_large_m_shrinks_to_one(self):
         w = one_to_one_window(2, 40)

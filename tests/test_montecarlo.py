@@ -423,21 +423,21 @@ class TestSweep:
         assert [r.m for r in rows] == [4, 6, 8]
         for r in rows:
             w = one_to_one_window(10, r.m, "pairwise")
-            assert (r.window_lo, r.window_hi) == (w.lo, w.hi)
-            assert r.eta_form == "pairwise"
+            assert (r.window.lo, r.window.hi) == (w.lo, w.hi)
+            assert r.window.eta_form == "pairwise"
 
     def test_rip_windows_are_general(self):
         cfg = rip_config(8, 16, 0.2, 2_000, seed=52)
         for r in sweep(cfg, [16, 24]):
             w = rip_window(8, r.m, 0.2)
-            assert (r.window_lo, r.window_hi) == (w.lo, w.hi)
-            assert r.eta_form == "general"
+            assert (r.window.lo, r.window.hi) == (w.lo, w.hi)
+            assert r.window.eta_form == "general"
 
     def test_eta_form_general_for_injectivity(self):
         cfg = inj_config(10, 4, 1_000, seed=53)
         rows = sweep(cfg, [5], eta_form="general")
         w = one_to_one_window(10, 5, "general")
-        assert rows[0].window_hi == w.hi
+        assert rows[0].window.hi == w.hi
 
     def test_rip_rejects_pairwise_form(self):
         cfg = rip_config(8, 16, 0.2, 100, seed=54)
@@ -457,9 +457,9 @@ class TestSweep:
             windows += [one_to_one_window(n, 18, "pairwise"), one_to_one_window(n, 24, "pairwise")]
             for r, w in zip(rows, windows):
                 if points is clustered:
-                    assert math.isnan(r.window_lo) and math.isnan(r.window_hi) and r.eta_form == ""
+                    assert r.window is None
                 else:
-                    assert (r.window_lo, r.window_hi, r.eta_form) == (w.lo, w.hi, w.eta_form)
+                    assert (r.window.lo, r.window.hi, r.window.eta_form) == (w.lo, w.hi, w.eta_form)
 
     def test_rip_delta_rejected_before_simulating(self, monkeypatch):
         import onebit.montecarlo as mc
@@ -532,9 +532,19 @@ class TestResourceGuard:
             run_trials(cfg)
 
     def test_band_bytes_capped(self):
-        # 2e8 pair-words pass the work budget, but the 20000 x 20000 band would take 3.2 GB.
-        with pytest.raises(ResourceBudgetError, match="band"):
+        # 2e8 pair-words pass the work budget, but a fast trial's 20000 x 20000 Gram matrix and masks
+        # would take up to 3.2 GB, as would the explicit path's band.
+        with pytest.raises(ResourceBudgetError, match="Gram matrix of a trial"):
             run_trials(rip_config(20_000, 1, 0.2, 1, seed=1))
+        points = PointSet(np.tile([[1.0, 0.0]], (20_000, 1)))
+        with pytest.raises(ResourceBudgetError, match="band"):
+            run_trials(rip_config(20_000, 1, 0.2, 1, seed=1, points=points))
+
+    def test_injectivity_priced_per_code(self):
+        # An injectivity trial sorts its codes and visits no pair: 10001 codes * 200 trials * 1 word
+        # is far under the budget, where 10001 * 10000 / 2 pairs * 200 trials would be over it.
+        row = run_trials(inj_config(10_001, 64, 200, seed=1))
+        assert row.trials == 200
 
     def test_custom_budget(self, monkeypatch):
         cfg = inj_config(10, 7, 1_000, seed=1)
