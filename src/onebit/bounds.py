@@ -2,7 +2,7 @@
 
 Quantities here span hundreds of orders of magnitude in m, so every
 exponential-scale expression is assembled in log space and only exponentiated
-at the end, or, when dyadic, scaled by 2^-m with ldexp.  Binomial tail
+at the end, or, when dyadic, rounded once from the exact rational.  Binomial tail
 probabilities are exact dyadic rationals (see p_delta_exact); the
 Stirling-style envelopes around them are floats.
 """
@@ -84,7 +84,42 @@ def m_injective(n: int, eps: float, delta_sep: float) -> BoundsReport:
     if not 0.0 < delta_sep < 1.0:
         raise ValueError(f"delta_sep must lie in (0, 1), got {delta_sep} (the bound diverges at 1)")
     m_value = (2.0 * math.log2(n) + math.log2(1.0 / (2.0 * eps))) / math.log2(1.0 / delta_sep)
-    return _report("injective", n, m_value, eps1=eps, delta=delta_sep)
+    # m_int is exact: the least m >= 1 with (1/delta_sep)^m >= n^2/(2 eps), eps and delta_sep read as they print.
+    m_int = _least_exponent(1 / Fraction(str(delta_sep)), n * n / (2 * Fraction(str(eps))))
+    return BoundsReport("injective", n, m_value, m_int, eps1=eps, delta=delta_sep)
+
+
+def _least_exponent(base: Fraction, target: Fraction) -> int:
+    """The least integer k >= 1 with base**k >= target, for base > 1, decided exactly.
+
+    In lowest terms base**k == target needs base.numerator**k == target.numerator, so base**k is
+    compared as a fraction only while that power is no longer than target.numerator, which bounds
+    its integers by twice target.numerator's bits.  Past that the sides differ, and decimal logarithms
+    take the sign of k ln(base) - ln(target) at a precision doubled until it exceeds their rounding
+    bound.  The walk starts at the float estimate, within about 1e-15 k of the answer.
+    """
+
+    def reaches(k: int) -> bool:
+        if k * (base.numerator.bit_length() - 1) < target.numerator.bit_length():
+            return base**k >= target
+        from decimal import Context, Decimal, localcontext  # here: from Python 3.12 on, fractions no longer imports it
+
+        digits = 34
+        while True:
+            with localcontext(Context(prec=digits)):
+                logs = [Decimal(v).ln() for v in (base.numerator, base.denominator, target.numerator, target.denominator)]
+                gap = k * (logs[0] - logs[1]) - (logs[2] - logs[3])
+                if abs(gap) > (k * (logs[0] + logs[1]) + logs[2] + logs[3]) * Decimal(10) ** (2 - digits):
+                    return gap > 0
+            digits *= 2
+
+    estimate = (math.log2(target.numerator) - math.log2(target.denominator)) * LN2 / math.log1p(float(base - 1))
+    k = max(1, math.ceil(estimate))
+    while k > 1 and reaches(k - 1):
+        k -= 1
+    while not reaches(k):
+        k += 1
+    return k
 
 
 def m_injective_orthogonal(n: int, eps: float) -> BoundsReport:
@@ -219,13 +254,15 @@ def one_to_one_window(n: int, m: int, eta_form: str = "pairwise") -> PhaseWindow
 
     The Poisson rate is lambda = C(n,2)/2^m; the window is e^{-lambda} +- eta
     with eta = C(n,2) 2^{-2m} (pairwise form) or C(n,2)(4n-7) 2^{-2m}
-    (general form), clamped to [0, 1].  C(n,2) and 1 are scaled by 2^-m with
-    ldexp, which is exact until the result goes subnormal.
+    (general form), clamped to [0, 1].  lambda is C(n,2)/2^m rounded once, by
+    integer true division, and 0 without building 2^m where it is below
+    2^-1075 and so rounds to 0; 2^-m is ldexp(1, -m), rounded once too.
     """
     _check_n(n)
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
-    lam = math.ldexp(math.comb(n, 2), -m)
+    pairs = math.comb(n, 2)
+    lam = pairs / (1 << m) if m < 1075 + pairs.bit_length() else 0.0
     eta = stein_chen_eta(n, math.ldexp(1.0, -m), eta_form)
     return _clamped_window(lam, lam, eta, eta_form)
 

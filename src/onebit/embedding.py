@@ -136,32 +136,28 @@ def pair_stream(codes: CodeSet, points: PointSet) -> Iterator[tuple[int, np.ndar
         del geo
 
 
-def sort_codes(words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Stable lexicographic sort of each set of codes in a (..., n, w) uint64 word array, last word leading.
+def code_keys(words: np.ndarray) -> np.ndarray:
+    """One sort key per code of a C-contiguous (..., n, w) uint64 word array, as a (..., n) view of it.
 
-    Returns the order (..., n), in which equal codes are adjacent and in index order, and
-    same_as_next of the sorted codes.
+    A one-word code's key is its word; a longer code's is its 8w bytes as one np.void, which numpy
+    compares bytewise.  Either way two keys are equal iff their codes are, so any sort of the keys puts
+    equal codes next to each other, and sorting the view in place sorts the codes.
     """
-    order = np.lexsort(np.moveaxis(words, -1, 0), axis=-1)
-    return order, same_as_next(np.take_along_axis(words, order[..., None], axis=-2))
-
-
-def same_as_next(ranked: np.ndarray) -> np.ndarray:
-    """The mask (..., n-1) of codes equal to the next one, in a (..., n, w) word array sorted within each set.
-
-    Any sort order puts equal codes next to each other, so a set is pairwise distinct iff its mask is all False.
-    """
-    return np.all(ranked[..., 1:, :] == ranked[..., :-1, :], axis=-1)
+    if words.shape[-1] == 1:
+        return words[..., 0]
+    return words.view(np.dtype((np.void, 8 * words.shape[-1])))[..., 0]
 
 
 def check_one_to_one(codes: CodeSet) -> list[tuple[int, int]]:
     """Every pair of equal codes, lexicographically sorted: the codes are pairwise distinct iff it is empty."""
     if codes.n < 2:
         raise ValueError("one-to-one check needs at least 2 codes")
-    order, same = sort_codes(codes.words)
+    keys = code_keys(codes.words)
+    order = np.argsort(keys)
+    ranked = keys[order]
+    same = ranked[1:] == ranked[:-1]
     groups = np.split(order, np.flatnonzero(~same) + 1) if same.any() else []
-    collisions = sorted(pair for g in groups if g.size > 1 for pair in itertools.combinations(sorted(g.tolist()), 2))
-    return collisions
+    return sorted(pair for g in groups if g.size > 1 for pair in itertools.combinations(sorted(g.tolist()), 2))
 
 
 class RipViolation(NamedTuple):

@@ -30,7 +30,7 @@ from typing import Optional
 import numpy as np
 
 from .bounds import ETA_FORMS, PhaseWindow, csv_text, one_to_one_window, rip_window
-from .embedding import BOUNDARIES, band_range, draw_codes, embed_points, pack_bits, same_as_next, sort_codes, words_needed
+from .embedding import BOUNDARIES, band_range, code_keys, draw_codes, embed_points, pack_bits, words_needed
 from .geometry import PointSet, geodesic_blocks
 
 #: Largest units * trials * 64-bit words one estimate may cost: a rip unit is a pair, which its kernel visits,
@@ -154,17 +154,13 @@ def _chunk_size(config: TrialConfig) -> int:
 def _count_distinct(blocks) -> int:
     """Number of trials whose n codes are pairwise distinct; blocks yield fresh (T, n, w) uint64 words.
 
-    Distinctness does not depend on the sort order, so one-word codes (m <= 64) are sorted in place
-    as plain integers, with no argsort and no gather; longer codes go through sort_codes.
+    Each block's code keys are sorted in place, which puts equal codes of a set next to each other.
     """
     ok = 0
     for words in blocks:
-        if words.shape[-1] == 1:
-            words.sort(axis=-2)
-            same = same_as_next(words)
-        else:
-            same = sort_codes(words)[1]
-        ok += int(np.count_nonzero(~same.any(axis=-1)))
+        keys = code_keys(words)
+        keys.sort(axis=-1)
+        ok += int(np.count_nonzero((keys[:, 1:] != keys[:, :-1]).all(axis=-1)))
     return ok
 
 

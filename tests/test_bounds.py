@@ -47,6 +47,22 @@ class TestMInjective:
         assert m_injective(1024, 2**-10, 0.5).m_int == 29
         assert m_injective(1024, 2**-10, 0.25).m_value == 14.5
 
+    @pytest.mark.parametrize("n, eps, delta_sep, m_int", [(2, 0.2, 0.1, 1), (10**9, 0.5, 0.1, 18), (10**9, 0.5, 0.01, 9)])
+    def test_exact_at_powers_of_ten(self, n, eps, delta_sep, m_int):
+        # (1/delta_sep)^m_int is exactly n^2/(2 eps); the float value lands just above m_int.
+        r = m_injective(n, eps, delta_sep)
+        assert r.m_value > r.m_int == m_int
+
+    def test_exact_near_one(self):
+        # Against (1/delta_sep)^m in exact fractions, where m is in the tens of thousands.
+        for n, eps, delta_sep in ((1000, 0.5, 0.999), (37, 0.1, 0.99), (10, 0.01, 0.999), (2, 0.3, 0.9999)):
+            base, target = 1 / Fraction(str(delta_sep)), n * n / (2 * Fraction(str(eps)))
+            m = m_injective(n, eps, delta_sep).m_int
+            assert base**m >= target > base ** (m - 1), (n, eps, delta_sep)
+        # Here the fractions would have 8e8 bits; the answer still comes at once.
+        r = m_injective(10**9, 0.5, 0.999999)
+        assert r.m_int == math.ceil(r.m_value) == 41446511
+
     def test_separation_parameter_range(self):
         with pytest.raises(ValueError, match="diverges"):
             m_injective(4, 0.5, 1.0)
@@ -246,8 +262,8 @@ class TestOneToOneWindow:
 
     def test_rate_is_the_exact_dyadic_double(self):
         # lambda = C(n,2) / 2^m rounded once to a double, also past m = 1000 and into the subnormal range.
-        for n in (10, 800, 10**6):
-            for m in (1, 7, 1000, 1001, 1050, 1074, 1200):
+        for n in (10, 800, 10**6, 141_253_754, 10**12, 10**15):
+            for m in (1, 7, 1000, 1001, 1050, 1074, 1077, 1100, 1200):
                 assert one_to_one_window(n, m).lambda_lo == float(Fraction(math.comb(n, 2), 2**m)), (n, m)
 
     def test_two_points_large_m_shrinks_to_one(self):

@@ -14,7 +14,7 @@ import onebit
 import onebit.cli as cli
 import onebit.montecarlo as mc
 from onebit.cli import build_parser
-from onebit.embedding import read_code_set, write_code_set
+from onebit.embedding import CodeSet, draw_codes, read_code_set, write_code_set
 from onebit.geometry import PAIR_BLOCK_ROWS, read_point_set
 from reference import code_set, pair_table_fstring
 
@@ -192,6 +192,24 @@ class TestEmbedAndCheck:
         write_code_set(code_set([dup, [0, 1, 0]]), distinct)
         r2 = run_cli("check", "--points", str(pts), "--codes", str(distinct))
         assert r2.returncode == 0
+
+    def test_check_one_to_one_lists_multiword_collisions(self, tmp_path):
+        # m = 130 codes fill three words; codes 1, 5, 7 are equal and so are 2, 6.
+        pts = write_points(tmp_path / "pts.csv", "".join(",".join("1" if j == i else "0" for j in range(8)) + "\n" for i in range(8)))
+        words = draw_codes((8,), 130, np.random.default_rng(4))
+        words[5] = words[7] = words[1]
+        words[6] = words[2]
+        codes = tmp_path / "dup.bin"
+        write_code_set(CodeSet(words, 130), codes)
+        r = run_cli("check", "--points", str(pts), "--codes", str(codes))
+        assert r.returncode == 2
+        assert r.stdout == (
+            "one-to-one check: FAIL (4 colliding pairs)\n"
+            "  codes 1 and 5 are equal\n"
+            "  codes 1 and 7 are equal\n"
+            "  codes 2 and 6 are equal\n"
+            "  codes 5 and 7 are equal\n"
+        )
 
     def test_embed_hexdump(self, tmp_path):
         pts = write_points(tmp_path / "pts.csv", "1,0,0\n0,1,0\n")

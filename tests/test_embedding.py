@@ -15,6 +15,7 @@ from onebit.embedding import (
     band_range,
     check_one_to_one,
     check_rip,
+    code_keys,
     code_set_hexdump,
     draw_codes,
     embed_points,
@@ -22,10 +23,10 @@ from onebit.embedding import (
     pair_stream,
     read_code_set,
     sample_map,
-    sort_codes,
     write_code_set,
 )
 from onebit.geometry import PAIR_BLOCK_ROWS, DimensionMismatchError, PointSet
+from onebit.montecarlo import _count_distinct
 from reference import (
     check_one_to_one_dict,
     check_rip_loop,
@@ -263,9 +264,9 @@ class TestCheckOneToOne:
 
 
 def planted_trials(rng, n: int, m: int) -> np.ndarray:
-    """A (T, n, words) batch of code sets with planted duplicates, some sets distinct and some not."""
+    """A (T, n, words) batch of code sets with planted duplicates, some sets distinct (when 2**m >= n) and some not."""
     base = draw_codes((n,), m, rng)
-    base[:, 0] = rng.choice(2 ** min(m, 62), n, replace=False)  # pairwise distinct in word 0
+    base[:, 0] = rng.choice(2 ** min(m, 62), n, replace=2**m < n)  # pairwise distinct in word 0 when it can be
     trials = [base]
     dup = base.copy()
     dup[n - 1] = dup[0]  # non-adjacent for n >= 3
@@ -287,29 +288,35 @@ def planted_trials(rng, n: int, m: int) -> np.ndarray:
             near_dup = near.copy()
             near_dup[1] = near_dup[n - 1]
             trials.append(near_dup)
+    words = base.shape[1]
+    for word in sorted({0, words // 2, words - 1}):
+        # Two codes equal but for the top bit of one word, which every byte before it leaves zero.
+        bit = (m - 1) % 64 if word == words - 1 else 63
+        zeros = base.copy()
+        zeros[0] = zeros[n - 1] = 0
+        zeros[n - 1, word] = np.uint64(1 << bit)
+        trials.append(zeros)
     return np.stack(trials)
 
 
 class TestSortCodes:
-    """sort_codes, the per-set sort behind check_one_to_one and the simulator's multi-word (m > 64) codes."""
+    """code_keys, the one sort key per code behind check_one_to_one and the simulator's distinctness count."""
 
-    @pytest.mark.parametrize("m", [5, 64, 65, 130, 190])
+    @pytest.mark.parametrize("m", [1, 5, 7, 63, 64, 65, 128, 130, 190, 512])
     @pytest.mark.parametrize("n", [2, 3, 10])
     def test_planted_duplicates(self, m, n):
         batch = planted_trials(np.random.default_rng(100 * m + n), n, m)
-        order, same = sort_codes(batch)
-        assert order.shape == batch.shape[:2] and same.shape == (batch.shape[0], n - 1)
         distinct = [len(set(map(tuple, trial.tolist()))) == n for trial in batch]
-        assert True in distinct and False in distinct
-        assert (~same.any(axis=1)).tolist() == distinct
+        assert (True in distinct) == (2**m >= n) and False in distinct
+        keys = code_keys(batch)
+        assert keys.shape == batch.shape[:2] and np.shares_memory(keys, batch)
         for t, trial in enumerate(batch):
-            # A stable sort on the codes read from their last word down.
-            keys = [tuple(reversed(code)) for code in trial.tolist()]
-            expect = sorted(range(n), key=keys.__getitem__)
-            assert order[t].tolist() == expect
-            assert same[t].tolist() == [keys[a] == keys[b] for a, b in zip(expect, expect[1:])]
+            rows = trial.tolist()
+            assert (keys[t][:, None] == keys[t][None, :]).tolist() == [[a == b for b in rows] for a in rows]
+            assert _count_distinct([trial[None].copy()]) == distinct[t]
             codes = CodeSet(trial, m)
             assert check_one_to_one(codes) == check_one_to_one_dict(codes)
+        assert _count_distinct([batch.copy()]) == sum(distinct)
 
 
 class TestCheckRip:
@@ -450,7 +457,7 @@ class TestEmbedOrthogonal:
         rng = np.random.default_rng(52)
         trials = 100_000
         # All trials in one draw (the same stream as one draw per trial), each sorted on its own.
-        ok = int(np.count_nonzero(~sort_codes(draw_codes((trials, 10), 7, rng))[1].any(axis=-1)))
+        ok = _count_distinct([draw_codes((trials, 10), 7, rng)])
         se = math.sqrt(exact * (1.0 - exact) / trials)
         assert abs(ok / trials - exact) <= 3.0 * se
 
