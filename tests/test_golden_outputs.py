@@ -28,6 +28,7 @@ CASES = {
     "bounds": [
         ("bounds --n 800 --delta 0.2 --eps 0.01 --eps1 0.5 --eps2 0.1 --m 150 --out bounds.csv", ["bounds.csv"]),
         ("bounds --n 10 --eps 0.01 --m 7", []),
+        ("bounds --n 100 --delta 0.2 --eps1 0.5 --eps2 0.1 --force", []),  # the notes of a forced run
     ],
     "oracle": [
         ("oracle birthday --n 10 --m 7", []),
