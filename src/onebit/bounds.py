@@ -75,28 +75,27 @@ def m_injective(n: int, eps: float, delta_sep: float) -> BoundsReport:
     """Code length making the one-bit map injective with probability >= 1 - eps.
 
     Valid for point sets whose pairwise geodesic distances all exceed
-    1 - delta_sep:  m >= ln(n^2 / (2 eps)) / ln(1 / delta_sep), evaluated as
-    (2 log2 n + log2(1/(2 eps))) / log2(1/delta_sep), which is exact where n,
-    eps and delta_sep are powers of two.
+    1 - delta_sep:  m >= log2 T / log2 B, T = n^2 / (2 eps) and B = 1 / delta_sep with eps and
+    delta_sep read as they print.  log2 T is taken from T's numerator and denominator, so the value
+    is exact where n, eps and delta_sep are powers of two; m_int, the least m >= 1 with B^m >= T, is exact.
     """
     _check_n(n)
     _check_unit("eps", eps)
     if not 0.0 < delta_sep < 1.0:
         raise ValueError(f"delta_sep must lie in (0, 1), got {delta_sep} (the bound diverges at 1)")
-    m_value = (2.0 * math.log2(n) + math.log2(1.0 / (2.0 * eps))) / math.log2(1.0 / delta_sep)
-    # m_int is exact: the least m >= 1 with (1/delta_sep)^m >= n^2/(2 eps), eps and delta_sep read as they print.
-    m_int = _least_exponent(1 / Fraction(str(delta_sep)), n * n / (2 * Fraction(str(eps))))
-    return BoundsReport("injective", n, m_value, m_int, eps1=eps, delta=delta_sep)
+    base, target = 1 / Fraction(str(delta_sep)), n * n / (2 * Fraction(str(eps)))
+    m_value = (math.log2(target.numerator) - math.log2(target.denominator)) / (math.log1p(float(base - 1)) / LN2)
+    return BoundsReport("injective", n, m_value, _least_exponent(base, target, m_value), eps1=eps, delta=delta_sep)
 
 
-def _least_exponent(base: Fraction, target: Fraction) -> int:
+def _least_exponent(base: Fraction, target: Fraction, estimate: float) -> int:
     """The least integer k >= 1 with base**k >= target, for base > 1, decided exactly.
 
     In lowest terms base**k == target needs base.numerator**k == target.numerator, so base**k is
     compared as a fraction only while that power is no longer than target.numerator, which bounds
     its integers by twice target.numerator's bits.  Past that the sides differ, and decimal logarithms
     take the sign of k ln(base) - ln(target) at a precision doubled until it exceeds their rounding
-    bound.  The walk starts at the float estimate, within about 1e-15 k of the answer.
+    bound.  The walk starts at the float estimate of log(target) / log(base), within about 1e-15 k of the answer.
     """
 
     def reaches(k: int) -> bool:
@@ -113,7 +112,6 @@ def _least_exponent(base: Fraction, target: Fraction) -> int:
                     return gap > 0
             digits *= 2
 
-    estimate = (math.log2(target.numerator) - math.log2(target.denominator)) * LN2 / math.log1p(float(base - 1))
     k = max(1, math.ceil(estimate))
     while k > 1 and reaches(k - 1):
         k -= 1
@@ -124,7 +122,8 @@ def _least_exponent(base: Fraction, target: Fraction) -> int:
 
 def m_injective_orthogonal(n: int, eps: float) -> BoundsReport:
     """Injectivity code length for pairwise orthogonal points: m_injective at delta_sep = 1/2, 2 log2 n + log2(1/(2 eps))."""
-    return _report("injective_orthogonal", n, m_injective(n, eps, 0.5).m_value, eps1=eps)
+    r = m_injective(n, eps, 0.5)
+    return BoundsReport("injective_orthogonal", n, r.m_value, r.m_int, eps1=eps)
 
 
 def m_rip_union(n: int, eps: float, delta: float) -> BoundsReport:
@@ -134,8 +133,7 @@ def m_rip_union(n: int, eps: float, delta: float) -> BoundsReport:
     """
     _check_n(n)
     _check_unit("eps", eps)
-    if not 0.0 < delta < 0.5:
-        raise ValidityRangeError(f"delta must lie in (0, 1/2) for this bound, got {delta}")
+    _check_delta(delta)
     m_value = math.log(n * n / eps) / (2.0 * delta * delta)
     return _report("rip_union", n, m_value, eps1=eps, delta=delta)
 
@@ -192,6 +190,11 @@ def exponent_rate(delta: float) -> float:
     """Per-unit-m exponential decay rate -1/2 ln(1-4d^2) + d ln((1-2d)/(1+2d)); negative."""
     _check_delta(delta)
     return -0.5 * math.log1p(-4.0 * delta * delta) - 2.0 * delta * math.atanh(2.0 * delta)
+
+
+def rate_constant(delta: float) -> float:
+    """q = 1 / (1/2 ln(1-4 d^2) + d ln((1+2d)/(1-2d))) = -1 / exponent_rate, about 1/(2 delta^2)."""
+    return -1.0 / exponent_rate(delta)
 
 
 def _log_pairs(n: int) -> float:
@@ -290,21 +293,12 @@ def _validity_note(n: int, minimum: int, force: bool) -> str:
     return f"requires n >= {minimum}" + (" (forced)" if n < minimum else "")
 
 
-@dataclass(frozen=True)
-class OneToOneTransition:
-    """Closed-form code lengths bracketing the injectivity phase transition."""
-
-    m_lower: float
-    m_upper: float
-    validity_note: str
-
-
-def one_to_one_m_window(n: int, eps1: float, eps2: float, force: bool = False) -> OneToOneTransition:
-    """Code lengths where P(injective) passes 1 - eps1 and 1 - eps2, for orthogonal points.
+def one_to_one_m_window(n: int, eps1: float, eps2: float, force: bool = False) -> list[BoundsReport]:
+    """Rows one_to_one_m_lower and one_to_one_m_upper: where P(injective) passes 1 - eps1 and 1 - eps2.
 
     m_lower = log2(n(n-1) / (2 ln(1/(1 - eps1/1.01)))),
     m_upper = log2(n(n-1) / (2 ln(1/(1 - eps2/0.99)))).
-    Proven for n >= 10 (the error width is then below 1% of the Poisson term);
+    Proven for orthogonal points and n >= 10 (the error width is then below 1% of the Poisson term);
     pass ``force`` to evaluate outside that range anyway.
     """
     _check_n(n)
@@ -318,41 +312,26 @@ def one_to_one_m_window(n: int, eps1: float, eps2: float, force: bool = False) -
     m_upper = math.log2(math.comb(n, 2) / d2)
     if not m_lower < m_upper:
         raise ValueError(f"eps1={eps1}, eps2={eps2} too close: thresholds cross (m_lower={m_lower}, m_upper={m_upper})")
-    return OneToOneTransition(m_lower=m_lower, m_upper=m_upper, validity_note=note)
+    rows = (("one_to_one_m_lower", m_lower), ("one_to_one_m_upper", m_upper))
+    return [_report(fid, n, m, eps1=eps1, eps2=eps2, validity_note=note) for fid, m in rows]
 
 
-@dataclass(frozen=True)
-class RipTransition:
-    """Closed-form code lengths bracketing the isometry phase transition, plus crossings.
+def rip_m_window(n: int, delta: float, eps1: float, eps2: float, force: bool = False) -> list[BoundsReport]:
+    """Rows rip_m_eps1, rip_m_eps2, rip_crossing_eps1, rip_crossing_eps2 bracketing the isometry transition.
 
-    m_eps1 and m_eps2 are the two printed closed forms; crossing_eps1 and
-    crossing_eps2 are the numeric roots of lambda1(m) and lambda2(m) against
-    the matching thresholds, found by bisection (NaN when no crossing exists
-    in the searched range).  q is the rate constant, approximately 1/(2 delta^2).
-    """
-
-    q: float
-    m_eps1: float
-    m_eps2: float
-    crossing_eps1: float
-    crossing_eps2: float
-    validity_note: str
-
-
-def rip_m_window(n: int, delta: float, eps1: float, eps2: float, force: bool = False) -> RipTransition:
-    """Evaluate both printed closed forms for the isometry transition, verbatim.
-
+    The first two are the printed closed forms, verbatim, with q = rate_constant(delta):
     m_eps1 = q [ln A - ln ln A] with A = n(n-1) / (2 sqrt(2 pi) e^{1/6} ln(1/(1 - eps1/1.01)));
-    m_eps2 = q [ln B + ln ln B] with B = n(n-1) e^{1/12} / (2 sqrt(2 pi) ln(1/(1 - eps2/0.99)));
-    q = 1 / (1/2 ln(1-4 d^2) + d ln((1+2d)/(1-2d))).
+    m_eps2 = q [ln B + ln ln B] with B = n(n-1) e^{1/12} / (2 sqrt(2 pi) ln(1/(1 - eps2/0.99))).
+    The crossings are solve_threshold's roots of lambda1(m) and lambda2(m) at the same two target
+    rates; a crossing is NaN, with m_int 0, where no root exists in the searched range.
 
     Proven for n >= 800.  As printed, the m_eps1 form is stated as an upper
     bound on m for high success probability even though the success
-    probability improves with m; the numeric crossings are returned alongside
-    so the simulation can settle the direction empirically.
+    probability improves with m; the crossings are returned alongside so the
+    simulation can settle the direction empirically.
     """
     _check_n(n)
-    q = -1.0 / exponent_rate(delta)
+    q = rate_constant(delta)
     _check_unit("eps1", eps1)
     _check_unit("eps2", eps2)
     if not eps2 < eps1 or not eps1 < 0.99:
@@ -365,16 +344,10 @@ def rip_m_window(n: int, delta: float, eps1: float, eps2: float, force: bool = F
     log_b = _log_envelope("lambda2", _log_pairs(n), 1.0, 0.0) - math.log(d2)
     if log_a <= 0 or log_b <= 0:
         raise ValueError("closed forms undefined: inner logarithms are non-positive at these parameters")
-    m1 = q * (log_a - math.log(log_a))
-    m2 = q * (log_b + math.log(log_b))
-    return RipTransition(
-        q=q,
-        m_eps1=m1,
-        m_eps2=m2,
-        crossing_eps1=solve_threshold(n, delta, d1, "lambda1"),
-        crossing_eps2=solve_threshold(n, delta, d2, "lambda2"),
-        validity_note=note,
-    )
+    rows = (("rip_m_eps1", q * (log_a - math.log(log_a))), ("rip_m_eps2", q * (log_b + math.log(log_b))),
+            ("rip_crossing_eps1", solve_threshold(n, delta, d1, "lambda1")),
+            ("rip_crossing_eps2", solve_threshold(n, delta, d2, "lambda2")))
+    return [_report(fid, n, m, delta=delta, eps1=eps1, eps2=eps2, validity_note=note) for fid, m in rows]
 
 
 _M_SEARCH_MAX = 10**7

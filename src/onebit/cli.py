@@ -133,16 +133,11 @@ def _cmd_bounds(args) -> int:
         reports.append(bnd.m_linear_jl(n, args.delta))
 
     if args.eps1 is not None and args.eps2 is not None:
-        t11 = bnd.one_to_one_m_window(n, args.eps1, args.eps2, force=args.force)
-        for fid, val in (("one_to_one_m_lower", t11.m_lower), ("one_to_one_m_upper", t11.m_upper)):
-            reports.append(bnd._report(fid, n, val, eps1=args.eps1, eps2=args.eps2, validity_note=t11.validity_note))
+        reports += bnd.one_to_one_m_window(n, args.eps1, args.eps2, force=args.force)
         if rip_delta is not None:
-            rt = bnd.rip_m_window(n, args.delta, args.eps1, args.eps2, force=args.force)
-            for fid, val in (("rip_m_eps1", rt.m_eps1), ("rip_m_eps2", rt.m_eps2),
-                             ("rip_crossing_eps1", rt.crossing_eps1), ("rip_crossing_eps2", rt.crossing_eps2)):
-                reports.append(bnd._report(fid, n, val, delta=args.delta, eps1=args.eps1, eps2=args.eps2,
-                                           validity_note=rt.validity_note))
-            trailer.append(f"q (rate constant) = {rt.q:.10g}   [1/(2 delta^2) = {1.0 / (2 * args.delta**2):.10g}]")
+            reports += bnd.rip_m_window(n, args.delta, args.eps1, args.eps2, force=args.force)
+            q = bnd.rate_constant(args.delta)
+            trailer.append(f"q (rate constant) = {q:.10g}   [1/(2 delta^2) = {1.0 / (2 * args.delta**2):.10g}]")
 
     if not reports and args.m is None:
         raise ValueError("nothing to evaluate: pass --eps and/or --delta (and --eps1/--eps2 for transition windows)")
@@ -334,11 +329,9 @@ def render_phase_svg(rows, vline_red: float, vline_green: float, title: str) -> 
 
 def _cmd_figure(args) -> int:
     seed = _resolve_seed(args)
-    transition = bnd.rip_m_window(args.n, args.delta, args.eps1, args.eps2, force=args.force)
-    if args.m_grid:
-        grid = _parse_m_grid(args.m_grid)
-    else:
-        grid = default_phase_grid(transition.m_eps1, transition.m_eps2)
+    closed_forms = bnd.rip_m_window(args.n, args.delta, args.eps1, args.eps2, force=args.force)
+    m_eps1, m_eps2 = closed_forms[0].m_value, closed_forms[1].m_value
+    grid = _parse_m_grid(args.m_grid) if args.m_grid else default_phase_grid(m_eps1, m_eps2)
     config = _build_config(args, grid[0], seed)
 
     base = str(args.out)
@@ -352,10 +345,10 @@ def _cmd_figure(args) -> int:
         rows = sweep(config, grid, threads=args.threads)
         csv_file.write(rows_csv(rows))
         title = f"delta-band isometry probability, n={args.n}, delta={args.delta}, {config.trials} trials/m"
-        svg_file.write(render_phase_svg(rows, transition.m_eps1, transition.m_eps2, title))
+        svg_file.write(render_phase_svg(rows, m_eps1, m_eps2, title))
 
     crossing = first_upward_crossing(rows)
-    print(f"closed-form m: eps1={args.eps1} -> {transition.m_eps1:.4g}, eps2={args.eps2} -> {transition.m_eps2:.4g}")
+    print(f"closed-form m: eps1={args.eps1} -> {m_eps1:.4g}, eps2={args.eps2} -> {m_eps2:.4g}")
     print(f"empirical 0.5-crossing: m ~ {crossing:.4g}")
     print(f"wrote {csv_path} and {svg_path}")
     return EXIT_OK

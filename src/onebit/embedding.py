@@ -156,8 +156,11 @@ def check_one_to_one(codes: CodeSet) -> list[tuple[int, int]]:
     order = np.argsort(keys)
     ranked = keys[order]
     same = ranked[1:] == ranked[:-1]
-    groups = np.split(order, np.flatnonzero(~same) + 1) if same.any() else []
-    return sorted(pair for g in groups if g.size > 1 for pair in itertools.combinations(sorted(g.tolist()), 2))
+    if not same.any():
+        return []
+    # same changes value at the edges a, b of each run same[a:b] of True, whose equal keys are ranked[a : b + 1].
+    runs = np.flatnonzero(np.diff(same, prepend=False, append=False)).reshape(-1, 2).tolist()
+    return sorted(pair for a, b in runs for pair in itertools.combinations(sorted(order[a : b + 1].tolist()), 2))
 
 
 class RipViolation(NamedTuple):

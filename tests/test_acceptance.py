@@ -143,13 +143,13 @@ def test_criterion_5_rip_oracle_agreement():
 
 def test_criterion_6_figure_reproduction():
     t0 = time.perf_counter()
-    transition = rip_m_window(800, 0.2, 0.5, 0.1)
-    grid = default_phase_grid(transition.m_eps1, transition.m_eps2)
+    m_eps1, m_eps2 = (r.m_value for r in rip_m_window(800, 0.2, 0.5, 0.1)[:2])
+    grid = default_phase_grid(m_eps1, m_eps2)
     cfg = TrialConfig(n=800, m=grid[0], delta=0.2, trials=200, base_seed=2024_06)
     rows = sweep(cfg, grid, threads=THREADS)
 
     crossing = first_upward_crossing(rows)
-    crossing_ok = transition.m_eps1 < crossing < transition.m_eps2
+    crossing_ok = m_eps1 < crossing < m_eps2
 
     outside = []
     for row in rows:
@@ -159,9 +159,9 @@ def test_criterion_6_figure_reproduction():
     elapsed = time.perf_counter() - t0
     ok = crossing_ok and not outside and elapsed <= 600.0
     _report(6, ok, elapsed,
-            f"crossing at m ~ {crossing:.1f} in ({transition.m_eps1:.1f}, {transition.m_eps2:.1f}); "
+            f"crossing at m ~ {crossing:.1f} in ({m_eps1:.1f}, {m_eps2:.1f}); "
             f"{len(outside)} points outside window+3sigma")
-    assert crossing_ok, f"crossing {crossing} outside ({transition.m_eps1}, {transition.m_eps2})"
+    assert crossing_ok, f"crossing {crossing} outside ({m_eps1}, {m_eps2})"
     assert outside == []
     assert elapsed <= 600.0
 

@@ -17,6 +17,7 @@ from onebit.bounds import (
     one_to_one_window,
     p_delta_exact,
     p_delta_float,
+    rate_constant,
     rip_m_window,
     rip_window,
     solve_threshold,
@@ -46,12 +47,14 @@ class TestMInjective:
         # ln(2^29) / ln 2 rounds to 29.000000000000004, whose ceiling would be 30.
         assert m_injective(1024, 2**-10, 0.5).m_int == 29
         assert m_injective(1024, 2**-10, 0.25).m_value == 14.5
+        assert m_injective(2**20, 0.125, 0.5).m_value == 42.0
 
     @pytest.mark.parametrize("n, eps, delta_sep, m_int", [(2, 0.2, 0.1, 1), (10**9, 0.5, 0.1, 18), (10**9, 0.5, 0.01, 9)])
     def test_exact_at_powers_of_ten(self, n, eps, delta_sep, m_int):
-        # (1/delta_sep)^m_int is exactly n^2/(2 eps); the float value lands just above m_int.
+        # (1/delta_sep)^m_int is exactly n^2/(2 eps); the float value lands on m_int or one ulp from it.
         r = m_injective(n, eps, delta_sep)
-        assert r.m_value > r.m_int == m_int
+        assert r.m_int == m_int
+        assert r.m_value == pytest.approx(m_int, rel=2**-52)
 
     def test_exact_near_one(self):
         # Against (1/delta_sep)^m in exact fractions, where m is in the tens of thousands.
@@ -62,6 +65,12 @@ class TestMInjective:
         # Here the fractions would have 8e8 bits; the answer still comes at once.
         r = m_injective(10**9, 0.5, 0.999999)
         assert r.m_int == math.ceil(r.m_value) == 41446511
+
+    def test_value_and_int_from_one_reading(self):
+        # delta_sep reads as 1 - 1e-16; its double, inverted in floats, is 1 + 2^-52, 2.2 times as far from 1.
+        r = m_injective(10**9, 0.1, 0.9999999999999999)
+        assert r.m_int == 430559695863269206
+        assert f"{r.m_value:.4e}" == "4.3056e+17"
 
     def test_separation_parameter_range(self):
         with pytest.raises(ValueError, match="diverges"):
@@ -111,7 +120,7 @@ class TestMRipUnion:
             assert m_rip_union(n, eps, delta / 2).m_value == 4.0 * m_rip_union(n, eps, delta).m_value
 
     def test_out_of_theorem_range(self):
-        with pytest.raises(ValidityRangeError):
+        with pytest.raises(ValueError, match="delta must lie in \\(0, 1/2\\)"):
             m_rip_union(10, 0.1, 0.5)
 
     def test_monotone_in_delta_and_eps(self):
@@ -279,26 +288,29 @@ class TestOneToOneWindow:
 
 class TestOneToOneMWindow:
     def test_reference_instance(self):
-        t = one_to_one_m_window(100, 0.5, 0.1)
-        assert t.m_lower == pytest.approx(12.822632579461063, rel=1e-12)
-        assert t.m_upper == pytest.approx(15.504511273258142, rel=1e-12)
+        lower, upper = one_to_one_m_window(100, 0.5, 0.1)
+        assert lower.m_value == pytest.approx(12.822632579461063, rel=1e-12)
+        assert upper.m_value == pytest.approx(15.504511273258142, rel=1e-12)
+        assert (lower.formula_id, lower.n, lower.delta, lower.eps1, lower.eps2, lower.m_int) == (
+            "one_to_one_m_lower", 100, None, 0.5, 0.1, 13)
+        assert (upper.formula_id, upper.m_int, upper.validity_note) == ("one_to_one_m_upper", 16, "requires n >= 10")
 
     def test_small_n_instance(self):
-        t = one_to_one_m_window(10, 0.9, 0.01)
-        assert t.m_lower == pytest.approx(4.343097757808205, rel=1e-12)
-        assert t.m_upper == pytest.approx(12.113892524234693, rel=1e-12)
+        lower, upper = one_to_one_m_window(10, 0.9, 0.01)
+        assert lower.m_value == pytest.approx(4.343097757808205, rel=1e-12)
+        assert upper.m_value == pytest.approx(12.113892524234693, rel=1e-12)
 
     def test_ordering_always_holds_when_valid(self):
         for n in (10, 50, 1000):
             for eps1, eps2 in ((0.5, 0.1), (0.9, 0.5), (0.3, 0.01)):
-                t = one_to_one_m_window(n, eps1, eps2)
-                assert t.m_lower < t.m_upper
+                lower, upper = one_to_one_m_window(n, eps1, eps2)
+                assert lower.m_value < upper.m_value
 
     def test_validity_threshold(self):
         with pytest.raises(ValidityRangeError):
             one_to_one_m_window(9, 0.5, 0.1)
-        t = one_to_one_m_window(9, 0.5, 0.1, force=True)
-        assert "forced" in t.validity_note
+        rows = one_to_one_m_window(9, 0.5, 0.1, force=True)
+        assert all(r.validity_note == "requires n >= 10 (forced)" for r in rows)
 
     def test_eps_ordering_violation(self):
         with pytest.raises(ValueError, match="eps"):
@@ -334,23 +346,32 @@ class TestRipWindow:
 
 class TestRipMWindow:
     def test_reference_instance(self):
-        t = rip_m_window(800, 0.2, 0.5, 0.1)
-        assert t.q == pytest.approx(12.153196608679701, rel=1e-12)
-        assert t.m_eps1 == pytest.approx(115.30517176493419, rel=1e-10)
-        assert t.m_eps2 == pytest.approx(203.24603765654422, rel=1e-10)
-        assert t.crossing_eps1 == pytest.approx(116.5594647003444, abs=1e-4)
-        assert t.crossing_eps2 == pytest.approx(203.4029497934875, abs=1e-4)
+        m_eps1, m_eps2, crossing_eps1, crossing_eps2 = rows = rip_m_window(800, 0.2, 0.5, 0.1)
+        assert rate_constant(0.2) == pytest.approx(12.153196608679701, rel=1e-12)
+        assert m_eps1.m_value == pytest.approx(115.30517176493419, rel=1e-10)
+        assert m_eps2.m_value == pytest.approx(203.24603765654422, rel=1e-10)
+        assert crossing_eps1.m_value == pytest.approx(116.5594647003444, abs=1e-4)
+        assert crossing_eps2.m_value == pytest.approx(203.4029497934875, abs=1e-4)
+        assert [r.formula_id for r in rows] == ["rip_m_eps1", "rip_m_eps2", "rip_crossing_eps1", "rip_crossing_eps2"]
+        assert [r.m_int for r in rows] == [116, 204, 117, 204]
+        assert {(r.n, r.delta, r.eps1, r.eps2, r.validity_note) for r in rows} == {(800, 0.2, 0.5, 0.1, "requires n >= 800")}
 
     def test_q_approximates_inverse_two_delta_squared(self):
-        assert rip_m_window(800, 0.2, 0.5, 0.1).q == pytest.approx(12.5, rel=0.03)
-        assert rip_m_window(800, 0.1, 0.5, 0.1).q == pytest.approx(49.66349616475454, rel=1e-12)
-        assert rip_m_window(800, 0.1, 0.5, 0.1).q == pytest.approx(50.0, rel=0.01)
+        assert rate_constant(0.2) == pytest.approx(12.5, rel=0.03)
+        assert rate_constant(0.1) == pytest.approx(49.66349616475454, rel=1e-12)
+        assert rate_constant(0.1) == pytest.approx(50.0, rel=0.01)
 
     def test_validity_threshold(self):
         with pytest.raises(ValidityRangeError):
             rip_m_window(799, 0.2, 0.5, 0.1)
-        t = rip_m_window(100, 0.2, 0.5, 0.1, force=True)
-        assert "forced" in t.validity_note
+        rows = rip_m_window(100, 0.2, 0.5, 0.1, force=True)
+        assert all(r.validity_note == "requires n >= 800 (forced)" for r in rows)
+
+    def test_no_crossing_row_is_nan(self):
+        # For three points at delta 0.45 the lambda1 envelope starts, at m = 1, below the eps1 = 0.6 rate: no root, m_int 0.
+        rows = rip_m_window(3, 0.45, 0.6, 0.1, force=True)
+        assert [(r.formula_id, math.isnan(r.m_value), r.m_int == 0) for r in rows][2:] == [
+            ("rip_crossing_eps1", True, True), ("rip_crossing_eps2", False, False)]
 
     def test_eps_bounds(self):
         with pytest.raises(ValueError):

@@ -18,6 +18,11 @@ overrides, by keyword or by position, is a knob only tests could turn: a
 constant.  ``cli.main(argv)`` is exempt, as the entry point that tests and
 the benchmark call with their own arguments.  Calls are matched by bare name;
 one that passes ``*args`` or ``**kwargs`` counts as overriding every default.
+
+And no module reads another package module's private (``_``-prefixed, not
+dunder) name, whether by ``from .x import _y`` or as an attribute of a name
+bound to a package module (``from . import bounds as bnd``, then ``bnd._y``):
+what one module needs of another is part of that module's public surface.
 """
 
 import ast
@@ -123,3 +128,33 @@ def test_every_parameter_default_is_overridden_in_the_package():
                 if not any(_overrides(call, index, name, offset) for call in mine):
                     unset.append(f"{module}:{definition.lineno} {definition.name}({name})")
     assert not unset, "parameter defaults no package call overrides:\n" + "\n".join(unset)
+
+
+def _is_private(name):
+    return name.startswith("_") and not name.startswith("__")
+
+
+def _from_package(node):
+    """Whether an ImportFrom imports from the package: relative, or absolute under onebit."""
+    return node.level > 0 or (node.module or "").split(".")[0] == "onebit"
+
+
+def test_no_module_reads_another_modules_private_names():
+    reaches = []
+    for module, tree in _package_trees().items():
+        imports = [node for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))]
+        # Local names bound to package modules: from . import x [as y], from onebit import x, import onebit.x as y.
+        modules = {alias.asname or alias.name for node in imports if isinstance(node, ast.ImportFrom)
+                   and _from_package(node) and node.module in (None, "onebit") for alias in node.names}
+        modules |= {alias.asname for node in imports if isinstance(node, ast.Import)
+                    for alias in node.names if alias.name.startswith("onebit.") and alias.asname}
+        for node in imports:
+            if isinstance(node, ast.ImportFrom) and _from_package(node):
+                reaches += [f"{module}:{node.lineno} from {'.' * node.level}{node.module or ''} import {alias.name}"
+                            for alias in node.names if _is_private(alias.name)]
+        reaches += [
+            f"{module}:{node.lineno} {node.value.id}.{node.attr}" for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+            and node.value.id in modules and _is_private(node.attr)
+        ]
+    assert not reaches, "private names read across package modules:\n" + "\n".join(reaches)
