@@ -9,6 +9,7 @@ Stirling-style envelopes around them are floats.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -149,41 +150,34 @@ def m_linear_jl(n: int, delta: float) -> BoundsReport:
     return _report("linear_jl", n, m_value, delta=delta)
 
 
-def _tail_start(m: int, delta: float) -> int:
-    """The least count A >= m/2 past band_range's inclusive band at g = 1/2; ceil(m/2) if the band is empty."""
-    h_lo, h_hi = band_range(m, 0.5, delta, "inclusive")
-    return (m + 1) // 2 if h_lo > h_hi else int(h_hi) + 1
-
-
-def tail_probability(m: int, a: int) -> Fraction:
-    """Exact P(Y >= a) for Y ~ Bin(m, 1/2): 2^{-m} * sum_{k=a}^{m} C(m, k), a dyadic rational."""
-    if m < 1:
-        raise ValueError(f"m must be >= 1, got {m}")
-    if not 0 <= a <= m + 1:
-        raise ValueError(f"tail start {a} outside [0, {m + 1}]")
-    return Fraction(sum(math.comb(m, k) for k in range(a, m + 1)), 1 << m)
-
-
 def p_delta_exact(m: int, delta: float) -> Fraction:
     """Exact P(|Y - m/2| >= m*delta), Y ~ Bin(m, 1/2), with delta read as band_fails reads it.
 
-    Twice the upper tail P(Y >= A), A the first count past the inclusive band
-    at g = 1/2, in exact integer arithmetic.
+    One minus the exact mass of band_range's inclusive band at g = 1/2: 1 where that band is empty.
     """
     _check_delta(delta)
-    return 2 * tail_probability(m, _tail_start(m, delta))
+    if m < 1:
+        raise ValueError(f"m must be >= 1, got {m}")
+    h_lo, h_hi = map(int, band_range(m, 0.5, delta, "inclusive"))
+    return 1 - Fraction(sum(math.comb(m, h) for h in range(h_lo, h_hi + 1)), 1 << m)
 
 
 def p_delta_float(m: int, delta: float) -> float:
-    """Float view of p_delta_exact; for m > 2000 the same tail by log-gamma terms and a stable log-sum-exp."""
+    """Float view of p_delta_exact; for m > 2000 and a non-empty band, twice the upper tail past it by log-gamma terms.
+
+    The terms fall from the first count past the band, and their sum over the peak is at least 1,
+    so it stops at the first term below 2^-54 of the first: no later term changes the rounded sum.
+    """
     _check_delta(delta)
-    if m <= 2000:
+    h_lo, h_hi = map(int, band_range(m, 0.5, delta, "inclusive"))
+    if m <= 2000 or h_lo > h_hi:
         return float(p_delta_exact(m, delta))
     lgm = math.lgamma(m + 1)
-    logs = [lgm - math.lgamma(k + 1) - math.lgamma(m - k + 1) for k in range(_tail_start(m, delta), m + 1)]
+    logs = (lgm - math.lgamma(k + 1) - math.lgamma(m - k + 1) for k in range(h_hi + 1, m + 1))
+    first = next(logs)
+    logs = [first, *itertools.takewhile(lambda v: v >= first - 54 * LN2, logs)]
     peak = max(logs)
-    s = sum(math.exp(v - peak) for v in logs)
-    return math.exp(LN2 + peak + math.log(s) - m * LN2)
+    return math.exp(LN2 + peak + math.log(sum(math.exp(v - peak) for v in logs)) - m * LN2)
 
 
 def exponent_rate(delta: float) -> float:
@@ -213,8 +207,13 @@ def _log_envelope(which: str, logc: float, m: float, rate: float) -> float:
 
 
 def _lambda_targets(eps1: float, eps2: float) -> tuple[float, float]:
-    """The Poisson rates ln(1/(1 - eps/c)) at which P(success) crosses 1 - eps1 (c = 1.01) and 1 - eps2 (c = 0.99)."""
-    return math.log(1.0 / (1.0 - eps1 / 1.01)), math.log(1.0 / (1.0 - eps2 / 0.99))
+    """The Poisson rates -log1p(-eps/c) at which P(success) crosses 1 - eps1 (c = 1.01) and 1 - eps2 (c = 0.99).
+
+    The one check of the tolerance pair: 0 < eps2 < eps1 < 1, and eps2 < 0.99 for its logarithm.
+    """
+    if not (0.0 < eps2 < eps1 < 1.0 and eps2 < 0.99):
+        raise ValueError(f"need 0 < eps2 < eps1 < 1 and eps2 < 0.99, got eps1={eps1}, eps2={eps2}")
+    return -math.log1p(-eps1 / 1.01), -math.log1p(-eps2 / 0.99)
 
 
 def stein_chen_eta(n: int, p: float, form: str) -> float:
@@ -302,12 +301,8 @@ def one_to_one_m_window(n: int, eps1: float, eps2: float, force: bool = False) -
     pass ``force`` to evaluate outside that range anyway.
     """
     _check_n(n)
-    _check_unit("eps1", eps1)
-    _check_unit("eps2", eps2)
-    if not eps2 < eps1:
-        raise ValueError(f"need eps2 < eps1, got eps1={eps1}, eps2={eps2}")
-    note = _validity_note(n, MIN_N_ONE_TO_ONE, force)
     d1, d2 = _lambda_targets(eps1, eps2)
+    note = _validity_note(n, MIN_N_ONE_TO_ONE, force)
     m_lower = math.log2(math.comb(n, 2) / d1)
     m_upper = math.log2(math.comb(n, 2) / d2)
     if not m_lower < m_upper:
@@ -332,13 +327,10 @@ def rip_m_window(n: int, delta: float, eps1: float, eps2: float, force: bool = F
     """
     _check_n(n)
     q = rate_constant(delta)
-    _check_unit("eps1", eps1)
-    _check_unit("eps2", eps2)
-    if not eps2 < eps1 or not eps1 < 0.99:
-        raise ValueError(f"need 0 < eps2 < eps1 < 0.99, got eps1={eps1}, eps2={eps2}")
-    note = _validity_note(n, MIN_N_RIP, force)
-
     d1, d2 = _lambda_targets(eps1, eps2)
+    if not eps1 < 0.99:
+        raise ValueError(f"need eps1 < 0.99, got eps1={eps1}")
+    note = _validity_note(n, MIN_N_RIP, force)
     # A and B are the envelopes' prefactors at m = 1 over the target rates.
     log_a = _log_envelope("lambda1", _log_pairs(n), 1.0, 0.0) - math.log(d1)
     log_b = _log_envelope("lambda2", _log_pairs(n), 1.0, 0.0) - math.log(d2)

@@ -141,6 +141,7 @@ def _cmd_bounds(args) -> int:
 
     if not reports and args.m is None:
         raise ValueError("nothing to evaluate: pass --eps and/or --delta (and --eps1/--eps2 for transition windows)")
+    window = None if args.m is None else bnd.window_csv(n, args.m, args.delta)  # before any output: it may refuse delta
 
     if reports:
         width = max(len(r.formula_id) for r in reports)
@@ -153,10 +154,10 @@ def _cmd_bounds(args) -> int:
     if args.out:
         with _text_out(args.out) as f:
             f.write(bnd.bounds_reports_csv(reports))
-    if args.m is not None:
+    if window is not None:
         if reports:
             print()
-        print(bnd.window_csv(n, args.m, rip_delta), end="")
+        print(window, end="")
     return EXIT_OK
 
 

@@ -7,10 +7,11 @@ obviously right.  None of this ships in the package.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 
-from onebit.embedding import WORD_BITS, CodeSet, RipViolation, pack_bits, pair_stream
+from onebit.embedding import WORD_BITS, CodeSet, RipViolation, band_fails, pack_bits, pair_stream
 from onebit.geometry import PointSet
 
 
@@ -81,3 +82,27 @@ def check_one_to_one_dict(codes):
         for a in range(len(members)) for b in range(a + 1, len(members))
     )
     return collisions
+
+
+def _first_failing_count(m: int, delta: float) -> int:
+    """The first count from m/2 up that fails band_fails' inclusive band at g = 1/2, found one count at a time.
+
+    H = m always fails, since delta < 1/2.
+    """
+    a = (m + 1) // 2
+    while not band_fails(a, m, 0.5, delta, "inclusive"):
+        a += 1
+    return a
+
+
+def p_delta_twice_upper_tail(m: int, delta: float) -> Fraction:
+    """2 P(Y >= A) for Y ~ Bin(m, 1/2), A the first count past the band: the band is symmetric about m/2."""
+    return 2 * Fraction(sum(math.comb(m, k) for k in range(_first_failing_count(m, delta), m + 1)), 1 << m)
+
+
+def p_delta_logsum(m: int, delta: float) -> float:
+    """The same twice-upper-tail in floats: every log-gamma term up to H = m, shifted by the largest and summed."""
+    lgm = math.lgamma(m + 1)
+    logs = [lgm - math.lgamma(k + 1) - math.lgamma(m - k + 1) for k in range(_first_failing_count(m, delta), m + 1)]
+    peak = max(logs)
+    return math.exp(math.log(2.0) + peak + math.log(sum(math.exp(v - peak) for v in logs)) - m * math.log(2.0))

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -25,6 +26,7 @@ from onebit.bounds import (
     window_csv,
 )
 from onebit.embedding import band_range
+from reference import p_delta_logsum
 
 
 class TestMInjective:
@@ -192,6 +194,27 @@ class TestPDeltaExact:
             for delta in (0.01, 0.2):
                 assert p_delta_float(m, delta) == pytest.approx(float(p_delta_exact(m, delta)), rel=1e-11)
 
+    def test_float_tail_stops_where_no_term_counts(self):
+        # Past m = 2000 the tail is summed only until its terms fall below 2^-54 of the first,
+        # which leaves the double of the full log-gamma sum unchanged ...
+        for m in (2001, 2002, 2999, 40_001):
+            for delta in (0.001, 0.01, 0.2, 0.49):
+                assert p_delta_float(m, delta) == p_delta_logsum(m, delta), (m, delta)
+        # ... and holds a few thousand terms where the full tail has half a million.
+        tracemalloc.start()
+        try:
+            p_delta_float(10**6, 0.001)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_float_view_of_empty_band_is_one(self):
+        # odd m with 2m*delta <= 1: the band is empty and every pair fails, exactly, at any m
+        for m, delta in ((1999, 1e-4), (2001, 1e-4), (2003, 2.4e-4), (10**6 + 1, 4e-7)):
+            assert p_delta_float(m, delta) == 1.0, (m, delta)
+        assert max(p_delta_float(m, 1e-5) for m in range(2001, 2200)) <= 1.0
+
     def test_hoeffding_domination_sample(self):
         for m in range(1, 121):
             for k in range(1, 10):
@@ -315,6 +338,22 @@ class TestOneToOneMWindow:
     def test_eps_ordering_violation(self):
         with pytest.raises(ValueError, match="eps"):
             one_to_one_m_window(100, 0.1, 0.5)
+
+    def test_tiny_eps_rates_are_accurate(self):
+        # The rate ln(1/(1 - eps/c)) is -log1p(-eps/c), which is eps/c to double precision for tiny eps.
+        for eps in (1e-15, 1e-17, 1e-300):
+            lower, upper = one_to_one_m_window(100, 0.5, eps)
+            assert upper.m_value == pytest.approx(math.log2(4950 * 0.99 / eps), rel=1e-14), eps
+            lower, upper = one_to_one_m_window(100, eps, eps / 2)
+            assert lower.m_value == pytest.approx(math.log2(4950 * 1.01 / eps), rel=1e-14), eps
+
+    def test_tolerance_pair_checked_before_any_logarithm(self):
+        # eps2 >= 0.99 leaves no logarithm (1 - eps2/0.99 <= 0); every pair outside 0 < eps2 < eps1 < 1 is refused too
+        for eps1, eps2 in ((0.999, 0.99), (0.999, 0.995), (0.5, 0.5), (0.1, 0.5), (0.5, 0.0), (1.0, 0.5), (0.5, -0.1)):
+            with pytest.raises(ValueError, match="need 0 < eps2 < eps1 < 1 and eps2 < 0.99"):
+                one_to_one_m_window(100, eps1, eps2)
+            with pytest.raises(ValueError, match="need 0 < eps2 < eps1 < 1 and eps2 < 0.99"):
+                rip_m_window(800, 0.2, eps1, eps2)
 
     def test_threshold_crossing_rejected(self):
         # eps1 barely above eps2: the printed formulas cross and that is an error

@@ -1,3 +1,6 @@
+import contextlib
+import io
+import itertools
 import math
 import os
 import re
@@ -94,6 +97,38 @@ class TestBounds:
     def test_nothing_to_do_is_usage_error(self):
         r = run_cli("bounds", "--n", "800")
         assert r.returncode == 1
+
+    def test_window_refuses_delta_outside_half(self, capsys, tmp_path):
+        # the rip window needs 0 < delta < 1/2; the refusal comes before the table and the --out file
+        for delta in ("0.5", "0.6"):
+            out = tmp_path / "bounds.csv"
+            assert cli.main(["bounds", "--n", "800", "--delta", delta, "--m", "150", "--out", str(out)]) == cli.EXIT_USAGE
+            captured = capsys.readouterr()
+            assert captured.out == "" and not out.exists()
+            assert "delta must lie in (0, 1/2)" in captured.err
+
+
+def test_bounds_edge_sweep(monkeypatch):
+    """Every bounds command over edge values of n, the tolerances, delta and m ends in exit 0, 1 or 3, never a traceback.
+
+    n = 10 runs the transition windows unforced, so the rip window's validity refusal (exit 3) is among the outcomes.
+    """
+    parser = cli.build_parser()
+    monkeypatch.setattr(cli, "build_parser", lambda: parser)  # building it is most of a call: build it once
+    eps_values = ("1e-300", "1e-17", "0.5", "0.98", "0.99", "0.995")
+    seen = set()
+    for n, delta in itertools.product(("2", "10", "800", str(10**18)), (None, "1e-9", "0.2", "0.49999", "0.5", "0.6")):
+        base = ["bounds", "--n", n] + ([] if delta is None else ["--delta", delta])
+        force = [] if n == "10" else ["--force"]
+        cells = [base + ["--eps", eps] for eps in eps_values]
+        cells += [base + ["--eps1", e1, "--eps2", e2] + force for e1, e2 in itertools.product(eps_values, repeat=2)]
+        cells += [base + ["--m", m] for m in ("1", "64", str(10**9))]
+        for argv in cells:
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+                code = cli.main(argv)
+            assert code in (cli.EXIT_OK, cli.EXIT_USAGE, cli.EXIT_VALIDITY), argv
+            seen.add(code)
+    assert seen == {cli.EXIT_OK, cli.EXIT_USAGE, cli.EXIT_VALIDITY}
 
 
 class TestOracle:

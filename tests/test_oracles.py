@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from onebit.bounds import tail_probability
+from onebit.bounds import p_delta_exact
 from onebit.oracles import (
     EtaComparison,
     ExactProbability,
@@ -16,6 +16,7 @@ from onebit.oracles import (
     eta_comparison,
     rip_exact_three,
 )
+from reference import p_delta_twice_upper_tail
 
 
 def brute_birthday(n: int, m: int) -> Fraction:
@@ -89,30 +90,35 @@ class TestBirthdayExact:
 
 
 class TestBinomialTail:
-    """Exact P(Y >= a) for Y ~ Binomial(m, 1/2), the tail every closed-form bound starts from."""
+    """p_delta_exact, one minus the band's mass, against twice the upper tail past the band (tests/reference.py)."""
 
     def test_known_value(self):
-        p = tail_probability(10, 7)
-        assert p == Fraction(176, 1024)
-        assert p == Fraction(120 + 45 + 10 + 1, 1024)
+        # m = 10, delta = 0.2: the inclusive band is H = 4..6, so the upper tail starts at H = 7
+        p = p_delta_exact(10, 0.2)
+        assert p == 2 * Fraction(120 + 45 + 10 + 1, 1024)
+        assert p == p_delta_twice_upper_tail(10, 0.2)
 
     def test_full_mass(self):
-        assert tail_probability(5, 0) == 1
+        # odd m with 2m*delta <= 1: no count is within m*delta of m/2, so the band is empty and every pair fails
+        for m, delta in ((5, 0.05), (5, 0.1), (1, 0.2), (1, 0.49), (99, 0.005)):
+            assert p_delta_exact(m, delta) == 1 == p_delta_twice_upper_tail(m, delta), (m, delta)
 
     def test_empty_tail(self):
-        assert tail_probability(5, 6) == 0
+        # the tail never empties: just below delta = 1/2 only H = 0 and H = m fail
+        for m in range(2, 200):
+            assert p_delta_exact(m, 0.499) == Fraction(2, 1 << m) == p_delta_twice_upper_tail(m, 0.499)
 
     def test_out_of_range(self):
-        with pytest.raises(ValueError):
-            tail_probability(5, 7)
-        with pytest.raises(ValueError):
-            tail_probability(5, -1)
+        with pytest.raises(ValueError, match="m must be >= 1"):
+            p_delta_exact(0, 0.2)
+        for delta in (0.0, 0.5, -0.1):
+            with pytest.raises(ValueError, match=r"delta must lie in \(0, 1/2\)"):
+                p_delta_exact(5, delta)
 
-    @given(st.integers(1, 60), st.data())
-    def test_symmetry(self, m, data):
-        # P(Y >= a) = P(Y <= m - a) = 1 - P(Y >= m - a + 1) for the fair coin
-        a = data.draw(st.integers(0, m))
-        assert tail_probability(m, a) == 1 - tail_probability(m, m - a + 1)
+    @given(st.integers(1, 120), st.integers(1, 499))
+    def test_symmetry(self, m, k):
+        # the band is symmetric about m/2, so one minus its mass is twice the upper tail past it
+        assert p_delta_exact(m, k / 1000) == p_delta_twice_upper_tail(m, k / 1000)
 
 
 class TestRipExactThree:
