@@ -57,16 +57,6 @@ def _report(formula_id: str, n: int, m_value: float, **kw) -> BoundsReport:
     return BoundsReport(formula_id=formula_id, n=n, m_value=m_value, m_int=m_int, **kw)
 
 
-def _check_n(n: int) -> None:
-    if n < 2:
-        raise ValueError(f"need at least 2 points, got {n}")
-
-
-def _check_unit(name: str, value: float) -> None:
-    if not 0.0 < value < 1.0:
-        raise ValueError(f"{name} must lie in (0, 1), got {value}")
-
-
 def _check_delta(delta: float) -> None:
     if not 0.0 < delta < 0.5:
         raise ValueError(f"delta must lie in (0, 1/2), got {delta}")
@@ -80,10 +70,6 @@ def m_injective(n: int, eps: float, delta_sep: float) -> BoundsReport:
     delta_sep read as they print.  log2 T is taken from T's numerator and denominator, so the value
     is exact where n, eps and delta_sep are powers of two; m_int, the least m >= 1 with B^m >= T, is exact.
     """
-    _check_n(n)
-    _check_unit("eps", eps)
-    if not 0.0 < delta_sep < 1.0:
-        raise ValueError(f"delta_sep must lie in (0, 1), got {delta_sep} (the bound diverges at 1)")
     base, target = 1 / Fraction(str(delta_sep)), n * n / (2 * Fraction(str(eps)))
     m_value = (math.log2(target.numerator) - math.log2(target.denominator)) / (math.log1p(float(base - 1)) / LN2)
     return BoundsReport("injective", n, m_value, _least_exponent(base, target, m_value), eps1=eps, delta=delta_sep)
@@ -132,8 +118,6 @@ def m_rip_union(n: int, eps: float, delta: float) -> BoundsReport:
 
     m >= ln(n^2 / eps) / (2 delta^2); proven for delta < 1/2.
     """
-    _check_n(n)
-    _check_unit("eps", eps)
     _check_delta(delta)
     m_value = math.log(n * n / eps) / (2.0 * delta * delta)
     return _report("rip_union", n, m_value, eps1=eps, delta=delta)
@@ -144,8 +128,6 @@ def m_linear_jl(n: int, delta: float) -> BoundsReport:
 
     m >= 4 ln n / (delta^2/2 - delta^3/3).
     """
-    _check_n(n)
-    _check_unit("delta", delta)
     m_value = 4.0 * math.log(n) / (delta * delta / 2.0 - delta**3 / 3.0)
     return _report("linear_jl", n, m_value, delta=delta)
 
@@ -156,8 +138,6 @@ def p_delta_exact(m: int, delta: float) -> Fraction:
     One minus the exact mass of band_range's inclusive band at g = 1/2: 1 where that band is empty.
     """
     _check_delta(delta)
-    if m < 1:
-        raise ValueError(f"m must be >= 1, got {m}")
     h_lo, h_hi = map(int, band_range(m, 0.5, delta, "inclusive"))
     return 1 - Fraction(sum(math.comb(m, h) for h in range(h_lo, h_hi + 1)), 1 << m)
 
@@ -223,7 +203,6 @@ def stein_chen_eta(n: int, p: float, form: str) -> float:
     ``general``: C(n,2) (1 + 4(n-2)) p^2, counting the <= 2(n-2) neighbors of
     each pair that share a point.
     """
-    _check_n(n)
     if form not in ETA_FORMS:
         raise ValueError(f"unknown eta form {form!r}")
     pairs = math.comb(n, 2)
@@ -260,9 +239,6 @@ def one_to_one_window(n: int, m: int, eta_form: str = "pairwise") -> PhaseWindow
     integer true division, and 0 without building 2^m where it is below
     2^-1075 and so rounds to 0; 2^-m is ldexp(1, -m), rounded once too.
     """
-    _check_n(n)
-    if m < 1:
-        raise ValueError(f"m must be >= 1, got {m}")
     pairs = math.comb(n, 2)
     lam = pairs / (1 << m) if m < 1075 + pairs.bit_length() else 0.0
     eta = stein_chen_eta(n, math.ldexp(1.0, -m), eta_form)
@@ -276,9 +252,6 @@ def rip_window(n: int, m: int, delta: float) -> PhaseWindow:
     around the expected number of pairs leaving the band (see _log_envelope), and
     its width is the general eta = C(n,2)(4n-7) p^2, with p the exact tail probability.
     """
-    _check_n(n)
-    if m < 1:
-        raise ValueError(f"m must be >= 1, got {m}")
     rate = exponent_rate(delta)
     lam1, lam2 = (math.exp(_log_envelope(which, _log_pairs(n), m, rate)) for which in ("lambda1", "lambda2"))
     eta = stein_chen_eta(n, p_delta_float(m, delta), "general")
@@ -300,11 +273,10 @@ def one_to_one_m_window(n: int, eps1: float, eps2: float, force: bool = False) -
     Proven for orthogonal points and n >= 10 (the error width is then below 1% of the Poisson term);
     pass ``force`` to evaluate outside that range anyway.
     """
-    _check_n(n)
     d1, d2 = _lambda_targets(eps1, eps2)
     note = _validity_note(n, MIN_N_ONE_TO_ONE, force)
-    m_lower = math.log2(math.comb(n, 2) / d1)
-    m_upper = math.log2(math.comb(n, 2) / d2)
+    log_pairs = math.log2(math.comb(n, 2))  # the quotient C(n,2)/d itself overflows a double for tiny d at large n
+    m_lower, m_upper = log_pairs - math.log2(d1), log_pairs - math.log2(d2)
     if not m_lower < m_upper:
         raise ValueError(f"eps1={eps1}, eps2={eps2} too close: thresholds cross (m_lower={m_lower}, m_upper={m_upper})")
     rows = (("one_to_one_m_lower", m_lower), ("one_to_one_m_upper", m_upper))
@@ -325,7 +297,6 @@ def rip_m_window(n: int, delta: float, eps1: float, eps2: float, force: bool = F
     probability improves with m; the crossings are returned alongside so the
     simulation can settle the direction empirically.
     """
-    _check_n(n)
     q = rate_constant(delta)
     d1, d2 = _lambda_targets(eps1, eps2)
     if not eps1 < 0.99:
@@ -351,7 +322,6 @@ def solve_threshold(n: int, delta: float, target_lambda: float, which: str = "la
     ``lambda1`` / ``lambda2``: returns the real root to absolute tolerance
     1e-6 in m, by bisection, or NaN when there is none below m = 10^7.
     """
-    _check_n(n)
     if target_lambda <= 0:
         raise ValueError(f"target must be positive, got {target_lambda}")
     rate = exponent_rate(delta)

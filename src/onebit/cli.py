@@ -59,15 +59,34 @@ def _default_threads() -> int:
     return max(1, os.cpu_count() or 1)
 
 
-def _thread_count(text: str) -> int:
-    """The --threads type: a count below 1 is a usage error before a command opens (and truncates) its outputs."""
+def _at_least(name: str, lo: int):
+    """The type of an integer flag whose domain is name >= lo: any other value is a usage error before a file is opened."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < lo:
+            raise argparse.ArgumentTypeError(f"{name} must be >= {lo}, got {value}")
+        return value
+
+    return parse
+
+
+_POINT_COUNT, _CODE_LENGTH = _at_least("n", 2), _at_least("m", 1)
+_TRIALS, _THREADS = _at_least("trials", 1), _at_least("threads", 1)
+
+
+def _unit_interval(text: str) -> float:
+    """The type of --delta and every --eps*: a float in the open interval (0, 1), which nan and inf are not."""
     try:
-        threads = int(text)
+        value = float(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if threads < 1:
-        raise argparse.ArgumentTypeError(f"threads must be >= 1, got {threads}")
-    return threads
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not 0.0 < value < 1.0:
+        raise argparse.ArgumentTypeError(f"must lie in (0, 1), got {value}")
+    return value
 
 
 def _default_trials(n: int) -> int:
@@ -93,16 +112,25 @@ def _resolve_seed(args) -> int:
 
 
 def _parse_m_grid(text: str) -> list[int]:
+    """The type of --m-grid: lo:hi:step with 1 <= lo <= hi and step >= 1, a nonempty strictly increasing grid."""
     parts = text.split(":")
     if len(parts) != 3:
-        raise ValueError(f"--m-grid must look like lo:hi:step, got {text!r}")
+        raise argparse.ArgumentTypeError(f"must look like lo:hi:step, got {text!r}")
     try:
         lo, hi, step = (int(p) for p in parts)
     except ValueError:
-        raise ValueError(f"--m-grid parts must be integers, got {text!r}") from None
+        raise argparse.ArgumentTypeError(f"parts must be integers, got {text!r}") from None
     if lo < 1 or hi < lo or step < 1:
-        raise ValueError(f"--m-grid needs 1 <= lo <= hi and step >= 1, got {text!r}")
+        raise argparse.ArgumentTypeError(f"needs 1 <= lo <= hi and step >= 1, got {text!r}")
     return list(range(lo, hi + 1, step))
+
+
+def _point_set(args):
+    """The --points file, read for check, simulate or sweep, whose properties are of pairs: at least 2 rows."""
+    points = read_point_set(args.points, normalize=args.normalize)
+    if points.n < 2:
+        raise ValueError(f"--points needs at least 2 rows, got {points.n}")
+    return points
 
 
 @contextlib.contextmanager
@@ -119,7 +147,7 @@ def _text_out(path_or_dash):
 
 def _cmd_bounds(args) -> int:
     n = args.n
-    rip_delta = args.delta if args.delta is not None and 0 < args.delta < 0.5 else None  # rip formulas need delta < 1/2
+    rip_delta = args.delta if args.delta is not None and args.delta < 0.5 else None  # rip formulas need delta < 1/2
     reports: list[bnd.BoundsReport] = []
     trailer: list[str] = []
 
@@ -194,7 +222,7 @@ def _cmd_embed(args) -> int:
 # ---------------------------------------------------------------- check
 
 def _cmd_check(args) -> int:
-    points = read_point_set(args.points, normalize=args.normalize)
+    points = _point_set(args)
     codes = read_code_set(args.codes)
     if codes.n != points.n:
         raise ValueError(f"--codes has {codes.n} codes but --points has {points.n} points")
@@ -227,7 +255,7 @@ def _build_config(args, m: int, seed: int) -> TrialConfig:
     points = None
     n = args.n
     if getattr(args, "points", None):
-        points = read_point_set(args.points, normalize=args.normalize)
+        points = _point_set(args)
         if n is not None and n != points.n:
             raise ValueError(f"--n {n} contradicts --points with {points.n} rows")
         n = points.n
@@ -256,11 +284,12 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
+    if args.delta is not None and args.eta_form not in (None, "general"):
+        raise ValueError("rip windows exist only in the general form")
     seed = _resolve_seed(args)
-    grid = _parse_m_grid(args.m_grid)
-    config = _build_config(args, grid[0], seed)
+    config = _build_config(args, args.m_grid[0], seed)
     with _text_out(args.out) as f:
-        f.write(rows_csv(sweep(config, grid, threads=args.threads, eta_form=args.eta_form)))
+        f.write(rows_csv(sweep(config, args.m_grid, threads=args.threads, eta_form=args.eta_form)))
     return EXIT_OK
 
 
@@ -332,7 +361,7 @@ def _cmd_figure(args) -> int:
     seed = _resolve_seed(args)
     closed_forms = bnd.rip_m_window(args.n, args.delta, args.eps1, args.eps2, force=args.force)
     m_eps1, m_eps2 = closed_forms[0].m_value, closed_forms[1].m_value
-    grid = _parse_m_grid(args.m_grid) if args.m_grid else default_phase_grid(m_eps1, m_eps2)
+    grid = args.m_grid or default_phase_grid(m_eps1, m_eps2)
     config = _build_config(args, grid[0], seed)
 
     base = str(args.out)
@@ -384,9 +413,9 @@ def _cmd_oracle(args) -> int:
 # ---------------------------------------------------------------- parser
 
 def _add_common_sim_flags(p: _Parser) -> None:
-    p.add_argument("--trials", type=int, default=None, help="trials per estimate (default: 100000 for n<=100, else 200)")
+    p.add_argument("--trials", type=_TRIALS, default=None, help="trials per estimate (default: 100000 for n<=100, else 200)")
     p.add_argument("--seed", type=int, default=None, help=f"base seed (default: ${SEED_ENV_VAR} or system entropy)")
-    p.add_argument("--threads", type=_thread_count, default=_default_threads(),
+    p.add_argument("--threads", type=_THREADS, default=_default_threads(),
                    help="worker threads (output is thread-count independent)")
     p.add_argument("--boundary", choices=BOUNDARIES, default="strict",
                    help="does a deviation exactly equal to delta pass (strict) or fail (inclusive)")
@@ -398,19 +427,19 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     p = sub.add_parser("bounds", parents=[], help="evaluate closed-form code-length bounds", add_help=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--delta", type=float, default=None)
-    p.add_argument("--eps", type=float, default=None)
-    p.add_argument("--eps1", type=float, default=None)
-    p.add_argument("--eps2", type=float, default=None)
-    p.add_argument("--m", type=int, default=None, help="also print the probability window at this m")
+    p.add_argument("--n", type=_POINT_COUNT, required=True)
+    p.add_argument("--delta", type=_unit_interval, default=None)
+    p.add_argument("--eps", type=_unit_interval, default=None)
+    p.add_argument("--eps1", type=_unit_interval, default=None)
+    p.add_argument("--eps2", type=_unit_interval, default=None)
+    p.add_argument("--m", type=_CODE_LENGTH, default=None, help="also print the probability window at this m")
     p.add_argument("--force", action="store_true", help="evaluate transition formulas below their proven n")
     p.add_argument("--out", default=None, help="also write the table as CSV")
     p.set_defaults(func=_cmd_bounds)
 
     p = sub.add_parser("embed", help="embed a points CSV through a seeded random map")
     p.add_argument("--points", required=True)
-    p.add_argument("--m", type=int, required=True)
+    p.add_argument("--m", type=_CODE_LENGTH, required=True)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--codes", required=True, help="output path for the binary code set")
     p.add_argument("--out", default=None, help="pairwise-distance CSV path (default: CODES.pairs.csv)")
@@ -421,24 +450,24 @@ def build_parser() -> _Parser:
     p = sub.add_parser("check", help="check codes against points: band isometry (--delta) or one-to-one")
     p.add_argument("--points", required=True)
     p.add_argument("--codes", required=True)
-    p.add_argument("--delta", type=float, default=None)
+    p.add_argument("--delta", type=_unit_interval, default=None)
     p.add_argument("--boundary", choices=BOUNDARIES, default="strict")
     p.add_argument("--normalize", action="store_true")
     p.set_defaults(func=_cmd_check)
 
     p = sub.add_parser("simulate", help="one Monte Carlo estimate (mode: rip when --delta given, else injectivity)")
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--delta", type=float, default=None)
+    p.add_argument("--n", type=_POINT_COUNT, default=None)
+    p.add_argument("--m", type=_CODE_LENGTH, required=True)
+    p.add_argument("--delta", type=_unit_interval, default=None)
     p.add_argument("--points", default=None, help="explicit point set (default: orthogonal fast path)")
     p.add_argument("--normalize", action="store_true")
     _add_common_sim_flags(p)
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("sweep", help="estimates over an m grid with analytic windows attached")
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--m-grid", required=True, help="lo:hi:step, inclusive")
-    p.add_argument("--delta", type=float, default=None)
+    p.add_argument("--n", type=_POINT_COUNT, default=None)
+    p.add_argument("--m-grid", type=_parse_m_grid, required=True, help="lo:hi:step, inclusive")
+    p.add_argument("--delta", type=_unit_interval, default=None)
     p.add_argument("--points", default=None)
     p.add_argument("--normalize", action="store_true")
     p.add_argument("--eta-form", choices=bnd.ETA_FORMS, default=None,
@@ -447,14 +476,14 @@ def build_parser() -> _Parser:
     p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("figure", help="phase-transition figure: sweep CSV + SVG with closed-form rules")
-    p.add_argument("--n", type=int, default=800)
-    p.add_argument("--delta", type=float, default=0.2)
-    p.add_argument("--eps1", type=float, default=0.5)
-    p.add_argument("--eps2", type=float, default=0.1)
-    p.add_argument("--m-grid", default=None, help="override the default 20-point grid")
-    p.add_argument("--trials", type=int, default=200, help="trials per m (default 200)")
+    p.add_argument("--n", type=_POINT_COUNT, default=800)
+    p.add_argument("--delta", type=_unit_interval, default=0.2)
+    p.add_argument("--eps1", type=_unit_interval, default=0.5)
+    p.add_argument("--eps2", type=_unit_interval, default=0.1)
+    p.add_argument("--m-grid", type=_parse_m_grid, default=None, help="override the default 20-point grid")
+    p.add_argument("--trials", type=_TRIALS, default=200, help="trials per m (default 200)")
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--threads", type=_thread_count, default=_default_threads())
+    p.add_argument("--threads", type=_THREADS, default=_default_threads())
     p.add_argument("--boundary", choices=BOUNDARIES, default="strict")
     p.add_argument("--force", action="store_true")
     p.add_argument("--out", default="phase_figure", help="output base path (writes BASE.csv and BASE.svg)")
@@ -462,9 +491,9 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("oracle", help="exact probabilities as fractions and decimals")
     p.add_argument("which", choices=_ORACLE_FLAGS)
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--m", type=int, default=None)
-    p.add_argument("--delta", type=float, default=None)
+    p.add_argument("--n", type=_POINT_COUNT, default=None)
+    p.add_argument("--m", type=_CODE_LENGTH, default=None)
+    p.add_argument("--delta", type=_unit_interval, default=None)
     p.add_argument("--boundary", choices=BOUNDARIES, default="strict")
     p.set_defaults(func=_cmd_oracle)
 

@@ -95,10 +95,6 @@ def sample_map(m: int, dim: int, seed: int) -> np.ndarray:
     norm, the standard rotation-invariant construction.  Calling twice with
     equal (m, dim, seed) reproduces the map bit-exactly.
     """
-    if m < 1:
-        raise ValueError(f"target dimension m must be >= 1, got {m}")
-    if dim < 2:
-        raise ValueError(f"ambient dimension must be >= 2, got {dim}")
     rng = np.random.default_rng(seed)
     raw = rng.standard_normal((m, dim))
     norms = np.linalg.norm(raw, axis=1)
@@ -150,8 +146,6 @@ def code_keys(words: np.ndarray) -> np.ndarray:
 
 def check_one_to_one(codes: CodeSet) -> list[tuple[int, int]]:
     """Every pair of equal codes, lexicographically sorted: the codes are pairwise distinct iff it is empty."""
-    if codes.n < 2:
-        raise ValueError("one-to-one check needs at least 2 codes")
     keys = code_keys(codes.words)
     order = np.argsort(keys)
     ranked = keys[order]
@@ -191,13 +185,6 @@ def check_rip(
     to delta already counts as a failure.  The two conventions differ only on
     the lattice event where the deviation lands exactly on delta.
     """
-    if codes.n != points.n:
-        raise ValueError(f"codes ({codes.n}) and points ({points.n}) are misaligned")
-    if points.n < 2:
-        raise ValueError("need at least 2 points")
-    if not 0.0 < delta < 1.0:
-        raise ValueError(f"delta must lie in (0, 1), got {delta}")
-
     violations = []
     max_dev = 0.0
     for i, h, dg in pair_stream(codes, points):

@@ -30,7 +30,7 @@ from typing import Optional
 import numpy as np
 
 from .bounds import ETA_FORMS, PhaseWindow, csv_text, one_to_one_window, rip_window
-from .embedding import BOUNDARIES, band_range, code_keys, draw_codes, embed_points, pack_bits, words_needed
+from .embedding import band_range, code_keys, draw_codes, embed_points, pack_bits, words_needed
 from .geometry import PointSet, geodesic_blocks
 
 #: Largest units * trials * 64-bit words one estimate may cost: a rip unit is a pair, which its kernel visits,
@@ -59,7 +59,7 @@ class TrialConfig:
     A config with ``delta`` estimates the delta-band isometry (rip), one
     without it injectivity.  ``points``, when given, must have n rows and
     selects the explicit path; without it the points are n pairwise
-    orthogonal ones on the fast path.
+    orthogonal ones on the fast path.  The CLI, which builds every config, has checked its fields.
     """
 
     n: int
@@ -69,22 +69,6 @@ class TrialConfig:
     delta: Optional[float] = None
     boundary: str = "strict"
     points: Optional[PointSet] = None
-
-    def __post_init__(self) -> None:
-        if self.n < 2:
-            raise ValueError(f"need at least 2 points, got n={self.n}")
-        if self.m < 1:
-            raise ValueError(f"code length must be >= 1, got m={self.m}")
-        if self.trials < 1:
-            raise ValueError(f"need at least 1 trial, got {self.trials}")
-        if self.base_seed < 0:
-            raise ValueError(f"base_seed must be non-negative, got {self.base_seed}")
-        if self.delta is not None and not 0.0 < self.delta < 1.0:
-            raise ValueError(f"delta must lie in (0, 1), got {self.delta}")
-        if self.boundary not in BOUNDARIES:
-            raise ValueError(f"unknown boundary convention {self.boundary!r}")
-        if self.points is not None and self.points.n != self.n:
-            raise ValueError(f"points has {self.points.n} rows, config says n={self.n}")
 
 
 @dataclass(frozen=True)
@@ -208,8 +192,6 @@ def run_trials(config: TrialConfig, threads: int = 1) -> EstimateRow:
     inside the delta band (boundary per config).  The result depends only
     on (config), never on ``threads``.
     """
-    if threads < 1:
-        raise ValueError("threads must be >= 1")
     units, unit = (math.comb(config.n, 2), "pairs") if config.delta is not None else (config.n, "codes")
     cost = units * config.trials * words_needed(config.m)
     if cost > PAIR_WORD_BUDGET:
@@ -276,13 +258,6 @@ def sweep(
     pairwise orthogonal points, so explicit points with any other geodesic
     get no window (window None).
     """
-    if not m_grid:
-        raise ValueError("m grid must be nonempty")
-    if any(b <= a for a, b in zip(m_grid, m_grid[1:])):
-        raise ValueError("m grid must be strictly increasing")
-    if config.delta is not None and eta_form not in (None, "general"):
-        raise ValueError("rip windows exist only in the general form")
-
     # Every window is evaluated first, so that a config they reject (delta >= 1/2)
     # fails before any trial runs.
     if config.delta is None:

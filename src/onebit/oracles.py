@@ -44,10 +44,6 @@ def birthday_exact(n: int, m: int) -> ExactProbability:
     orthogonal points, whose codes are iid uniform.  Zero when n > 2^m by
     pigeonhole.
     """
-    if n < 2:
-        raise ValueError(f"need at least 2 points, got {n}")
-    if m < 1:
-        raise ValueError(f"code length must be >= 1, got {m}")
     space = 1 << m
     if n > space:
         return ExactProbability(Fraction(0))
@@ -70,10 +66,6 @@ def rip_exact_three(m: int, delta: float, boundary: str = "strict") -> ExactProb
     The ``boundary`` tag selects whether a deviation exactly equal to delta
     passes (``strict``) or fails (``inclusive``); see band_range.
     """
-    if m < 1:
-        raise ValueError(f"m must be >= 1, got {m}")
-    if not 0.0 < delta < 1.0:
-        raise ValueError(f"delta must lie in (0, 1), got {delta}")
     h_lo, h_hi = (int(h) for h in band_range(m, 0.5, delta, boundary))  # no cell passes when h_lo > h_hi
 
     count = 0

@@ -1,4 +1,4 @@
-"""Slow references the tests compare the package against, and a CodeSet builder for test inputs.
+"""Slow references the tests compare the package against, a CodeSet builder for test inputs, and a usage-error runner.
 
 The references read a code one bit at a time, embed a point one direction at
 a time and measure one pair at a time, in plain Python loops, so that the
@@ -11,6 +11,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from onebit import cli
 from onebit.embedding import WORD_BITS, CodeSet, RipViolation, band_fails, pack_bits, pair_stream
 from onebit.geometry import PointSet
 
@@ -19,6 +20,15 @@ def code_set(rows) -> CodeSet:
     """A CodeSet of the given 0/1 rows, packed by pack_bits."""
     bits = np.asarray(rows, dtype=np.uint8)
     return CodeSet(pack_bits(bits), bits.shape[1])
+
+
+def usage_error(capsys, *argv: str) -> str:
+    """Run ``onebit argv`` in-process, check it is a usage error (exit 1) that printed nothing to stdout, and return its stderr."""
+    capsys.readouterr()
+    assert cli.main(list(argv)) == cli.EXIT_USAGE, argv
+    out, err = capsys.readouterr()
+    assert out == "", argv
+    return err
 
 
 def first_pair_bits(codes: CodeSet) -> int:

@@ -26,7 +26,7 @@ from onebit.bounds import (
     window_csv,
 )
 from onebit.embedding import band_range
-from reference import p_delta_logsum
+from reference import p_delta_logsum, usage_error
 
 
 class TestMInjective:
@@ -74,11 +74,11 @@ class TestMInjective:
         assert r.m_int == 430559695863269206
         assert f"{r.m_value:.4e}" == "4.3056e+17"
 
-    def test_separation_parameter_range(self):
-        with pytest.raises(ValueError, match="diverges"):
-            m_injective(4, 0.5, 1.0)
-        with pytest.raises(ValueError):
-            m_injective(4, 0.5, 0.0)
+    def test_separation_parameter_range(self, capsys):
+        # delta_sep is --delta, whose domain (0, 1) the parser checks: the bound diverges at 1
+        for delta in ("1.0", "0.0"):
+            err = usage_error(capsys, "bounds", "--n", "4", "--eps", "0.5", "--delta", delta)
+            assert "argument --delta: must lie in (0, 1)" in err
 
     def test_m_int_clamped_to_one(self):
         r = m_injective(2, 0.99, 0.01)
@@ -171,9 +171,9 @@ class TestPDeltaExact:
     def test_twenty_reference(self):
         assert p_delta_exact(20, 0.2) == Fraction(2 * 60460, 2**20)
 
-    def test_range_checks(self):
-        with pytest.raises(ValueError):
-            p_delta_exact(0, 0.2)
+    def test_range_checks(self, capsys):
+        # m >= 1 is --m's domain, which the parser checks before the rip window evaluates the tail
+        assert "argument --m: m must be >= 1, got 0" in usage_error(capsys, "bounds", "--n", "10", "--delta", "0.2", "--m", "0")
         for call in (lambda: p_delta_exact(10, 0.5), lambda: p_delta_float(2001, 0.5), lambda: exponent_rate(0.5)):
             with pytest.raises(ValueError, match=r"delta must lie in \(0, 1/2\)"):
                 call()
@@ -354,6 +354,12 @@ class TestOneToOneMWindow:
                 one_to_one_m_window(100, eps1, eps2)
             with pytest.raises(ValueError, match="need 0 < eps2 < eps1 < 1 and eps2 < 0.99"):
                 rip_m_window(800, 0.2, eps1, eps2)
+
+    def test_large_n_tiny_eps_stays_finite(self):
+        # C(n,2)/rate is past the largest double here; the difference of the two logarithms is not
+        lower, upper = one_to_one_m_window(10**18, 0.5, 1e-300)
+        assert (f"{lower.m_value:.10g}", lower.m_int) == ("119.1388312", 120)
+        assert (f"{upper.m_value:.10g}", upper.m_int) == ("1115.15334", 1116)
 
     def test_threshold_crossing_rejected(self):
         # eps1 barely above eps2: the printed formulas cross and that is an error

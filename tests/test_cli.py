@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import itertools
@@ -19,7 +20,7 @@ import onebit.montecarlo as mc
 from onebit.cli import build_parser
 from onebit.embedding import CodeSet, draw_codes, read_code_set, write_code_set
 from onebit.geometry import PAIR_BLOCK_ROWS, read_point_set
-from reference import code_set, pair_table_fstring
+from reference import code_set, pair_table_fstring, usage_error
 
 SVG_NS = "{http://www.w3.org/2000/svg}"
 
@@ -129,6 +130,76 @@ def test_bounds_edge_sweep(monkeypatch):
             assert code in (cli.EXIT_OK, cli.EXIT_USAGE, cli.EXIT_VALIDITY), argv
             seen.add(code)
     assert seen == {cli.EXIT_OK, cli.EXIT_USAGE, cli.EXIT_VALIDITY}
+
+
+#: Per command, a run that succeeds; each domain flag in it is then given each of its bad values in turn.
+VALID_RUNS = (
+    "bounds --n 800 --delta 0.2 --eps 0.01 --eps1 0.5 --eps2 0.1 --m 150 --out out.csv",
+    "embed --points pts.csv --m 8 --seed 1 --codes new.bin --out out.csv",
+    "check --points pts.csv --codes codes.bin --delta 0.45",
+    "simulate --n 3 --m 8 --delta 0.3 --trials 10 --seed 1 --threads 1 --out out.csv",
+    "sweep --n 3 --m-grid 4:8:4 --delta 0.3 --trials 10 --seed 1 --threads 1 --out out.csv",
+    "figure --n 800 --delta 0.2 --eps1 0.5 --eps2 0.1 --m-grid 100:110:10 --trials 2 --seed 1 --threads 1 --out out",
+    "oracle eta --n 10 --m 7",
+    "oracle rip_three --m 10 --delta 0.2",
+)
+BAD_VALUES = {"--n": ["1"], "--m": ["0"], "--trials": ["0"], "--threads": ["0"], "--delta": ["0", "1", "nan", "inf"],
+              "--eps": ["1"], "--eps1": ["1"], "--eps2": ["1"], "--m-grid": ["0:4:1"]}
+
+
+class TestFlagDomains:
+    """Each flag's domain is checked once, by its parser type, before any file is read or opened."""
+
+    def test_bad_values_leave_every_file_alone(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        write_points(tmp_path / "pts.csv", "1,0,0\n0,1,0\n0,0,1\n")
+        write_points(tmp_path / "one.csv", "1,0,0\n")
+        write_code_set(code_set([[0, 0, 0, 0, 1, 1, 1, 1], [0, 0, 1, 1, 0, 0, 1, 1], [0, 1, 0, 1, 0, 1, 0, 1]]), "codes.bin")
+        write_code_set(code_set([[1]]), "one.bin")
+        for line in VALID_RUNS:
+            assert cli.main(line.split()) == cli.EXIT_OK, line
+        capsys.readouterr()
+        files = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
+        assert {"out.csv", "out.svg", "new.bin"} <= set(files)
+
+        cells = [(f"argument {flag}: ", [*argv[: k + 1], bad, *argv[k + 2 :]])
+                 for argv in map(str.split, VALID_RUNS) for k, flag in enumerate(argv) for bad in BAD_VALUES.get(flag, [])]
+        assert len({message for message, _ in cells}) == len(BAD_VALUES)
+        # A one-row --points file, wherever a pair property needs two points.
+        cells += [("--points needs at least 2 rows, got 1", argv.split()) for argv in (
+            "simulate --points one.csv --m 8 --seed 1 --threads 1 --out out.csv",
+            "sweep --points one.csv --m-grid 4:8:4 --seed 1 --threads 1 --out out.csv",
+            "check --points one.csv --codes one.bin --delta 0.45",
+        )]
+        for message, argv in cells:
+            assert cli.main(argv) == cli.EXIT_USAGE, argv
+            out, err = capsys.readouterr()
+            assert out == "" and message in err, argv
+            assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == files, argv
+
+    def test_bad_value_rejected_before_any_file_is_read(self, tmp_path, capsys):
+        missing = str(tmp_path / "missing")
+        err = usage_error(capsys, "check", "--delta", "1.5", "--points", missing, "--codes", missing)
+        assert "argument --delta: must lie in (0, 1), got 1.5" in err and "No such file" not in err
+
+    def test_one_point_embeds(self, tmp_path):
+        pts = write_points(tmp_path / "pts.csv", "1,0,0\n")
+        assert cli.main(["embed", "--points", str(pts), "--m", "8", "--seed", "1", "--codes", str(tmp_path / "c.bin")]) == 0
+        assert read_code_set(tmp_path / "c.bin").n == 1
+        assert (tmp_path / "c.bin.pairs.csv").read_text() == "i,j,hamming,geodesic,deviation\n"
+
+    def test_every_domain_flag_has_its_type(self):
+        # so that no such flag comes back as a bare type=int or type=float
+        types = {"--n": cli._POINT_COUNT, "--m": cli._CODE_LENGTH, "--trials": cli._TRIALS, "--threads": cli._THREADS,
+                 "--m-grid": cli._parse_m_grid, **dict.fromkeys(["--delta", "--eps", "--eps1", "--eps2"], cli._unit_interval)}
+        subparsers = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+        seen = set()
+        for command, parser in subparsers.choices.items():
+            for action in parser._actions:
+                for flag in set(action.option_strings) & set(types):
+                    assert action.type is types[flag], (command, flag)
+                    seen.add(flag)
+        assert seen == set(types)
 
 
 class TestOracle:

@@ -36,6 +36,7 @@ from reference import (
     first_pair_bits,
     geodesic_pair,
     hamming_bitloop,
+    usage_error,
 )
 
 
@@ -120,9 +121,12 @@ class TestSampleMap:
         assert emap.shape[0] == 64
         assert np.all(np.abs(np.linalg.norm(emap, axis=1) - 1.0) <= 1e-9)
 
-    def test_zero_m_rejected(self):
-        with pytest.raises(ValueError):
-            sample_map(0, 3, seed=1)
+    def test_zero_m_rejected(self, tmp_path, capsys):
+        # m >= 1 is --m's domain, which the parser checks before the points file is read or the codes file written
+        codes = tmp_path / "codes.bin"
+        err = usage_error(capsys, "embed", "--points", str(tmp_path / "pts.csv"), "--m", "0", "--codes", str(codes))
+        assert "argument --m: m must be >= 1, got 0" in err
+        assert not codes.exists()
 
 
 class TestEmbed:
@@ -251,9 +255,12 @@ class TestCheckOneToOne:
         cs = orthogonal_codes(2**3 + 1, 3, rng)
         assert check_one_to_one(cs)
 
-    def test_needs_two(self):
-        with pytest.raises(ValueError):
-            check_one_to_one(code_set([[1]]))
+    def test_needs_two(self, tmp_path, capsys):
+        # a one-point set has no pair: check refuses a --points file of fewer than 2 rows
+        (tmp_path / "pts.csv").write_text("1,0\n")
+        write_code_set(code_set([[1]]), tmp_path / "codes.bin")
+        err = usage_error(capsys, "check", "--points", str(tmp_path / "pts.csv"), "--codes", str(tmp_path / "codes.bin"))
+        assert "--points needs at least 2 rows, got 1" in err
 
     @pytest.mark.parametrize("m", [1, 3, 63, 64, 65, 130])
     def test_matches_dict_reference(self, m):
@@ -383,11 +390,12 @@ class TestCheckRip:
                     codes, pts, delta, boundary
                 )
 
-    def test_misalignment(self):
-        pts = PointSet(np.eye(3, 4))
-        codes = code_set([[0], [1]])
-        with pytest.raises(ValueError, match="misaligned"):
-            check_rip(codes, pts, delta=0.2)
+    def test_misalignment(self, tmp_path, capsys):
+        (tmp_path / "pts.csv").write_text("1,0,0,0\n0,1,0,0\n0,0,1,0\n")
+        write_code_set(code_set([[0], [1]]), tmp_path / "codes.bin")
+        err = usage_error(capsys, "check", "--points", str(tmp_path / "pts.csv"), "--codes", str(tmp_path / "codes.bin"),
+                          "--delta", "0.2")
+        assert "--codes has 2 codes but --points has 3 points" in err
 
 
 def random_points(rng, n: int, dim: int) -> PointSet:

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from onebit.embedding import embed_points, pair_stream, sample_map
 from onebit.geometry import PointSet, PointSetParseError, geodesic_matrix, read_point_set
-from reference import code_set
+from reference import code_set, usage_error
 
 
 def unit(*comps) -> np.ndarray:
@@ -74,9 +74,11 @@ class TestSampleDirection:
             assert abs(np.linalg.norm(v) - 1.0) <= 1e-9
             assert v.size == dim
 
-    def test_invalid_dimension(self):
-        with pytest.raises(ValueError):
-            sample_map(1, 1, seed=0)
+    def test_invalid_dimension(self, tmp_path, capsys):
+        # a map's dimension is its points': embed refuses a points file of one component per row
+        (tmp_path / "pts.csv").write_text("1\n-1\n")
+        err = usage_error(capsys, "embed", "--points", str(tmp_path / "pts.csv"), "--m", "1", "--codes", str(tmp_path / "c.bin"))
+        assert "row 1: need at least 2 components, got 1" in err
 
     def test_coordinate_means_and_sign_fair_dim50(self):
         # Rotational invariance: each coordinate has mean 0 (variance 1/dim),

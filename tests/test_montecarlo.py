@@ -23,6 +23,7 @@ from onebit.montecarlo import (
     wilson_interval,
 )
 from onebit.oracles import birthday_exact, rip_exact_three
+from reference import usage_error
 
 
 def count_band_ok_pairwise(config: TrialConfig) -> int:
@@ -120,14 +121,18 @@ class TestWilson:
 
 
 class TestTrialConfig:
-    def test_explicit_needs_points(self):
-        pts = PointSet(np.eye(3, 5))
-        with pytest.raises(ValueError, match="n=4"):
-            TrialConfig(n=4, m=8, trials=10, base_seed=0, points=pts)
+    """A TrialConfig holds values the CLI has checked: its flags' parser types, --boundary's choices and --points' rows."""
 
-    def test_bad_enums(self):
-        with pytest.raises(ValueError):
-            TrialConfig(n=4, m=8, delta=0.2, trials=10, base_seed=0, boundary="loose")
+    def test_explicit_needs_points(self, tmp_path, capsys):
+        (tmp_path / "pts.csv").write_text("1,0,0,0,0\n0,1,0,0,0\n0,0,1,0,0\n")
+        err = usage_error(capsys, "simulate", "--n", "4", "--points", str(tmp_path / "pts.csv"), "--m", "8",
+                          "--trials", "10", "--seed", "0")
+        assert "--n 4 contradicts --points with 3 rows" in err
+
+    def test_bad_enums(self, capsys):
+        err = usage_error(capsys, "simulate", "--n", "4", "--m", "8", "--delta", "0.2", "--trials", "10", "--seed", "0",
+                          "--boundary", "loose")
+        assert "argument --boundary: invalid choice: 'loose'" in err
 
 
 class TestDeterminism:
@@ -439,10 +444,14 @@ class TestSweep:
         w = one_to_one_window(10, 5, "general")
         assert rows[0].window.hi == w.hi
 
-    def test_rip_rejects_pairwise_form(self):
-        cfg = rip_config(8, 16, 0.2, 100, seed=54)
-        with pytest.raises(ValueError, match="general"):
-            sweep(cfg, [16], eta_form="pairwise")
+    def test_rip_rejects_pairwise_form(self, tmp_path, capsys):
+        # refused before the seed is resolved and --out opened, so an existing --out keeps its bytes
+        out = tmp_path / "sweep.csv"
+        out.write_bytes(b"earlier output\n")
+        err = usage_error(capsys, "sweep", "--n", "8", "--m-grid", "16:16:1", "--delta", "0.2", "--trials", "100",
+                          "--seed", "54", "--eta-form", "pairwise", "--out", str(out))
+        assert err == "onebit: error: rip windows exist only in the general form\n"
+        assert out.read_bytes() == b"earlier output\n"
 
     def test_points_windows_only_for_orthogonal_points(self):
         # The closed-form windows are for n pairwise orthogonal points: 40 points
@@ -473,14 +482,12 @@ class TestSweep:
         with pytest.raises(ValueError, match="1/2"):
             sweep(rip_config(40, 4, 0.6, 20_000, seed=1, points=clustered_points()), [4, 6, 8])
 
-    def test_grid_validation(self):
-        cfg = inj_config(10, 4, 100, seed=55)
-        with pytest.raises(ValueError):
-            sweep(cfg, [])
-        with pytest.raises(ValueError):
-            sweep(cfg, [4, 4])
-        with pytest.raises(ValueError):
-            sweep(cfg, [8, 4])
+    def test_grid_validation(self, capsys):
+        # --m-grid's type gives only nonempty, strictly increasing grids of m >= 1
+        for grid in ("", "4:8", "4:4:0", "8:4:1", "0:4:1", "4:x:1"):
+            for command in (["sweep", "--n", "10"], ["figure", "--n", "800"]):
+                err = usage_error(capsys, *command, "--m-grid", grid, "--trials", "100", "--seed", "55")
+                assert "argument --m-grid: " in err
 
     def test_csv_schema_and_precision(self):
         cfg = inj_config(10, 4, 3_000, seed=56)

@@ -16,7 +16,7 @@ from onebit.oracles import (
     eta_comparison,
     rip_exact_three,
 )
-from reference import p_delta_twice_upper_tail
+from reference import p_delta_twice_upper_tail, usage_error
 
 
 def brute_birthday(n: int, m: int) -> Fraction:
@@ -108,9 +108,9 @@ class TestBinomialTail:
         for m in range(2, 200):
             assert p_delta_exact(m, 0.499) == Fraction(2, 1 << m) == p_delta_twice_upper_tail(m, 0.499)
 
-    def test_out_of_range(self):
-        with pytest.raises(ValueError, match="m must be >= 1"):
-            p_delta_exact(0, 0.2)
+    def test_out_of_range(self, capsys):
+        # m >= 1 is --m's domain, which the parser checks before the oracle runs
+        assert "argument --m: m must be >= 1, got 0" in usage_error(capsys, "oracle", "rip_three", "--m", "0", "--delta", "0.2")
         for delta in (0.0, 0.5, -0.1):
             with pytest.raises(ValueError, match=r"delta must lie in \(0, 1/2\)"):
                 p_delta_exact(5, delta)
