@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import os
 import secrets
 import sys
@@ -200,19 +201,21 @@ def _cmd_embed(args) -> int:
     write_code_set(codes, args.codes)
 
     out = args.out if args.out else str(args.codes) + ".pairs.csv"
-    # Written one point's pairs at a time, so neither the table nor a distance matrix is held whole.
+    # Written a row of a pair_stream slab at a time, so neither the table nor a distance matrix is held whole.
     # The m + 1 hamming fields are formatted once; each row is one %-operation over its pairs,
     # and %.10g prints the same digits as format(x, ".10g").
     hamming = np.array([f"{h / codes.m:.10g}" for h in range(codes.m + 1)], dtype=object)
     with _text_out(out) as f:
         f.write("i,j,hamming,geodesic,deviation\n")
-        for i, h, dg in pair_stream(codes, points):
-            fields = [None] * (4 * len(h))
-            fields[0::4] = range(i + 1, codes.n)
-            fields[1::4] = hamming[h].tolist()
-            fields[2::4] = dg.tolist()
-            fields[3::4] = (h / codes.m - dg).tolist()
-            f.write(f"{i},%d,%s,%.10g,%.10g\n" * len(h) % tuple(fields))
+        for lo, slab_h, slab_g in pair_stream(codes, points):
+            for r in range(len(slab_h)):
+                i, h, dg = lo + r, slab_h[r, r + 1 :], slab_g[r, r + 1 :]
+                fields = [None] * (4 * len(h))
+                fields[0::4] = range(i + 1, codes.n)
+                fields[1::4] = hamming[h].tolist()
+                fields[2::4] = dg.tolist()
+                fields[3::4] = (h / codes.m - dg).tolist()
+                f.write(f"{i},%d,%s,%.10g,%.10g\n" * len(h) % tuple(fields))
     print(f"wrote {codes.n} codes of length {codes.m} to {args.codes}; pair table to {out}", file=sys.stderr)
     if args.hexdump:
         sys.stdout.write(code_set_hexdump(codes))
@@ -422,6 +425,7 @@ def _add_common_sim_flags(p: _Parser) -> None:
     p.add_argument("--out", default=None, help="output CSV path (default: stdout)")
 
 
+@functools.cache  # built once per process: building it is most of a short command's time
 def build_parser() -> _Parser:
     parser = _Parser(prog="onebit", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="subcommand", required=True)

@@ -29,6 +29,9 @@ CODESET_VERSION = 1
 #: band_fails' two readings of a deviation exactly equal to delta: it passes (strict) or fails (inclusive).
 BOUNDARIES = ("strict", "inclusive")
 
+#: Rows per slab of pair_stream; it divides PAIR_BLOCK_ROWS, so a geodesic block splits into whole slabs.
+PAIR_SLAB_ROWS = 16
+
 
 class CodeSetFormatError(ValueError):
     """A serialized code set is malformed or truncated."""
@@ -117,18 +120,28 @@ def embed_points(directions: np.ndarray, points: PointSet) -> np.ndarray:
 
 
 def pair_stream(codes: CodeSet, points: PointSet) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
-    """For each i < n-1 in turn: i, code i's differing-bit counts against codes i+1.., and those pairs' geodesics.
+    """Slabs (lo, h, g) of PAIR_SLAB_ROWS rows or fewer that cover every pair i < j once.
 
-    The counts are XOR and popcount over the packed words; the geodesics come
-    from geometry.geodesic_blocks, so memory grows as n, not n^2.  A block's
-    last row is yielded as a copy and the block freed before the next is
-    computed, so no view the caller holds keeps two blocks alive.
+    h[r, c] is the number of bits in which codes lo + r and lo + c differ, and
+    g[r, c] is their geodesic, for columns lo..n-1; only c > r are pairs.  The
+    counts are XOR and popcount one word column at a time; the geodesics are
+    slices of geometry.geodesic_blocks, so memory grows as n, not n^2.  A
+    block's last slab is yielded as a copy and the block freed before the next
+    is computed, so no view the caller holds keeps two blocks alive.
     """
-    for lo, geo in geodesic_blocks(points):
-        last = min(len(geo), codes.n - 1 - lo) - 1
-        for k in range(last + 1):
-            g = geo[k, k + 1 :] if k < last else geo[k, k + 1 :].copy()
-            yield lo + k, np.bitwise_count(codes.words[lo + k] ^ codes.words[lo + k + 1 :]).sum(axis=1), g
+    columns = np.ascontiguousarray(codes.words.T)
+    count_type = np.min_scalar_type(codes.m)  # the narrowest unsigned type that holds m: less memory traffic per add
+    for b_lo, geo in geodesic_blocks(points):
+        b_hi = min(b_lo + len(geo), codes.n - 1)
+        for lo in range(b_lo, b_hi, PAIR_SLAB_ROWS):
+            hi = min(lo + PAIR_SLAB_ROWS, b_hi)
+            h = np.zeros((hi - lo, codes.n - lo), dtype=count_type)
+            for col in columns:
+                h += np.bitwise_count(col[lo:hi, None] ^ col[None, lo:])
+            g = geo[lo - b_lo : hi - b_lo, lo - b_lo :]
+            if hi == b_hi:
+                g = g.copy()  # bound to g too: a view left in this frame would keep the block alive into the next
+            yield lo, h, g
         del geo
 
 
@@ -183,16 +196,24 @@ def check_rip(
     A pair violates when |d_H - d_geo| > delta under the default ``strict``
     boundary (equality at delta passes); under ``inclusive`` a deviation equal
     to delta already counts as a failure.  The two conventions differ only on
-    the lattice event where the deviation lands exactly on delta.
+    the lattice event where the deviation lands exactly on delta.  Each slab
+    of pair_stream takes one band_fails call and one max; violations come in
+    (i, j) order.
     """
     violations = []
     max_dev = 0.0
-    for i, h, dg in pair_stream(codes, points):
-        dh = h / codes.m
-        dev = dh - dg
-        max_dev = max(max_dev, float(np.abs(dev).max()))
-        for k in np.flatnonzero(band_fails(h, codes.m, dg, delta, boundary)).tolist():
-            violations.append(RipViolation((i, i + 1 + k), float(dh[k]), float(dg[k]), float(dev[k])))
+    for lo, h, g in pair_stream(codes, points):
+        below = np.tri(len(h), dtype=bool)  # c <= r among the slab's first columns: not pairs
+        dev = h / codes.m
+        dev -= g
+        dev[:, : len(h)][below] = 0.0
+        max_dev = max(max_dev, float(np.abs(dev, out=dev).max()))
+        fails = band_fails(h, codes.m, g, delta, boundary)
+        fails[:, : len(h)][below] = False
+        r, c = np.nonzero(fails)
+        dh, dg = h[r, c] / codes.m, g[r, c]
+        pairs = zip((lo + r).tolist(), (lo + c).tolist())
+        violations += map(RipViolation, pairs, dh.tolist(), dg.tolist(), (dh - dg).tolist())
     return RipReport(violations=tuple(violations), max_deviation=max_dev)
 
 
@@ -204,12 +225,13 @@ def band_fails(h, m: int, geodesic, delta: float, boundary: str) -> np.ndarray:
     ``inclusive`` fails equality too.  delta is read as the decimal it prints
     as, Fraction(str(delta)), so 2m*delta is exact; at g = 1/2 (orthogonal
     points) the left side is an exact integer too.  Broadcasts over arrays of
-    h and g.
+    h and g; 2h is formed as a double, which is exact and cannot overflow a
+    narrow count type.
     """
     if boundary not in BOUNDARIES:
         raise ValueError(f"unknown boundary convention {boundary!r}")
     below, equal_fails = _band_edge(m, delta, boundary)
-    dev = np.abs(2 * np.asarray(h) - 2 * m * np.asarray(geodesic, dtype=np.float64))
+    dev = np.abs(2.0 * np.asarray(h) - 2 * m * np.asarray(geodesic, dtype=np.float64))
     return dev >= below if equal_fails else dev > below
 
 

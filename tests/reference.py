@@ -12,8 +12,8 @@ from fractions import Fraction
 import numpy as np
 
 from onebit import cli
-from onebit.embedding import WORD_BITS, CodeSet, RipViolation, band_fails, pack_bits, pair_stream
-from onebit.geometry import PointSet
+from onebit.embedding import WORD_BITS, CodeSet, RipViolation, band_fails, pack_bits
+from onebit.geometry import geodesic_blocks
 
 
 def code_set(rows) -> CodeSet:
@@ -29,11 +29,6 @@ def usage_error(capsys, *argv: str) -> str:
     out, err = capsys.readouterr()
     assert out == "", argv
     return err
-
-
-def first_pair_bits(codes: CodeSet) -> int:
-    """pair_stream's differing-bit count of codes 0 and 1, streamed beside n basis points (only the counts are read)."""
-    return int(next(pair_stream(codes, PointSet(np.eye(codes.n, max(2, codes.n)))))[1][0])
 
 
 def code_bits(codes: CodeSet, i: int) -> list[int]:
@@ -57,28 +52,44 @@ def geodesic_pair(x, y) -> float:
     return math.acos(min(1.0, max(-1.0, float(x @ y)))) / math.pi
 
 
+def code_ints(codes: CodeSet) -> list[int]:
+    """Each code as one Python int, word k in bits 64k..64k+63, so a pair's differing bits are (a ^ b).bit_count()."""
+    return [int.from_bytes(row.astype("<u8").tobytes(), "little") for row in codes.words]
+
+
+def block_geodesics(points):
+    """Every pair i < j's geodesic, in (i, j) order, read from geometry.geodesic_blocks.
+
+    These are the doubles check and embed read, so their last digits agree at every n, whatever BLAS shape
+    another product would have; only the pairing of rows with columns is done here.
+    """
+    for lo, geo in geodesic_blocks(points):
+        for i in range(lo, min(lo + len(geo), points.n - 1)):
+            for j in range(i + 1, points.n):
+                yield i, j, float(geo[i - lo, j - lo])
+
+
 def check_rip_loop(codes, points, delta, boundary="strict"):
-    """The per-pair loop check_rip replaced, with float deviations and a bit-by-bit distance."""
-    geo = np.arccos(np.clip(points.matrix @ points.matrix.T, -1.0, 1.0)) / math.pi
+    """The per-pair loop check_rip replaced, with float deviations and a per-pair XOR distance."""
+    ints = code_ints(codes)
     violations = []
     max_dev = 0.0
-    for i in range(codes.n):
-        for j in range(i + 1, codes.n):
-            dh = hamming_bitloop(codes, i, j) / codes.m
-            dg = float(geo[i, j])
-            dev = dh - dg
-            max_dev = max(max_dev, abs(dev))
-            if abs(dev) > delta if boundary == "strict" else abs(dev) >= delta:
-                violations.append(RipViolation((i, j), dh, dg, dev))
+    for i, j, dg in block_geodesics(points):
+        dh = (ints[i] ^ ints[j]).bit_count() / codes.m
+        dev = dh - dg
+        max_dev = max(max_dev, abs(dev))
+        if abs(dev) > delta if boundary == "strict" else abs(dev) >= delta:
+            violations.append(RipViolation((i, j), dh, dg, dev))
     return tuple(violations), max_dev
 
 
-def pair_table_fstring(codes: CodeSet, points: PointSet) -> str:
+def pair_table_fstring(codes: CodeSet, points) -> str:
     """embed's pair table as the per-pair f-string writer formatted it: the header, then one row per pair i < j."""
+    ints = code_ints(codes)
     rows = ["i,j,hamming,geodesic,deviation\n"]
-    for i, h, dg in pair_stream(codes, points):
-        row = zip((h / codes.m).tolist(), dg.tolist())
-        rows.extend(f"{i},{j},{dh:.10g},{dg:.10g},{dh - dg:.10g}\n" for j, (dh, dg) in enumerate(row, start=i + 1))
+    for i, j, dg in block_geodesics(points):
+        dh = (ints[i] ^ ints[j]).bit_count() / codes.m
+        rows.append(f"{i},{j},{dh:.10g},{dg:.10g},{dh - dg:.10g}\n")
     return "".join(rows)
 
 

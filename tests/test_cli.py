@@ -109,13 +109,15 @@ class TestBounds:
             assert "delta must lie in (0, 1/2)" in captured.err
 
 
-def test_bounds_edge_sweep(monkeypatch):
+def test_parser_built_once():
+    assert cli.build_parser() is cli.build_parser()
+
+
+def test_bounds_edge_sweep():
     """Every bounds command over edge values of n, the tolerances, delta and m ends in exit 0, 1 or 3, never a traceback.
 
     n = 10 runs the transition windows unforced, so the rip window's validity refusal (exit 3) is among the outcomes.
     """
-    parser = cli.build_parser()
-    monkeypatch.setattr(cli, "build_parser", lambda: parser)  # building it is most of a call: build it once
     eps_values = ("1e-300", "1e-17", "0.5", "0.98", "0.99", "0.995")
     seen = set()
     for n, delta in itertools.product(("2", "10", "800", str(10**18)), (None, "1e-9", "0.2", "0.49999", "0.5", "0.6")):

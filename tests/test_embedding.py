@@ -11,6 +11,8 @@ from onebit.embedding import (
     CODESET_MAGIC,
     CodeSet,
     CodeSetFormatError,
+    PAIR_SLAB_ROWS,
+    RipViolation,
     band_fails,
     band_range,
     check_one_to_one,
@@ -33,7 +35,6 @@ from reference import (
     code_bits,
     code_set,
     embed_bits,
-    first_pair_bits,
     geodesic_pair,
     hamming_bitloop,
     usage_error,
@@ -42,6 +43,12 @@ from reference import (
 
 def basis(i: int, dim: int) -> np.ndarray:
     return np.eye(dim)[i]
+
+
+def first_pair_bits(codes: CodeSet) -> int:
+    """pair_stream's differing-bit count of codes 0 and 1 of a two-code set, streamed beside two basis points."""
+    _, h, _ = next(pair_stream(codes, PointSet(np.eye(2))))
+    return int(h[0, 1])
 
 
 def orthogonal_codes(n: int, m: int, rng) -> CodeSet:
@@ -163,7 +170,7 @@ class TestEmbed:
         dots = emap @ x
         assert np.min(np.abs(dots)) > 1e-12  # no ties, so the codes of x and -x are exact complements
         points = PointSet([x, -x])
-        assert next(pair_stream(code_set(embed_points(emap, points)), points))[1][0] == 64
+        assert next(pair_stream(code_set(embed_points(emap, points)), points))[1][0, 1] == 64
 
     def test_embed_points_matches_single(self):
         emap = sample_map(10, 4, seed=21)
@@ -376,6 +383,13 @@ class TestCheckRip:
         report = check_rip(codes, pts, delta=0.2, boundary="inclusive")
         assert [v.pair for v in report.violations] == [(0, 1)]
 
+    def test_full_count_in_a_narrow_type(self):
+        # m = 255 is the largest m whose counts are one byte each: 2h must not wrap at h = 255.
+        pts = PointSet(np.eye(2, 3))
+        codes = code_set([[0] * 255, [1] * 255])
+        report = check_rip(codes, pts, delta=0.45)
+        assert report.violations == (RipViolation((0, 1), 1.0, 0.5, 0.5),) and report.max_deviation == 0.5
+
     @pytest.mark.parametrize("m", [1, 63, 64, 65, 130])
     @pytest.mark.parametrize("boundary", ["strict", "inclusive"])
     def test_matches_loop_reference(self, m, boundary):
@@ -404,7 +418,7 @@ def random_points(rng, n: int, dim: int) -> PointSet:
 
 
 class TestPairStream:
-    """pair_stream, the one source of pair counts and geodesics for check and embed, across its row blocks."""
+    """pair_stream, the one source of pair counts and geodesics for check and embed, across its slabs and row blocks."""
 
     def test_blocks_match_whole_matrix(self):
         n, m, delta = 700, 64, 0.15
@@ -416,10 +430,16 @@ class TestPairStream:
         h_all = np.bitwise_count(codes.words[:, None, :] ^ codes.words[None, :, :]).sum(axis=2)
         geo_all = np.arccos(np.clip(points.matrix @ points.matrix.T, -1.0, 1.0)) / math.pi
         rows = []
-        for i, h, g in pair_stream(codes, points):
-            rows.append(i)
-            assert np.array_equal(h, h_all[i, i + 1 :])
-            assert np.allclose(g, geo_all[i, i + 1 :], rtol=0.0, atol=1e-12)
+        for lo, h, g in pair_stream(codes, points):
+            hi = lo + len(h)
+            rows.extend(range(lo, hi))
+            assert h.shape == g.shape == (hi - lo, n - lo) and len(h) <= PAIR_SLAB_ROWS
+            assert lo // PAIR_BLOCK_ROWS == (hi - 1) // PAIR_BLOCK_ROWS  # a slab lies in one geodesic block
+            assert np.array_equal(h, h_all[lo:hi, lo:])
+            for r in range(len(h)):
+                assert np.allclose(g[r, r + 1 :], geo_all[lo + r, lo + r + 1 :], rtol=0.0, atol=1e-12)
+            # A block's last slab is its own array, so holding it does not keep the block alive.
+            assert (g.base is None) == (hi % PAIR_BLOCK_ROWS == 0 or hi == n - 1)
         assert rows == list(range(n - 1))
 
         iu, ju = np.triu_indices(n, 1)
@@ -431,21 +451,44 @@ class TestPairStream:
             dev = np.abs(h_all[iu, ju] / m - geo_all[iu, ju])
             assert report.max_deviation == pytest.approx(float(dev.max()), abs=1e-12)
 
+    def test_one_point_has_no_slabs(self):
+        codes = code_set([[1, 0, 1]])
+        assert list(pair_stream(codes, PointSet(np.eye(1, 2)))) == []
+
+    @pytest.mark.parametrize("n", sorted({PAIR_SLAB_ROWS - 1, PAIR_SLAB_ROWS, PAIR_SLAB_ROWS + 1, PAIR_BLOCK_ROWS - 1,
+                                          PAIR_BLOCK_ROWS, PAIR_BLOCK_ROWS + 1, 2 * PAIR_BLOCK_ROWS + 1}))
+    @pytest.mark.parametrize("m", [1, 63, 64, 65, 512])
+    @pytest.mark.parametrize("boundary", ["strict", "inclusive"])
+    def test_check_rip_matches_loop_at_slab_edges(self, n, m, boundary):
+        # n one below, at and one past a slab and a block: the last slab or block is short, full, or one row.
+        rng = np.random.default_rng(n * 1000 + m)
+        points = random_points(rng, n, 5)
+        bits = embed_points(sample_map(m, 5, seed=n + m), points)
+        bits[-1] = bits[0]  # equal codes at the two ends of the walk
+        bits[-2] = ~bits[-1]  # and complements in its last pair, which fail at any delta below 1 - their geodesic
+        codes = code_set(bits)
+        delta = 0.3 if m < 64 else 0.05
+        report = check_rip(codes, points, delta, boundary)
+        violations, max_dev = check_rip_loop(codes, points, delta, boundary)
+        assert report.violations == violations and report.max_deviation == max_dev
+        assert violations[-1].pair == (n - 2, n - 1)  # the walk's last pair, in its last slab, is reported
+
     def test_check_rip_memory_bounded(self):
         # The (n, n) float64 geodesic matrix alone would take n * n * 8 = 72 MB at n = 3000.
         n = 3000
         points = random_points(np.random.default_rng(3000), n, 16)
-        codes = code_set(embed_points(sample_map(512, 16, seed=3), points))
-        tracemalloc.start()
-        try:
-            report = check_rip(codes, points, 0.2)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert not report.violations
-        assert peak < n * n * 8 / 4
-        # One geodesic block is live at a time: the next is computed only after the last is freed.
-        assert peak < 1.5 * PAIR_BLOCK_ROWS * n * 8
+        for m in (512, 2048):  # 2048 bits: a transposed word array four times as large beside the block
+            codes = code_set(embed_points(sample_map(m, 16, seed=3), points))
+            tracemalloc.start()
+            try:
+                report = check_rip(codes, points, 0.2)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert not report.violations
+            assert peak < n * n * 8 / 4
+            # One geodesic block is live at a time: the next is computed only after the last is freed.
+            assert peak < 1.5 * PAIR_BLOCK_ROWS * n * 8, m
 
 
 class TestEmbedOrthogonal:

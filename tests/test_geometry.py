@@ -26,7 +26,7 @@ def geodesic(x: np.ndarray, y: np.ndarray) -> float:
 def separated(x: np.ndarray, y: np.ndarray, theta: np.ndarray) -> bool:
     """Does the one-direction map {theta} give x and y different bits?"""
     points = PointSet([x, y])
-    return bool(next(pair_stream(code_set(embed_points(theta[None, :], points)), points))[1][0])
+    return bool(next(pair_stream(code_set(embed_points(theta[None, :], points)), points))[1][0, 1])
 
 
 class TestUnitVector:
@@ -167,7 +167,7 @@ class TestInWedge:
         assert geodesic(x, y) == pytest.approx(exact, abs=1e-12)
         trials = 100_000
         points = PointSet([x, y])
-        hits = int(next(pair_stream(code_set(embed_points(sample_map(trials, 50, seed=29), points)), points))[1][0])
+        hits = int(next(pair_stream(code_set(embed_points(sample_map(trials, 50, seed=29), points)), points))[1][0, 1])
         tol = 4.0 * math.sqrt(exact * (1.0 - exact) / trials)
         assert abs(hits / trials - exact) <= tol
 
