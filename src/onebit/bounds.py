@@ -9,6 +9,7 @@ Stirling-style envelopes around them are floats.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import math
 from dataclasses import dataclass
@@ -52,7 +53,10 @@ class BoundsReport:
 def _report(formula_id: str, n: int, m_value: float, **kw) -> BoundsReport:
     # Formulas can dip below 1 for tiny n or lax tolerances; one direction is
     # always needed, so the integer recommendation is clamped there.  A NaN
-    # value (a threshold with no crossing) gets m_int = 0.
+    # value (a threshold with no crossing) gets m_int = 0.  Only a 1/delta^2
+    # factor takes a value past the float range, so an infinite one names delta.
+    if math.isinf(m_value):
+        raise ValueError(f"{formula_id} at delta={kw.get('delta')} is past the float range: pass a larger --delta")
     m_int = max(1, math.ceil(m_value)) if math.isfinite(m_value) else 0
     return BoundsReport(formula_id=formula_id, n=n, m_value=m_value, m_int=m_int, **kw)
 
@@ -119,7 +123,11 @@ def m_rip_union(n: int, eps: float, delta: float) -> BoundsReport:
     m >= ln(n^2 / eps) / (2 delta^2); proven for delta < 1/2.
     """
     _check_delta(delta)
-    m_value = math.log(n * n / eps) / (2.0 * delta * delta)
+    # ln(n^2 / eps) from the quotient where it is a float, else from its logarithms.
+    ratio = n * n / eps if n.bit_length() < 500 else math.inf
+    log_ratio = math.log(ratio) if ratio < math.inf else 2.0 * math.log(n) - math.log(eps)
+    scale = 2.0 * delta * delta
+    m_value = log_ratio / scale if scale else math.inf
     return _report("rip_union", n, m_value, eps1=eps, delta=delta)
 
 
@@ -128,7 +136,8 @@ def m_linear_jl(n: int, delta: float) -> BoundsReport:
 
     m >= 4 ln n / (delta^2/2 - delta^3/3).
     """
-    m_value = 4.0 * math.log(n) / (delta * delta / 2.0 - delta**3 / 3.0)
+    scale = delta * delta / 2.0 - delta**3 / 3.0
+    m_value = 4.0 * math.log(n) / scale if scale else math.inf
     return _report("linear_jl", n, m_value, delta=delta)
 
 
@@ -167,8 +176,12 @@ def exponent_rate(delta: float) -> float:
 
 
 def rate_constant(delta: float) -> float:
-    """q = 1 / (1/2 ln(1-4 d^2) + d ln((1+2d)/(1-2d))) = -1 / exponent_rate, about 1/(2 delta^2)."""
-    return -1.0 / exponent_rate(delta)
+    """q = 1 / (1/2 ln(1-4 d^2) + d ln((1+2d)/(1-2d))) = -1 / exponent_rate, about 1/(2 delta^2).
+
+    inf where the rate underflows to 0.
+    """
+    rate = exponent_rate(delta)
+    return -1.0 / rate if rate else math.inf
 
 
 def _log_pairs(n: int) -> float:
@@ -206,7 +219,10 @@ def stein_chen_eta(n: int, p: float, form: str) -> float:
     if form not in ETA_FORMS:
         raise ValueError(f"unknown eta form {form!r}")
     pairs = math.comb(n, 2)
-    return (pairs if form == "pairwise" else pairs * (4 * n - 7)) * p * p
+    count = pairs if form == "pairwise" else pairs * (4 * n - 7)
+    # A count past the float range is scaled down by a power of two first, so only a width past it overflows.
+    shift = max(0, count.bit_length() - 1000)
+    return math.ldexp((count >> shift) * p * p, shift)
 
 
 @dataclass(frozen=True)
@@ -222,6 +238,16 @@ class PhaseWindow:
     lambda_hi: float
     eta: float
     eta_form: str
+
+
+@contextlib.contextmanager
+def _float_range(m: int):
+    """Refuse, naming n, a window whose Poisson rate or error width overflows a float, as only a huge n makes them."""
+    try:
+        yield
+    except OverflowError:
+        message = f"--n is too large for a window at m={m}: its Poisson rate or error width overflows a float"
+        raise ValueError(message) from None
 
 
 def _clamped_window(lambda_lo: float, lambda_hi: float, eta: float, eta_form: str) -> PhaseWindow:
@@ -240,8 +266,9 @@ def one_to_one_window(n: int, m: int, eta_form: str = "pairwise") -> PhaseWindow
     2^-1075 and so rounds to 0; 2^-m is ldexp(1, -m), rounded once too.
     """
     pairs = math.comb(n, 2)
-    lam = pairs / (1 << m) if m < 1075 + pairs.bit_length() else 0.0
-    eta = stein_chen_eta(n, math.ldexp(1.0, -m), eta_form)
+    with _float_range(m):
+        lam = pairs / (1 << m) if m < 1075 + pairs.bit_length() else 0.0
+        eta = stein_chen_eta(n, math.ldexp(1.0, -m), eta_form)
     return _clamped_window(lam, lam, eta, eta_form)
 
 
@@ -252,9 +279,10 @@ def rip_window(n: int, m: int, delta: float) -> PhaseWindow:
     around the expected number of pairs leaving the band (see _log_envelope), and
     its width is the general eta = C(n,2)(4n-7) p^2, with p the exact tail probability.
     """
-    rate = exponent_rate(delta)
-    lam1, lam2 = (math.exp(_log_envelope(which, _log_pairs(n), m, rate)) for which in ("lambda1", "lambda2"))
-    eta = stein_chen_eta(n, p_delta_float(m, delta), "general")
+    rate, p = exponent_rate(delta), p_delta_float(m, delta)
+    with _float_range(m):
+        lam1, lam2 = (math.exp(_log_envelope(which, _log_pairs(n), m, rate)) for which in ("lambda1", "lambda2"))
+        eta = stein_chen_eta(n, p, "general")
     return _clamped_window(lam1, lam2, eta, "general")
 
 

@@ -10,8 +10,9 @@ Two paths are supported, chosen by whether the config holds points.  Without
 points (the orthogonal fast path) the code bits are drawn as fair coins
 directly, which is exact for pairwise orthogonal points: their sign bits are
 independent fair coins, at geodesic distance 1/2.  With an explicit PointSet
-every trial embeds it through a fresh random map, by embedding.embed_points on
-one block of trials at a time so that memory stays bounded as n grows.
+every trial embeds it through a fresh random map, by embedding.embed_points.
+Every path walks a chunk one block of trials at a time, each block drawn
+from the chunk's stream, so that memory stays bounded as n grows.
 
 One kernel decides the band on both paths and at every n.  For ±1 code rows
 <s_i, s_j> = m - 2H, so embedding.band_range turns each pair's geodesic into
@@ -37,8 +38,11 @@ from .geometry import PointSet, geodesic_blocks
 #: an injectivity unit a code, since a trial sorts its n codes and never visits a pair.
 PAIR_WORD_BUDGET = 10**10
 
-#: Byte cap on one block of trials: its float64 projections, ±1 rows and Gram matrices.
-_BLOCK_BYTES = 1 << 23
+#: Byte cap on one block of trials, as _trial_bytes counts a trial; a trial that alone costs more is a block by
+#: itself.  At 1 MiB a block fits a core's 2 MiB L2 cache with room to spare, and no array reaches the 4 MiB at
+#: which numpy asks Linux for huge pages.  At 2 MiB the fast rip path at n=100 took 1.4 times as long as here; at
+#: 1 MiB no path measured took over 3% longer than at 8 MiB (BENCH_blockbytes.json).
+_BLOCK_BYTES = 1 << 20
 
 #: Largest byte size of the (2, n, n) band of Gram ranges an explicit rip estimate builds.  A fast trial's
 #: n x n Gram matrix and comparison masks take at most as many bytes, so the fast path refuses the same n.
@@ -118,7 +122,8 @@ def _chunk_stream(base_seed: int, m: int, chunk_index: int) -> np.random.Generat
 def _chunk_size(config: TrialConfig) -> int:
     """Fixed chunk size per config -- a unit of determinism, never tied to worker count.
 
-    Memory follows _run_chunk's trial blocks, except on the fast injectivity path, whose chunk is its one block.
+    A chunk fixes only which random stream its trials draw from: memory follows _run_chunk's
+    blocks, which split every chunk under _BLOCK_BYTES, so these budgets do not bound it.
     """
     if config.points is not None:
         per_trial = config.m * config.points.dim * 8
@@ -135,17 +140,14 @@ def _chunk_size(config: TrialConfig) -> int:
     return max(1, min(cap, budget // per_trial))
 
 
-def _count_distinct(blocks) -> int:
-    """Number of trials whose n codes are pairwise distinct; blocks yield fresh (T, n, w) uint64 words.
+def _count_distinct(words: np.ndarray) -> int:
+    """Trials of a fresh (T, n, w) uint64 word block whose n codes are pairwise distinct.
 
-    Each block's code keys are sorted in place, which puts equal codes of a set next to each other.
+    The block's code keys are sorted in place, which puts equal codes of a set next to each other.
     """
-    ok = 0
-    for words in blocks:
-        keys = code_keys(words)
-        keys.sort(axis=-1)
-        ok += int(np.count_nonzero((keys[:, 1:] != keys[:, :-1]).all(axis=-1)))
-    return ok
+    keys = code_keys(words)
+    keys.sort(axis=-1)
+    return int(np.count_nonzero((keys[:, 1:] != keys[:, :-1]).all(axis=-1)))
 
 
 def _count_band_ok(bits: np.ndarray, g_lo: np.ndarray, g_hi: np.ndarray) -> int:
@@ -164,25 +166,41 @@ def _count_band_ok(bits: np.ndarray, g_lo: np.ndarray, g_hi: np.ndarray) -> int:
     return int(np.count_nonzero(inside.all(axis=(1, 2))))
 
 
+def _trial_bytes(config: TrialConfig) -> int:
+    """Bytes one trial of a _run_chunk block allocates, at most: the per-trial cost _BLOCK_BYTES caps.
+
+    Per point, a band check holds 12m bytes of float64 projections, bits and float ±1 rows and 8n of
+    its Gram row and comparison masks; an injectivity check holds its packed code and a mask byte, and
+    on the explicit path 10m of projections, bits and packed bytes.  An explicit map adds its normals.
+    """
+    n, m = config.n, config.m
+    normals = 0 if config.points is None else 8 * m * config.points.dim
+    if config.delta is not None:
+        return normals + n * (12 * m + 8 * n)
+    return normals + n * (8 * words_needed(m) + 1 + (0 if config.points is None else 10 * m))
+
+
 def _run_chunk(config: TrialConfig, chunk_index: int, count: int, band) -> int:
     rng = _chunk_stream(config.base_seed, config.m, chunk_index)
     n, m = config.n, config.m
-    if config.points is None and config.delta is None:
-        return _count_distinct([draw_codes((count, n), m, rng)])
-
     # Blocks of a multiple of 4 // gcd(n*m, 4) trials: numpy takes uint8 coins four to a 32-bit word,
-    # so such draws continue one chunk draw exactly, as standard normals do at any block size.
-    step = max(1, _BLOCK_BYTES // (n * (12 * m + 8 * n)))
+    # so such draws continue one chunk draw exactly, as full-range uint64 words and standard normals
+    # do at any block size.
+    step = max(1, _BLOCK_BYTES // _trial_bytes(config))
     step += -step % (4 // math.gcd(n * m, 4))
     sizes = (min(step, count - k) for k in range(0, count, step))
-    if config.points is None:
-        blocks = (rng.integers(0, 2, size=(t, n, m), dtype=np.uint8) for t in sizes)
-    else:
+    if config.points is not None:
         # A fresh map per trial; only signs matter, so the directions are not normalized.
         blocks = (embed_points(rng.standard_normal((t, m, config.points.dim)), config.points) for t in sizes)
         if config.delta is None:
-            return _count_distinct(pack_bits(b) for b in blocks)
-    return sum(_count_band_ok(bits, *band) for bits in blocks)
+            blocks = map(pack_bits, blocks)
+    elif config.delta is None:
+        blocks = (draw_codes((t, n), m, rng) for t in sizes)
+    else:
+        blocks = (rng.integers(0, 2, size=(t, n, m), dtype=np.uint8) for t in sizes)
+    count_ok = _count_distinct if config.delta is None else lambda bits: _count_band_ok(bits, *band)
+    # map keeps no block past its call, so each block is freed before the next is drawn.
+    return sum(map(count_ok, blocks))
 
 
 def run_trials(config: TrialConfig, threads: int = 1) -> EstimateRow:

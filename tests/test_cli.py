@@ -108,6 +108,23 @@ class TestBounds:
             assert captured.out == "" and not out.exists()
             assert "delta must lie in (0, 1/2)" in captured.err
 
+    @pytest.mark.parametrize("delta", ["1e-160", "1e-170", "1e-300"])
+    @pytest.mark.parametrize("extra", [[], ["--eps", "0.1"], ["--eps1", "0.5", "--eps2", "0.1", "--force"], ["--m", "100"]])
+    def test_delta_past_the_float_range_is_refused(self, capsys, delta, extra):
+        # 1/delta^2 overflows (1e-160) or delta^2 underflows to 0 (1e-170, 1e-300): no row is printed.
+        err = usage_error(capsys, "bounds", "--n", "100", "--delta", delta, *extra)
+        assert err.startswith("onebit: error: ") and "pass a larger --delta" in err
+
+    @pytest.mark.parametrize("extra", [[], ["--delta", "0.2"]])
+    def test_window_past_the_float_range_names_n(self, capsys, extra):
+        # At n = 10^150 the general width C(n,2)(4n-7) 2^-2m overflows a float at m = 5, but not at m = 2000.
+        n = str(10**150)
+        err = usage_error(capsys, "bounds", "--n", n, *extra, "--m", "5")
+        assert err.startswith("onebit: error: --n is too large for a window at m=5")
+        assert cli.main(["bounds", "--n", n, *extra, "--m", "2000"]) == cli.EXIT_OK
+        row = capsys.readouterr().out.splitlines()[-1].split(",")
+        assert all(math.isfinite(float(v)) for v in row[3:] if v)
+
 
 def test_parser_built_once():
     assert cli.build_parser() is cli.build_parser()
@@ -117,19 +134,24 @@ def test_bounds_edge_sweep():
     """Every bounds command over edge values of n, the tolerances, delta and m ends in exit 0, 1 or 3, never a traceback.
 
     n = 10 runs the transition windows unforced, so the rip window's validity refusal (exit 3) is among the outcomes.
+    From n = 10^150 on, the window's rate or width passes the float range at small m; at delta = 1e-200, every
+    1/delta^2 length does.  Those are refused, and no printed value is infinite.
     """
     eps_values = ("1e-300", "1e-17", "0.5", "0.98", "0.99", "0.995")
     seen = set()
-    for n, delta in itertools.product(("2", "10", "800", str(10**18)), (None, "1e-9", "0.2", "0.49999", "0.5", "0.6")):
+    for n, delta in itertools.product(("2", "10", "800", str(10**18), str(10**150), str(10**400)),
+                                      (None, "1e-200", "1e-9", "0.2", "0.49999", "0.5", "0.6")):
         base = ["bounds", "--n", n] + ([] if delta is None else ["--delta", delta])
         force = [] if n == "10" else ["--force"]
         cells = [base + ["--eps", eps] for eps in eps_values]
         cells += [base + ["--eps1", e1, "--eps2", e2] + force for e1, e2 in itertools.product(eps_values, repeat=2)]
-        cells += [base + ["--m", m] for m in ("1", "64", str(10**9))]
+        cells += [base + ["--m", m] for m in ("1", "5", "64", str(10**9))]
         for argv in cells:
-            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
                 code = cli.main(argv)
             assert code in (cli.EXIT_OK, cli.EXIT_USAGE, cli.EXIT_VALIDITY), argv
+            assert "inf" not in out.getvalue(), argv
             seen.add(code)
     assert seen == {cli.EXIT_OK, cli.EXIT_USAGE, cli.EXIT_VALIDITY}
 

@@ -327,10 +327,10 @@ class TestSortCodes:
         for t, trial in enumerate(batch):
             rows = trial.tolist()
             assert (keys[t][:, None] == keys[t][None, :]).tolist() == [[a == b for b in rows] for a in rows]
-            assert _count_distinct([trial[None].copy()]) == distinct[t]
+            assert _count_distinct(trial[None].copy()) == distinct[t]
             codes = CodeSet(trial, m)
             assert check_one_to_one(codes) == check_one_to_one_dict(codes)
-        assert _count_distinct([batch.copy()]) == sum(distinct)
+        assert _count_distinct(batch.copy()) == sum(distinct)
 
 
 class TestCheckRip:
@@ -508,7 +508,7 @@ class TestEmbedOrthogonal:
         rng = np.random.default_rng(52)
         trials = 100_000
         # All trials in one draw (the same stream as one draw per trial), each sorted on its own.
-        ok = _count_distinct([draw_codes((trials, 10), 7, rng)])
+        ok = _count_distinct(draw_codes((trials, 10), 7, rng))
         se = math.sqrt(exact * (1.0 - exact) / trials)
         assert abs(ok / trials - exact) <= 3.0 * se
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import statistics
 import tracemalloc
@@ -56,7 +57,7 @@ def count_band_ok_pairwise(config: TrialConfig) -> int:
 
 def blockwise_counts(monkeypatch, config: TrialConfig) -> list[int]:
     """Successes of config with one block per chunk, then with blocks of 1, 37 and 5 trials (before rounding)."""
-    per_trial = config.n * (12 * config.m + 8 * config.n)
+    per_trial = mc._trial_bytes(config)
     counts = []
     for block_bytes in (1 << 40, 1, 37 * per_trial, 5 * per_trial):
         monkeypatch.setattr(mc, "_BLOCK_BYTES", block_bytes)
@@ -224,7 +225,7 @@ def test_one_word_count_matches_sort_codes(n, m):
     assert 0 < expect < trials or (m == 1 and n > 2)
     if m == 64:
         assert (words >= np.uint64(1 << 63)).any()  # the integer sort must not read them as negative
-    assert mc._count_distinct([words.copy()]) == expect
+    assert mc._count_distinct(words.copy()) == expect
 
 
 class TestRipGoldenCounts:
@@ -322,8 +323,29 @@ class TestBandKernel:
     def test_fast_memory_bounded(self):
         # One full chunk (149 trials) at figure size: the coins are drawn one block at a time and
         # the band is two numbers, so neither a (chunk, n, m) coin array nor an n x n band is held.
+        # A trial here costs more than the budget, so each block is one trial, which cannot be split.
         cfg = rip_config(800, 140, 0.2, 149, seed=64)
         assert mc._chunk_size(cfg) == cfg.trials
+        tracemalloc.start()
+        try:
+            run_trials(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < max(mc._BLOCK_BYTES, mc._trial_bytes(cfg))
+
+    @pytest.mark.parametrize("path", ["explicit rip", "explicit injectivity", "fast injectivity"])
+    def test_chunk_walked_under_block_budget(self, path):
+        # A full chunk whose arrays total well over the budget, of trials far under it: the explicit
+        # chunk's (4096, 24, 8) normals alone take 6.3 MB, the fast one's (174, 3000, 1) words 4.2 MB.
+        if path == "fast injectivity":
+            cfg = inj_config(3000, 64, 174, seed=65)
+        else:
+            delta = 0.2 if path == "explicit rip" else None
+            cfg = TrialConfig(n=3, m=24, trials=4096, base_seed=65, delta=delta, points=PointSet(np.eye(3, 8)))
+        assert mc._chunk_size(cfg) == cfg.trials
+        assert 10 * mc._trial_bytes(cfg) < mc._BLOCK_BYTES
+        run_trials(dataclasses.replace(cfg, trials=1))  # a first call imports numpy.random: not the walk's memory
         tracemalloc.start()
         try:
             run_trials(cfg)
@@ -370,6 +392,22 @@ class TestExplicitPath:
         assert len(set(counts)) == 1, counts
         assert 0 < counts[0] < cfg.trials
         assert counts[0] == count_band_ok_pairwise(cfg)
+
+    @pytest.mark.parametrize("n, m", [(10, 7), (40, 14), (6, 5)])
+    def test_blockwise_words_equal_one_chunk_draw(self, monkeypatch, n, m):
+        # The fast injectivity path draws its packed words one block at a time.
+        cfg = inj_config(n, m, 700, seed=3)
+        counts = blockwise_counts(monkeypatch, cfg)
+        assert len(set(counts)) == 1, counts
+        assert 0 < counts[0] < cfg.trials
+
+    @pytest.mark.parametrize("n, m", [(10, 7), (3, 64), (5, 130)])
+    def test_word_draws_continue_each_other(self, n, m):
+        # Full-range uint64 draws continue one draw at any size, so blocks of words fix no count.
+        one = draw_codes((700, n), m, np.random.default_rng(4))
+        rng = np.random.default_rng(4)
+        blocks = [draw_codes((t, n), m, rng) for t in (1, 37, 5, 657)]
+        assert np.array_equal(np.concatenate(blocks), one)
 
     def test_general_points_allowed(self):
         rng = np.random.default_rng(8)
