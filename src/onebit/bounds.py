@@ -61,11 +61,6 @@ def _report(formula_id: str, n: int, m_value: float, **kw) -> BoundsReport:
     return BoundsReport(formula_id=formula_id, n=n, m_value=m_value, m_int=m_int, **kw)
 
 
-def _check_delta(delta: float) -> None:
-    if not 0.0 < delta < 0.5:
-        raise ValueError(f"delta must lie in (0, 1/2), got {delta}")
-
-
 def m_injective(n: int, eps: float, delta_sep: float) -> BoundsReport:
     """Code length making the one-bit map injective with probability >= 1 - eps.
 
@@ -122,7 +117,6 @@ def m_rip_union(n: int, eps: float, delta: float) -> BoundsReport:
 
     m >= ln(n^2 / eps) / (2 delta^2); proven for delta < 1/2.
     """
-    _check_delta(delta)
     # ln(n^2 / eps) from the quotient where it is a float, else from its logarithms.
     ratio = n * n / eps if n.bit_length() < 500 else math.inf
     log_ratio = math.log(ratio) if ratio < math.inf else 2.0 * math.log(n) - math.log(eps)
@@ -146,7 +140,6 @@ def p_delta_exact(m: int, delta: float) -> Fraction:
 
     One minus the exact mass of band_range's inclusive band at g = 1/2: 1 where that band is empty.
     """
-    _check_delta(delta)
     h_lo, h_hi = map(int, band_range(m, 0.5, delta, "inclusive"))
     return 1 - Fraction(sum(math.comb(m, h) for h in range(h_lo, h_hi + 1)), 1 << m)
 
@@ -157,7 +150,6 @@ def p_delta_float(m: int, delta: float) -> float:
     The terms fall from the first count past the band, and their sum over the peak is at least 1,
     so it stops at the first term below 2^-54 of the first: no later term changes the rounded sum.
     """
-    _check_delta(delta)
     h_lo, h_hi = map(int, band_range(m, 0.5, delta, "inclusive"))
     if m <= 2000 or h_lo > h_hi:
         return float(p_delta_exact(m, delta))
@@ -170,8 +162,13 @@ def p_delta_float(m: int, delta: float) -> float:
 
 
 def exponent_rate(delta: float) -> float:
-    """Per-unit-m exponential decay rate -1/2 ln(1-4d^2) + d ln((1-2d)/(1+2d)); negative."""
-    _check_delta(delta)
+    """Per-unit-m exponential decay rate -1/2 ln(1-4d^2) + d ln((1-2d)/(1+2d)); negative.
+
+    The package's one check of delta < 1/2: every rip window and transition form reaches it before a tail
+    probability, and bounds leaves m_rip_union out at a larger delta.
+    """
+    if not 0.0 < delta < 0.5:
+        raise ValueError(f"delta must lie in (0, 1/2), got {delta}")
     return -0.5 * math.log1p(-4.0 * delta * delta) - 2.0 * delta * math.atanh(2.0 * delta)
 
 
@@ -216,8 +213,6 @@ def stein_chen_eta(n: int, p: float, form: str) -> float:
     ``general``: C(n,2) (1 + 4(n-2)) p^2, counting the <= 2(n-2) neighbors of
     each pair that share a point.
     """
-    if form not in ETA_FORMS:
-        raise ValueError(f"unknown eta form {form!r}")
     pairs = math.comb(n, 2)
     count = pairs if form == "pairwise" else pairs * (4 * n - 7)
     # A count past the float range is scaled down by a power of two first, so only a width past it overflows.
@@ -345,23 +340,17 @@ _M_SEARCH_MAX = 10**7
 
 
 def solve_threshold(n: int, delta: float, target_lambda: float, which: str = "lambda1"):
-    """Solve lambda(m) = target for m, on the decreasing branch of the selected form.
+    """Solve lambda(m) = target_lambda > 0 for m, on the decreasing branch of the selected form.
 
     ``lambda1`` / ``lambda2``: returns the real root to absolute tolerance
     1e-6 in m, by bisection, or NaN when there is none below m = 10^7.
     """
-    if target_lambda <= 0:
-        raise ValueError(f"target must be positive, got {target_lambda}")
     rate = exponent_rate(delta)
     logc = _log_pairs(n)
     log_target = math.log(target_lambda)
 
-    if which == "lambda1":
-        m_lo = 1.0
-    elif which == "lambda2":
-        m_lo = max(1.0, -0.5 / rate)  # peak of the sqrt(m) * e^{m*rate} envelope
-    else:
-        raise ValueError(f"unknown threshold form {which!r}")
+    # lambda2's sqrt(m) * e^{m*rate} envelope peaks at m = -1/(2 rate)
+    m_lo = 1.0 if which == "lambda1" else max(1.0, -0.5 / rate)
 
     def f(m: float) -> float:
         return _log_envelope(which, logc, m, rate)

@@ -16,7 +16,7 @@ from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from .geometry import DimensionMismatchError, PointSet, geodesic_blocks
+from .geometry import PointSet, geodesic_blocks
 
 WORD_BITS = 64
 _WORD_MASK = (1 << WORD_BITS) - 1
@@ -77,8 +77,6 @@ class CodeSet:
 
     def __init__(self, words: np.ndarray, m: int) -> None:
         words = np.array(words, dtype=np.uint64)
-        if m < 1 or words.ndim != 2 or words.shape[0] < 1 or words.shape[1] != words_needed(m):
-            raise ValueError(f"expected an (n >= 1, {words_needed(m)}) word array for m={m}, got {words.shape}")
         bad = np.flatnonzero(words[:, -1] & ~np.uint64(_tail_mask(m)))
         if bad.size:
             raise ValueError(f"code {bad[0]}: padding bits past m must be zero")
@@ -100,12 +98,7 @@ def sample_map(m: int, dim: int, seed: int) -> np.ndarray:
     """
     rng = np.random.default_rng(seed)
     raw = rng.standard_normal((m, dim))
-    norms = np.linalg.norm(raw, axis=1)
-    while np.any(norms < 1e-12):  # pragma: no cover - probability ~0
-        redo = norms < 1e-12
-        raw[redo] = rng.standard_normal((int(redo.sum()), dim))
-        norms = np.linalg.norm(raw, axis=1)
-    return raw / norms[:, None]
+    return raw / np.linalg.norm(raw, axis=1)[:, None]
 
 
 def embed_points(directions: np.ndarray, points: PointSet) -> np.ndarray:
@@ -114,8 +107,6 @@ def embed_points(directions: np.ndarray, points: PointSet) -> np.ndarray:
     ``directions`` is one (m, dim) map, giving (n, m) bits, or a (T, m, dim)
     stack of maps, giving (T, n, m) bits.
     """
-    if directions.shape[-1] != points.dim:
-        raise DimensionMismatchError(f"point dimension {points.dim} != map dimension {directions.shape[-1]}")
     return points.matrix @ np.swapaxes(directions, -1, -2) >= 0.0
 
 
@@ -228,8 +219,6 @@ def band_fails(h, m: int, geodesic, delta: float, boundary: str) -> np.ndarray:
     h and g; 2h is formed as a double, which is exact and cannot overflow a
     narrow count type.
     """
-    if boundary not in BOUNDARIES:
-        raise ValueError(f"unknown boundary convention {boundary!r}")
     below, equal_fails = _band_edge(m, delta, boundary)
     dev = np.abs(2.0 * np.asarray(h) - 2 * m * np.asarray(geodesic, dtype=np.float64))
     return dev >= below if equal_fails else dev > below

@@ -23,34 +23,19 @@ UNIT_NORM_TOL = 1e-9
 PAIR_BLOCK_ROWS = 256
 
 
-class DimensionMismatchError(ValueError):
-    """Operands live on spheres of different ambient dimension."""
-
-
 class PointSetParseError(ValueError):
     """A points CSV file is malformed; the message names the offending row."""
 
 
 @dataclass(frozen=True, eq=False)
 class PointSet:
-    """An ordered set of points on a common sphere, stored as an (n, dim) matrix."""
+    """An ordered set of n >= 1 points on a common sphere of dimension >= 2, stored as an (n, dim) matrix."""
 
     matrix: np.ndarray
 
     def __post_init__(self) -> None:
-        mat = np.array(self.matrix, dtype=np.float64, copy=True)
-        if mat.ndim != 2:
-            raise ValueError("point set must be a 2-D array of shape (n, dim)")
-        if mat.shape[1] < 2:
-            raise ValueError(f"ambient dimension must be >= 2, got {mat.shape[1]}")
-        if mat.shape[0] < 1:
-            raise ValueError("point set must contain at least one point")
-        if not np.all(np.isfinite(mat)):
-            raise ValueError("point components must be finite")
-        norms = np.linalg.norm(mat, axis=1)
-        bad = np.nonzero(np.abs(norms - 1.0) > UNIT_NORM_TOL)[0]
-        if bad.size:
-            raise ValueError(f"point {bad[0]} has norm {norms[bad[0]]!r}, not unit within {UNIT_NORM_TOL}")
+        # Rows are checked where the file is read, by read_point_set; this is a read-only float64 copy.
+        mat = np.array(self.matrix, dtype=np.float64)
         mat.setflags(write=False)
         object.__setattr__(self, "matrix", mat)
 
@@ -127,5 +112,5 @@ def read_point_set(path: str | Path, normalize: bool = False) -> PointSet:
         bad = np.nonzero(np.abs(norms - 1.0) > UNIT_NORM_TOL)[0]
         if bad.size:
             i = int(bad[0])
-            raise PointSetParseError(f"row {i + 1}: norm {norms[i]!r} is not 1 within {UNIT_NORM_TOL} (pass normalize to rescale)")
+            raise PointSetParseError(f"row {i + 1}: norm {float(norms[i])!r} is not 1 within {UNIT_NORM_TOL} (pass normalize to rescale)")
     return PointSet(mat)

@@ -44,9 +44,9 @@ PAIR_WORD_BUDGET = 10**10
 #: 1 MiB no path measured took over 3% longer than at 8 MiB (BENCH_blockbytes.json).
 _BLOCK_BYTES = 1 << 20
 
-#: Largest byte size of the (2, n, n) band of Gram ranges an explicit rip estimate builds.  A fast trial's
-#: n x n Gram matrix and comparison masks take at most as many bytes, so the fast path refuses the same n.
-BAND_BYTES_BUDGET = 1 << 30
+#: Largest byte count of one trial, as _trial_bytes counts it, that an estimate accepts.  That count is at least
+#: the 8n^2 bytes of an explicit rip estimate's (2, n, n) band and of a fast trial's Gram matrix and masks.
+TRIAL_BYTES_BUDGET = 1 << 30
 
 #: The two-sided 95% normal critical value, NormalDist().inv_cdf(0.975) to the last bit.
 Z95 = 1.9599639845400536
@@ -99,19 +99,16 @@ def rows_csv(rows: tuple[EstimateRow, ...]) -> str:
 
 
 def wilson_interval(successes: int, trials: int, z: float) -> tuple[float, float]:
-    """Wilson score interval at critical value z."""
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    if not 0 <= successes <= trials:
-        raise ValueError(f"successes {successes} outside [0, {trials}]")
-    if z <= 0:
-        raise ValueError("z must be positive")
+    """Wilson score interval at critical value z > 0, for 0 <= successes <= trials, trials >= 1.
+
+    Its ends are exactly 0 at no successes and exactly 1 at all, where the formula rounds to within 1e-16 of them.
+    """
     p = successes / trials
     z2 = z * z
     denom = 1.0 + z2 / trials
     center = (p + z2 / (2.0 * trials)) / denom
     half = z * math.sqrt(p * (1.0 - p) / trials + z2 / (4.0 * trials * trials)) / denom
-    return max(0.0, center - half), min(1.0, center + half)
+    return (center - half if successes else 0.0), (center + half if successes < trials else 1.0)
 
 
 def _chunk_stream(base_seed: int, m: int, chunk_index: int) -> np.random.Generator:
@@ -214,6 +211,10 @@ def run_trials(config: TrialConfig, threads: int = 1) -> EstimateRow:
     cost = units * config.trials * words_needed(config.m)
     if cost > PAIR_WORD_BUDGET:
         raise ResourceBudgetError(f"{unit}*trials*words = {cost} exceeds budget {PAIR_WORD_BUDGET}; reduce trials")
+    need = _trial_bytes(config)
+    if need > TRIAL_BYTES_BUDGET:
+        held = "codes, band and Gram matrix" if config.delta is not None else "draws and codes"
+        raise ResourceBudgetError(f"the {held} of a trial need up to {need} bytes, over budget {TRIAL_BYTES_BUDGET}; reduce n or m")
 
     band = None
     if config.delta is not None:
@@ -221,10 +222,6 @@ def run_trials(config: TrialConfig, threads: int = 1) -> EstimateRow:
         # Sums of m products of ±1 are exact integers in float32 up to 2**24, so the Gram matrix
         # is exactly symmetric: the explicit path decides each pair above the diagonal only.
         dtype = np.dtype(np.float32 if m <= 1 << 24 else np.float64)
-        size = 2 * n * n * dtype.itemsize
-        if size > BAND_BYTES_BUDGET:
-            held = "band needs" if config.points is not None else "Gram matrix of a trial, with its masks, needs up to"
-            raise ResourceBudgetError(f"the {n} x {n} {held} {size} bytes, over budget {BAND_BYTES_BUDGET}; reduce n")
         if config.points is None:
             h_lo, h_hi = band_range(m, 0.5, config.delta, config.boundary)
             band = np.array([m - 2 * h_hi, m - 2 * h_lo], dtype)

@@ -201,6 +201,24 @@ class TestFlagDomains:
             assert out == "" and message in err, argv
             assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == files, argv
 
+    def test_bad_row_named_wherever_points_are_read(self, tmp_path, monkeypatch, capsys):
+        # read_point_set is the one check of a row: every command that reads --points refuses it, naming the row.
+        monkeypatch.chdir(tmp_path)
+        write_code_set(code_set([[0, 1], [1, 0]]), "codes.bin")
+        write_points(tmp_path / "short.csv", "1,0\n0.5,0.5\n")
+        write_points(tmp_path / "nan.csv", "1,0\nnan,0\n")
+        files = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
+        messages = {"short.csv": f"row 2: norm {math.sqrt(0.5)!r} is not 1", "nan.csv": "row 2: components must be finite"}
+        for name, message in messages.items():
+            for argv in (f"check --points {name} --codes codes.bin --delta 0.2",
+                         f"simulate --points {name} --m 8 --seed 1 --threads 1 --out out.csv",
+                         f"sweep --points {name} --m-grid 4:8:4 --seed 1 --threads 1 --out out.csv",
+                         f"embed --points {name} --m 8 --seed 1 --codes new.bin --out pairs.csv"):
+                assert cli.main(argv.split()) == cli.EXIT_USAGE, argv
+                out, err = capsys.readouterr()
+                assert out == "" and message in err, (argv, err)
+                assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == files, argv
+
     def test_bad_value_rejected_before_any_file_is_read(self, tmp_path, capsys):
         missing = str(tmp_path / "missing")
         err = usage_error(capsys, "check", "--delta", "1.5", "--points", missing, "--codes", missing)

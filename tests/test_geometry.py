@@ -30,19 +30,7 @@ def separated(x: np.ndarray, y: np.ndarray, theta: np.ndarray) -> bool:
 
 
 class TestUnitVector:
-    """A single sphere point: the validation a one-row PointSet applies."""
-
-    def test_rejects_non_unit_norm(self):
-        with pytest.raises(ValueError, match="norm"):
-            PointSet([unit(1.0, 1.0)])
-
-    def test_rejects_dim_one(self):
-        with pytest.raises(ValueError, match="dimension"):
-            PointSet([unit(1.0)])
-
-    def test_rejects_nan(self):
-        with pytest.raises(ValueError, match="finite"):
-            PointSet([unit(math.nan, 0.0)])
+    """A single sphere point, a one-row PointSet: read_point_set checks its row (TestReadPointSet)."""
 
     def test_components_read_only(self):
         ps = PointSet([basis(0, 3)])
@@ -59,10 +47,6 @@ class TestPointSet:
     def test_mixed_dims_rejected(self):
         with pytest.raises(ValueError):
             PointSet([basis(0, 3), basis(0, 4)])
-
-    def test_non_unit_row_rejected(self):
-        with pytest.raises(ValueError, match="norm"):
-            PointSet(np.array([[1.0, 0.0], [0.5, 0.0]]))
 
 
 class TestSampleDirection:

@@ -107,18 +107,17 @@ class TestWilson:
         lo2, hi2 = wilson_interval(5000, 10000, Z95)
         assert (hi2 - lo2) < (hi1 - lo1)
 
+    def test_ends_are_exact(self):
+        # The formula alone rounds to about 1e-17 at no successes and to 1 - 2^-53 at all, for many trial counts.
+        for t in range(1, 5001):
+            assert wilson_interval(0, t, Z95)[0] == 0.0 and wilson_interval(t, t, Z95)[1] == 1.0, t
+            lo, hi = wilson_interval(1, t, Z95)
+            assert 0.0 < lo < hi <= 1.0, t
+
     def test_z_variant_wider_for_larger_z(self):
         lo3, hi3 = wilson_interval(60, 100, 3.0)
         lo2, hi2 = wilson_interval(60, 100, 2.0)
         assert lo3 < lo2 and hi3 > hi2
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            wilson_interval(5, 0, Z95)
-        with pytest.raises(ValueError):
-            wilson_interval(5, 4, Z95)
-        with pytest.raises(ValueError):
-            wilson_interval(1, 10, 0.0)
 
 
 class TestTrialConfig:
@@ -584,6 +583,16 @@ class TestResourceGuard:
         points = PointSet(np.tile([[1.0, 0.0]], (20_000, 1)))
         with pytest.raises(ResourceBudgetError, match="band"):
             run_trials(rip_config(20_000, 1, 0.2, 1, seed=1, points=points))
+
+    def test_trial_bytes_capped_before_any_draw(self, monkeypatch):
+        # One trial of n=2 at m=2^17 counts 3.1 MB on the fast rip path and 4.7 MB on the explicit injectivity
+        # path, over a 1 MiB budget: each is refused, and no chunk runs.
+        monkeypatch.setattr(mc, "TRIAL_BYTES_BUDGET", 1 << 20)
+        monkeypatch.setattr(mc, "_run_chunk", lambda *args: pytest.fail("a chunk ran"))
+        for cfg in (rip_config(2, 1 << 17, 0.2, 1, seed=1), inj_config(2, 1 << 17, 1, seed=1, points=PointSet(np.eye(2)))):
+            assert mc._trial_bytes(cfg) > mc.TRIAL_BYTES_BUDGET
+            with pytest.raises(ResourceBudgetError, match="reduce n or m"):
+                run_trials(cfg)
 
     def test_injectivity_priced_per_code(self):
         # An injectivity trial sorts its codes and visits no pair: 10001 codes * 200 trials * 1 word
