@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import functools
 import os
 import secrets
@@ -34,6 +35,7 @@ from .embedding import (
 from .geometry import read_point_set
 from .montecarlo import (
     TrialConfig,
+    check_budget,
     default_phase_grid,
     first_upward_crossing,
     rows_csv,
@@ -254,7 +256,8 @@ def _cmd_check(args) -> int:
 
 # ---------------------------------------------------------------- simulate / sweep
 
-def _build_config(args, m: int, seed: int) -> TrialConfig:
+def _build_config(args, grid: list[int], seed: int) -> TrialConfig:
+    """The config of grid[0]; an estimate over budget at any m of grid is refused here, before an output file is opened."""
     points = None
     n = args.n
     if getattr(args, "points", None):
@@ -265,20 +268,23 @@ def _build_config(args, m: int, seed: int) -> TrialConfig:
     if n is None:
         raise ValueError("--n is required (or pass --points)")
     trials = args.trials if args.trials is not None else _default_trials(n)
-    return TrialConfig(
+    config = TrialConfig(
         n=n,
-        m=m,
+        m=grid[0],
         trials=trials,
         base_seed=seed,
         delta=args.delta,
         boundary=args.boundary,
         points=points,
     )
+    for m in grid:
+        check_budget(dataclasses.replace(config, m=m))
+    return config
 
 
 def _cmd_simulate(args) -> int:
     seed = _resolve_seed(args)
-    config = _build_config(args, args.m, seed)
+    config = _build_config(args, [args.m], seed)
     with _text_out(args.out) as f:  # opened first, so an unwritable path fails before any trial runs
         row = run_trials(config, threads=args.threads)
         f.write(rows_csv((row,)))
@@ -290,7 +296,7 @@ def _cmd_sweep(args) -> int:
     if args.delta is not None and args.eta_form not in (None, "general"):
         raise ValueError("rip windows exist only in the general form")
     seed = _resolve_seed(args)
-    config = _build_config(args, args.m_grid[0], seed)
+    config = _build_config(args, args.m_grid, seed)
     with _text_out(args.out) as f:
         f.write(rows_csv(sweep(config, args.m_grid, threads=args.threads, eta_form=args.eta_form)))
     return EXIT_OK
@@ -365,7 +371,7 @@ def _cmd_figure(args) -> int:
     closed_forms = bnd.rip_m_window(args.n, args.delta, args.eps1, args.eps2, force=args.force)
     m_eps1, m_eps2 = closed_forms[0].m_value, closed_forms[1].m_value
     grid = args.m_grid or default_phase_grid(m_eps1, m_eps2)
-    config = _build_config(args, grid[0], seed)
+    config = _build_config(args, grid, seed)
 
     base = str(args.out)
     for suffix in (".svg", ".csv"):

@@ -76,10 +76,41 @@ def read_point_set(path: str | Path, normalize: bool = False) -> PointSet:
     rejected); without it, rows whose norm deviates from 1 by more than
     ``UNIT_NORM_TOL`` are rejected.  Errors name the offending 1-based row.
     """
-    lines = Path(path).read_text(encoding="utf-8").split("\n")
+    text = Path(path).read_text(encoding="utf-8")  # universal newlines: \r\n and a lone \r end a row, as \n does
+    lines = text.split("\n")
     while lines and lines[-1] == "":
         lines.pop()
+    if not lines:  # here, before np.loadtxt, which warns on a file without data
+        raise PointSetParseError("empty points file")
 
+    # numpy's C reader converts each component with PyOS_string_to_double, as float() does.  But it skips
+    # blank lines, takes non-finite values and one-component rows, and strips U+001C..U+001F around a
+    # component, which float() refuses; and it refuses underscores and non-ASCII digits, which float() reads.
+    # A file it does not take whole, one row per line, goes to _parse_rows, which names the first bad row.
+    try:
+        mat = np.loadtxt(lines, dtype=np.float64, delimiter=",", comments=None, quotechar=None, ndmin=2)
+    except ValueError:
+        mat = None
+    if (mat is None or mat.shape[0] != len(lines) or mat.shape[1] < 2 or not np.isfinite(mat).all()
+            or any(sep in text for sep in "\x1c\x1d\x1e\x1f")):
+        mat = _parse_rows(lines)
+
+    norms = np.linalg.norm(mat, axis=1)
+    if normalize:
+        zero = np.nonzero(norms < 1e-12)[0]
+        if zero.size:
+            raise PointSetParseError(f"row {int(zero[0]) + 1}: zero-norm vector cannot be normalized")
+        mat = mat / norms[:, None]
+    else:
+        bad = np.nonzero(np.abs(norms - 1.0) > UNIT_NORM_TOL)[0]
+        if bad.size:
+            i = int(bad[0])
+            raise PointSetParseError(f"row {i + 1}: norm {float(norms[i])!r} is not 1 within {UNIT_NORM_TOL} (pass normalize to rescale)")
+    return PointSet(mat)
+
+
+def _parse_rows(lines: list[str]) -> np.ndarray:
+    """The matrix of one row per line, each component parsed by float(); errors name the first bad 1-based row."""
     rows: list[list[float]] = []
     width = None
     for lineno, line in enumerate(lines, start=1):
@@ -97,20 +128,4 @@ def read_point_set(path: str | Path, normalize: bool = False) -> PointSet:
         elif len(values) != width:
             raise PointSetParseError(f"row {lineno}: ragged row, expected {width} components, got {len(values)}")
         rows.append(values)
-
-    if not rows:
-        raise PointSetParseError("empty points file")
-
-    mat = np.array(rows, dtype=np.float64)
-    norms = np.linalg.norm(mat, axis=1)
-    if normalize:
-        zero = np.nonzero(norms < 1e-12)[0]
-        if zero.size:
-            raise PointSetParseError(f"row {int(zero[0]) + 1}: zero-norm vector cannot be normalized")
-        mat = mat / norms[:, None]
-    else:
-        bad = np.nonzero(np.abs(norms - 1.0) > UNIT_NORM_TOL)[0]
-        if bad.size:
-            i = int(bad[0])
-            raise PointSetParseError(f"row {i + 1}: norm {float(norms[i])!r} is not 1 within {UNIT_NORM_TOL} (pass normalize to rescale)")
-    return PointSet(mat)
+    return np.array(rows, dtype=np.float64)

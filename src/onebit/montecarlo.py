@@ -177,6 +177,21 @@ def _trial_bytes(config: TrialConfig) -> int:
     return normals + n * (8 * words_needed(m) + 1 + (0 if config.points is None else 10 * m))
 
 
+def check_budget(config: TrialConfig) -> None:
+    """Refuse an estimate whose work is over PAIR_WORD_BUDGET or one of whose trials is over TRIAL_BYTES_BUDGET.
+
+    It draws nothing, so a caller can refuse every m of a grid before it opens an output file.
+    """
+    units, unit = (math.comb(config.n, 2), "pairs") if config.delta is not None else (config.n, "codes")
+    cost = units * config.trials * words_needed(config.m)
+    if cost > PAIR_WORD_BUDGET:
+        raise ResourceBudgetError(f"{unit}*trials*words = {cost} exceeds budget {PAIR_WORD_BUDGET}; reduce trials")
+    need = _trial_bytes(config)
+    if need > TRIAL_BYTES_BUDGET:
+        held = "codes, band and Gram matrix" if config.delta is not None else "draws and codes"
+        raise ResourceBudgetError(f"the {held} of a trial need up to {need} bytes, over budget {TRIAL_BYTES_BUDGET}; reduce n or m")
+
+
 def _run_chunk(config: TrialConfig, chunk_index: int, count: int, band) -> int:
     rng = _chunk_stream(config.base_seed, config.m, chunk_index)
     n, m = config.n, config.m
@@ -207,14 +222,7 @@ def run_trials(config: TrialConfig, threads: int = 1) -> EstimateRow:
     inside the delta band (boundary per config).  The result depends only
     on (config), never on ``threads``.
     """
-    units, unit = (math.comb(config.n, 2), "pairs") if config.delta is not None else (config.n, "codes")
-    cost = units * config.trials * words_needed(config.m)
-    if cost > PAIR_WORD_BUDGET:
-        raise ResourceBudgetError(f"{unit}*trials*words = {cost} exceeds budget {PAIR_WORD_BUDGET}; reduce trials")
-    need = _trial_bytes(config)
-    if need > TRIAL_BYTES_BUDGET:
-        held = "codes, band and Gram matrix" if config.delta is not None else "draws and codes"
-        raise ResourceBudgetError(f"the {held} of a trial need up to {need} bytes, over budget {TRIAL_BYTES_BUDGET}; reduce n or m")
+    check_budget(config)
 
     band = None
     if config.delta is not None:

@@ -529,6 +529,25 @@ class TestOutputOpenedFirst:
         assert out.read_bytes() == (tmp_path / "f.svg").read_bytes() == b"earlier output\n"
 
 
+class TestBudgetRefusedFirst:
+    """An estimate over budget at any m of the command exits 1 before --out is opened and before any trial runs."""
+
+    @pytest.mark.parametrize("argv, outs", [
+        (["simulate", "--n", "20000", "--delta", "0.2", "--m", "1"], ["old.csv"]),
+        (["figure", "--n", "20000", "--force", "--m-grid", "1:2:1"], ["old.csv", "old.svg"]),
+        # m=1 is within budget and comes first; a trial at m=44739242 would hold over 2**30 bytes.
+        (["sweep", "--n", "2", "--delta", "0.2", "--m-grid", "1:44739242:44739241"], ["old.csv"]),
+    ], ids=["simulate", "figure", "sweep"])
+    def test_existing_out_kept(self, argv, outs, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(mc, "_run_chunk", lambda *args: pytest.fail("a trial ran"))
+        for name in outs:
+            (tmp_path / name).write_bytes(b"keep\n")
+        argv = [*argv, "--trials", "1", "--seed", "1", "--threads", "1", "--out", str(tmp_path / "old.csv")]
+        assert cli.main(argv) == 1
+        assert f"over budget {mc.TRIAL_BYTES_BUDGET}" in capsys.readouterr().err
+        assert [(tmp_path / name).read_bytes() for name in outs] == [b"keep\n"] * len(outs)
+
+
 class TestFigure:
     def test_small_forced_figure(self, tmp_path):
         r = run_cli("figure", "--n", "50", "--force", "--delta", "0.2", "--trials", "40",

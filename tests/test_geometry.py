@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -232,6 +233,85 @@ class TestReadPointSet:
         path.write_text("".join(",".join(repr(float(v)) for v in row) + "\n" for row in raw), encoding="utf-8")
         back = read_point_set(path)
         assert np.array_equal(back.matrix, raw)
+
+
+#: Each (name, file) malformed in some row, and the exact message the float()-per-row reader gives it.
+MALFORMED = [
+    ("blank middle line", b"1,0\n\n0,1\n", "row 2: cannot parse components ''"),
+    ("whitespace-only line", b"1,0\n \t\n0,1\n", "row 2: cannot parse components ' \\t'"),
+    ("trailing comma", b"1,0,\n", "row 1: cannot parse components '1,0,'"),
+    ("comment mark", b"1,0\n0,1 # note\n", "row 2: cannot parse components '0,1 # note'"),
+    ("quotes", b'1,0\n"0","1"\n', "row 2: cannot parse components '\"0\",\"1\"'"),
+    ("non-ascii digits", "0,١\n٢,0\n".encode(), "row 2: norm 2.0 is not 1 within 1e-09 (pass normalize to rescale)"),
+    ("underscores", b"1_0,0\n", "row 1: norm 10.0 is not 1 within 1e-09 (pass normalize to rescale)"),
+    ("U+001C padding", b"1,0\n0,1\x1c\n", "row 2: cannot parse components '0,1\\x1c'"),
+    ("inf", b"1,0\n0,inf\n", "row 2: components must be finite"),
+    ("nan", b"1,0\nnan,0\n", "row 2: components must be finite"),
+    ("1e400", b"1,0\n1e400,0\n", "row 2: components must be finite"),
+    ("ragged row", b"1,0\n0,1,0\n", "row 2: ragged row, expected 2 components, got 3"),
+    ("one component", b"1\n0\n", "row 1: need at least 2 components, got 1"),
+    ("empty file", b"", "empty points file"),
+    ("newlines only", b"\n\n\n", "empty points file"),
+    ("crlf", b"1,0\r\n0,1\r\n0.6,0.6\r\n", "row 3: norm 0.848528137423857 is not 1 within 1e-09 (pass normalize to rescale)"),
+    ("lone cr", b"1,0\r0,1\r1,0,0\r", "row 3: ragged row, expected 2 components, got 3"),
+]
+
+
+@pytest.mark.parametrize("data, message", [case[1:] for case in MALFORMED], ids=[case[0] for case in MALFORMED])
+def test_malformed_file_message(tmp_path, data, message):
+    with pytest.raises(PointSetParseError, match=f"^{re.escape(message)}$"):
+        read_point_set(_points_file(tmp_path, data))
+
+
+#: Characters str.isspace counts and float() strips around a number: all lie below U+3001.  Newlines end a
+#: row, and float() refuses U+001C..U+001F.
+_PADDING = "".join(c for c in map(chr, range(0x3001)) if c.isspace() and c not in "\n\r\x1c\x1d\x1e\x1f")
+
+
+@st.composite
+def _token(draw, bound):
+    """A component as a file may write it, of magnitude at most bound: repr, %.Ne or a long mantissa,
+    with an optional + sign, a _ between two digits and whitespace padding."""
+    value = draw(st.floats(-bound, bound))
+    form = draw(st.sampled_from(["repr", "e", "digits"]))
+    if form == "repr":
+        text = repr(value)
+    elif form == "e":
+        text = f"{value:.{draw(st.integers(0, 25))}e}"
+    else:
+        digits = draw(st.text("0123456789", min_size=1, max_size=40))
+        text = f"{draw(st.sampled_from(['', '-']))}0.{digits}e{draw(st.integers(-345, math.floor(math.log10(bound))))}"
+    if draw(st.booleans()) and not text.startswith("-"):
+        text = "+" + text
+    joints = [i for i in range(1, len(text)) if text[i - 1].isdigit() and text[i].isdigit()]
+    if joints and draw(st.booleans()):
+        i = draw(st.sampled_from(joints))
+        text = text[:i] + "_" + text[i:]
+    pad = st.text(_PADDING, max_size=2)
+    return draw(pad) + text + draw(pad)
+
+
+@given(data=st.data(), width=st.integers(1, 3), n=st.integers(1, 6), newline=st.sampled_from(["\n", "\r\n", "\r"]))
+@settings(max_examples=300, deadline=None)
+def test_components_bit_identical_to_float(tmp_path_factory, data, width, n, newline):
+    # Rows of at most 3 components below 1/2 in magnitude, completed to unit norm, pass the norm check
+    # unscaled: the matrix is the file's values.
+    rows = [data.draw(st.lists(_token(0.5), min_size=width, max_size=width)) for _ in range(n)]
+    rows = [row + [repr(math.sqrt(max(0.0, 1.0 - sum(float(t) ** 2 for t in row))))] for row in rows]
+    path = _points_file(tmp_path_factory.mktemp("pts"), "".join(",".join(row) + newline for row in rows).encode())
+    expected = np.array([[float(t) for t in row] for row in rows])
+    assert read_point_set(path).matrix.tobytes() == expected.tobytes()
+
+
+@given(data=st.data(), width=st.integers(1, 3), n=st.integers(1, 6))
+@settings(max_examples=200, deadline=None)
+def test_normalized_components_bit_identical_to_float(tmp_path_factory, data, width, n):
+    # Up to 1e150 in magnitude, rows led by a 1 so that no norm is zero, rescaled as read_point_set rescales.
+    rows = [["1"] + data.draw(st.lists(_token(1e150), min_size=width, max_size=width)) for _ in range(n)]
+    path = _points_file(tmp_path_factory.mktemp("pts"), "".join(",".join(row) + "\n" for row in rows).encode())
+    raw = np.array([[float(t) for t in row] for row in rows])
+    expected = raw / np.linalg.norm(raw, axis=1)[:, None]
+    assert read_point_set(path, normalize=True).matrix.tobytes() == expected.tobytes()
 
 
 @given(seed=st.integers(0, 2**31 - 1), dim=st.sampled_from([2, 3, 7, 50]))
