@@ -313,7 +313,7 @@ def rip_m_window(n: int, delta: float, eps1: float, eps2: float, force: bool = F
     m_eps1 = q [ln A - ln ln A] with A = n(n-1) / (2 sqrt(2 pi) e^{1/6} ln(1/(1 - eps1/1.01)));
     m_eps2 = q [ln B + ln ln B] with B = n(n-1) e^{1/12} / (2 sqrt(2 pi) ln(1/(1 - eps2/0.99))).
     The crossings are solve_threshold's roots of lambda1(m) and lambda2(m) at the same two target
-    rates; a crossing is NaN, with m_int 0, where no root exists in the searched range.
+    rates; a crossing is NaN, with m_int 0, where no root exists.
 
     Proven for n >= 800.  As printed, the m_eps1 form is stated as an upper
     bound on m for high success probability even though the success
@@ -336,18 +336,19 @@ def rip_m_window(n: int, delta: float, eps1: float, eps2: float, force: bool = F
     return [_report(fid, n, m, delta=delta, eps1=eps1, eps2=eps2, validity_note=note) for fid, m in rows]
 
 
-_M_SEARCH_MAX = 10**7
-
-
 def solve_threshold(n: int, delta: float, target_lambda: float, which: str = "lambda1"):
     """Solve lambda(m) = target_lambda > 0 for m, on the decreasing branch of the selected form.
 
-    ``lambda1`` / ``lambda2``: returns the real root to absolute tolerance
-    1e-6 in m, by bisection, or NaN when there is none below m = 10^7.
+    ``lambda1`` decreases for every m >= 1; ``lambda2`` from its peak on.  So a root exists iff the envelope
+    at the start of the branch reaches the target.  It is bracketed by doubling from there and bisected until
+    the midpoint equals an end, which gives the root to the last bit of m; NaN where there is none, or where
+    delta is so small that the rate underflows to 0 (every rip length is then past the float range).
     """
     rate = exponent_rate(delta)
     logc = _log_pairs(n)
     log_target = math.log(target_lambda)
+    if not rate:
+        return math.nan
 
     # lambda2's sqrt(m) * e^{m*rate} envelope peaks at m = -1/(2 rate)
     m_lo = 1.0 if which == "lambda1" else max(1.0, -0.5 / rate)
@@ -355,16 +356,17 @@ def solve_threshold(n: int, delta: float, target_lambda: float, which: str = "la
     def f(m: float) -> float:
         return _log_envelope(which, logc, m, rate)
 
-    if f(m_lo) < log_target or f(float(_M_SEARCH_MAX)) > log_target:
+    if f(m_lo) < log_target:
         return math.nan
-    lo, hi = m_lo, float(_M_SEARCH_MAX)
-    while hi - lo > 1e-6:
-        mid = 0.5 * (lo + hi)
+    lo, hi = m_lo, 2.0 * m_lo
+    while f(hi) >= log_target:
+        lo, hi = hi, 2.0 * hi
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
         if f(mid) >= log_target:
             lo = mid
         else:
             hi = mid
-    return 0.5 * (lo + hi)
+    return mid
 
 
 def _fmt(value) -> str:

@@ -1,6 +1,7 @@
 """Command-line surface: bound tables, embeddings, property checks, simulations, the phase figure.
 
-Exit codes: 0 success / property holds, 1 usage error, 2 property-check
+Exit codes: 0 success / property holds, 1 usage error, or stdout closed
+by its reader (as by `| head`; nothing more is printed), 2 property-check
 failure, 3 validity-range error (point count below a formula's proven
 range without --force).
 """
@@ -29,6 +30,7 @@ from .embedding import (
     pack_bits,
     pair_stream,
     read_code_set,
+    rip_failures,
     sample_map,
     write_code_set,
 )
@@ -89,6 +91,14 @@ def _unit_interval(text: str) -> float:
         raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
     if not 0.0 < value < 1.0:
         raise argparse.ArgumentTypeError(f"must lie in (0, 1), got {value}")
+    return value
+
+
+def _rip_delta(text: str) -> float:
+    """The type of sweep's --delta: a float in (0, 1/2), the domain of the rip window every row of the sweep carries."""
+    value = _unit_interval(text)
+    if not value < 0.5:
+        raise argparse.ArgumentTypeError(f"delta must lie in (0, 1/2), got {value}")
     return value
 
 
@@ -232,25 +242,28 @@ def _cmd_check(args) -> int:
     if codes.n != points.n:
         raise ValueError(f"--codes has {codes.n} codes but --points has {points.n} points")
 
-    if args.delta is not None:
-        report = check_rip(codes, points, args.delta, boundary=args.boundary)
+    if args.delta is not None:  # a failing check walks the pairs again to list them, one slab at a time
+        failing, max_dev = check_rip(codes, points, args.delta, boundary=args.boundary)
         print(f"delta = {args.delta}, boundary = {args.boundary}")
-        print(f"max deviation = {report.max_deviation:.10g}")
-        if not report.violations:
+        print(f"max deviation = {max_dev:.10g}")
+        if not failing:
             print("RIP check: PASS")
             return EXIT_OK
-        print(f"RIP check: FAIL ({len(report.violations)} violating pairs)")
-        for v in report.violations:
-            print(f"  pair {v.pair}: hamming={v.hamming:.10g} geodesic={v.geodesic:.10g} deviation={v.deviation:.10g}")
+        print(f"RIP check: FAIL ({failing} violating pairs)")
+        line = "  pair (%d, %d): hamming=%.10g geodesic=%.10g deviation=%.10g\n"  # %.10g prints format(x, ".10g")
+        for i, j, dh, dg, _ in rip_failures(codes, points, args.delta, boundary=args.boundary):
+            fields = zip(i.tolist(), j.tolist(), dh.tolist(), dg.tolist(), (dh - dg).tolist())
+            sys.stdout.write("".join(map(line.__mod__, fields)))
         return EXIT_CHECK_FAILED
 
-    collisions = check_one_to_one(codes)
-    if not collisions:
+    groups = check_one_to_one(codes)
+    if not groups:
         print("one-to-one check: PASS")
         return EXIT_OK
-    print(f"one-to-one check: FAIL ({len(collisions)} colliding pairs)")
-    for i, j in collisions:
-        print(f"  codes {i} and {j} are equal")
+    print(f"one-to-one check: FAIL ({sum(len(g) * (len(g) - 1) // 2 for g in groups)} colliding pairs)")
+    # Pairs (i, j) in order: each code i of a group, by index, with the codes after it in its group.
+    for i, later in sorted(((int(g[k]), g[k + 1 :]) for g in groups for k in range(len(g) - 1)), key=lambda t: t[0]):
+        sys.stdout.write(f"  codes {i} and %d are equal\n" * len(later) % tuple(later.tolist()))
     return EXIT_CHECK_FAILED
 
 
@@ -477,7 +490,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("sweep", help="estimates over an m grid with analytic windows attached")
     p.add_argument("--n", type=_POINT_COUNT, default=None)
     p.add_argument("--m-grid", type=_parse_m_grid, required=True, help="lo:hi:step, inclusive")
-    p.add_argument("--delta", type=_unit_interval, default=None)
+    p.add_argument("--delta", type=_rip_delta, default=None)
     p.add_argument("--points", default=None)
     p.add_argument("--normalize", action="store_true")
     p.add_argument("--eta-form", choices=bnd.ETA_FORMS, default=None,
@@ -521,6 +534,9 @@ def main(argv=None) -> int:
     except ValidityRangeError as exc:
         print(f"onebit: validity range: {exc}", file=sys.stderr)
         return EXIT_VALIDITY
+    except BrokenPipeError:  # an OSError, but the reader has stopped reading: not an error to report
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())  # so the flush at exit writes nowhere
+        return EXIT_USAGE
     except (ValueError, OSError) as exc:
         print(f"onebit: error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -8,11 +8,9 @@ Hamming distance between two codes is popcount(xor)/m, a multiple of 1/m.
 from __future__ import annotations
 
 import functools
-import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
-from typing import Iterator, NamedTuple
+from typing import Iterator
 
 import numpy as np
 
@@ -148,64 +146,40 @@ def code_keys(words: np.ndarray) -> np.ndarray:
     return words.view(np.dtype((np.void, 8 * words.shape[-1])))[..., 0]
 
 
-def check_one_to_one(codes: CodeSet) -> list[tuple[int, int]]:
-    """Every pair of equal codes, lexicographically sorted: the codes are pairwise distinct iff it is empty."""
+def check_one_to_one(codes: CodeSet) -> list[np.ndarray]:
+    """Each group of k >= 2 equal codes (C(k, 2) colliding pairs) as an ascending index array: none iff all distinct."""
     keys = code_keys(codes.words)
-    order = np.argsort(keys)
+    order = np.argsort(keys, kind="stable")  # stable: equal keys keep their indices ascending
     ranked = keys[order]
     same = ranked[1:] == ranked[:-1]
-    if not same.any():
-        return []
     # same changes value at the edges a, b of each run same[a:b] of True, whose equal keys are ranked[a : b + 1].
     runs = np.flatnonzero(np.diff(same, prepend=False, append=False)).reshape(-1, 2).tolist()
-    return sorted(pair for a, b in runs for pair in itertools.combinations(sorted(order[a : b + 1].tolist()), 2))
+    return [order[a : b + 1] for a, b in runs]
 
 
-class RipViolation(NamedTuple):
-    pair: tuple[int, int]
-    hamming: float
-    geodesic: float
-    deviation: float
-
-
-@dataclass(frozen=True)
-class RipReport:
-    """Outcome of checking |d_Hamming - d_geodesic| <= delta over all pairs: it passed iff there are no violations."""
-
-    violations: tuple[RipViolation, ...]
-    max_deviation: float
-
-
-def check_rip(
-    codes: CodeSet,
-    points: PointSet,
-    delta: float,
-    boundary: str = "strict",
-) -> RipReport:
-    """Check the distance-preservation property on every pair, decided by band_fails.
-
-    A pair violates when |d_H - d_geo| > delta under the default ``strict``
-    boundary (equality at delta passes); under ``inclusive`` a deviation equal
-    to delta already counts as a failure.  The two conventions differ only on
-    the lattice event where the deviation lands exactly on delta.  Each slab
-    of pair_stream takes one band_fails call and one max; violations come in
-    (i, j) order.
+def rip_failures(codes: CodeSet, points: PointSet, delta: float, boundary: str = "strict") -> Iterator[tuple]:
+    """Per slab of pair_stream, the arrays (i, j, h/m, geodesic) of its pairs band_fails fails, in (i, j) order, and
+    the slab's max deviation |h/m - geodesic|.  Every slab is yielded, with empty arrays where no pair fails.
     """
-    violations = []
-    max_dev = 0.0
     for lo, h, g in pair_stream(codes, points):
         below = np.tri(len(h), dtype=bool)  # c <= r among the slab's first columns: not pairs
         dev = h / codes.m
         dev -= g
         dev[:, : len(h)][below] = 0.0
-        max_dev = max(max_dev, float(np.abs(dev, out=dev).max()))
+        max_dev = float(np.abs(dev, out=dev).max())
         fails = band_fails(h, codes.m, g, delta, boundary)
         fails[:, : len(h)][below] = False
         r, c = np.nonzero(fails)
-        dh, dg = h[r, c] / codes.m, g[r, c]
-        pairs = zip((lo + r).tolist(), (lo + c).tolist())
-        violations += map(RipViolation, pairs, dh.tolist(), dg.tolist(), (dh - dg).tolist())
-    return RipReport(violations=tuple(violations), max_deviation=max_dev)
+        yield lo + r, lo + c, h[r, c] / codes.m, g[r, c], max_dev
+
+
+def check_rip(codes: CodeSet, points: PointSet, delta: float, boundary: str = "strict") -> tuple[int, float]:
+    """The number of pairs rip_failures fails and the max deviation over all pairs: the map passes iff the first is 0."""
+    failing, max_dev = 0, 0.0
+    for i, _, _, _, slab_max in rip_failures(codes, points, delta, boundary):
+        failing += len(i)
+        max_dev = max(max_dev, slab_max)
+    return failing, max_dev
 
 
 def band_fails(h, m: int, geodesic, delta: float, boundary: str) -> np.ndarray:

@@ -7,12 +7,13 @@ obviously right.  None of this ships in the package.
 """
 
 import math
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import numpy as np
 
 from onebit import cli
-from onebit.embedding import WORD_BITS, CodeSet, RipViolation, band_fails, pack_bits
+from onebit.embedding import WORD_BITS, CodeSet, band_fails, pack_bits
 from onebit.geometry import geodesic_blocks
 
 
@@ -70,7 +71,10 @@ def block_geodesics(points):
 
 
 def check_rip_loop(codes, points, delta, boundary="strict"):
-    """The per-pair loop check_rip replaced, with float deviations and a per-pair XOR distance."""
+    """The per-pair loop check_rip replaced, with float deviations and a per-pair XOR distance.
+
+    Returns the list of failing ((i, j), hamming, geodesic, deviation) in (i, j) order, and the max |deviation|.
+    """
     ints = code_ints(codes)
     violations = []
     max_dev = 0.0
@@ -79,8 +83,8 @@ def check_rip_loop(codes, points, delta, boundary="strict"):
         dev = dh - dg
         max_dev = max(max_dev, abs(dev))
         if abs(dev) > delta if boundary == "strict" else abs(dev) >= delta:
-            violations.append(RipViolation((i, j), dh, dg, dev))
-    return tuple(violations), max_dev
+            violations.append(((i, j), dh, dg, dev))
+    return violations, max_dev
 
 
 def pair_table_fstring(codes: CodeSet, points) -> str:
@@ -127,3 +131,41 @@ def p_delta_logsum(m: int, delta: float) -> float:
     logs = [lgm - math.lgamma(k + 1) - math.lgamma(m - k + 1) for k in range(_first_failing_count(m, delta), m + 1)]
     peak = max(logs)
     return math.exp(math.log(2.0) + peak + math.log(sum(math.exp(v - peak) for v in logs)) - m * math.log(2.0))
+
+
+PI_60 = Decimal("3.14159265358979323846264338327950288419716939937510582097494459")
+
+
+def envelope_root_decimal(n: int, delta: float, eps: float, c: float, which: str) -> Decimal:
+    """The m past which the lambda1 or lambda2 envelope stays below the rate -ln(1 - eps/c), to 50 digits.
+
+    The envelopes and the rate are written out in 60-digit Decimal arithmetic at the doubles given:
+    lambda1 = C(n,2) e^{-1/6} (2 pi m)^{-1/2} e^{m r}, lambda2 = C(n,2) e^{1/12} (m / 2 pi)^{1/2} e^{m r},
+    r = -1/2 ln(1 - 4 delta^2) - delta ln((1 + 2 delta) / (1 - 2 delta)).  The root is bracketed by doubling
+    from m = 1 (lambda1) or from lambda2's peak at m = -1/(2r), and bisected to a relative width of 1e-50.
+    """
+    with localcontext() as ctx:
+        ctx.prec = 60
+        d = Decimal(delta)
+        rate = -(1 - 4 * d * d).ln() / 2 - d * ((1 + 2 * d) / (1 - 2 * d)).ln()
+        log_pairs = Decimal(n).ln() + Decimal(n - 1).ln() - Decimal(2).ln()
+        log_2pi = (2 * PI_60).ln()
+        log_target = (-(1 - Decimal(eps) / Decimal(c)).ln()).ln()
+
+        def log_envelope(m: Decimal) -> Decimal:
+            if which == "lambda1":
+                return log_pairs - Decimal(1) / 6 - (log_2pi + m.ln()) / 2 + m * rate
+            return log_pairs + Decimal(1) / 12 + (m.ln() - log_2pi) / 2 + m * rate
+
+        lo = Decimal(1) if which == "lambda1" else max(Decimal(1), -1 / (2 * rate))
+        assert log_envelope(lo) >= log_target, "no root"
+        hi = 2 * lo
+        while log_envelope(hi) >= log_target:
+            lo, hi = hi, 2 * hi
+        while hi - lo > lo * Decimal("1e-50"):
+            mid = (lo + hi) / 2
+            if log_envelope(mid) >= log_target:
+                lo = mid
+            else:
+                hi = mid
+        return (lo + hi) / 2

@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 from fractions import Fraction
@@ -27,7 +28,7 @@ from onebit.bounds import (
     window_csv,
 )
 from onebit.embedding import band_range
-from reference import p_delta_logsum, usage_error
+from reference import envelope_root_decimal, p_delta_logsum, usage_error
 
 
 class TestMInjective:
@@ -441,6 +442,24 @@ class TestSolveThreshold:
 
     def test_no_crossing(self):
         assert math.isnan(solve_threshold(10, 0.2, 1e12, "lambda1"))
+
+    @pytest.mark.parametrize("n, delta", [
+        *itertools.product((800, 10**3, 10**4, 10**6), (0.05, 0.1, 0.2, 0.3, 0.45)),
+        (10**6, 0.0003),  # a root near 10^8
+    ])
+    def test_crossings_match_decimal_roots(self, n, delta):
+        # Every digit bounds prints of the two crossings, at eps1 = 0.5 and eps2 = 0.1 (target rates -ln(1 - eps/c)).
+        crossing_eps1, crossing_eps2 = rip_m_window(n, delta, 0.5, 0.1)[2:]
+        for row, eps, c, which in ((crossing_eps1, 0.5, 1.01, "lambda1"), (crossing_eps2, 0.1, 0.99, "lambda2")):
+            root = format(envelope_root_decimal(n, delta, eps, c, which), ".10g")
+            assert f"{row.m_value:.10g}" == f"{float(root):.10g}", which  # the float drops Decimal's trailing zeros
+
+    def test_rate_underflow_is_refused(self):
+        # At delta = 1e-200 the exponent rate underflows to 0: no crossing is solved, and every rip length is refused.
+        assert exponent_rate(1e-200) == 0.0
+        assert math.isnan(solve_threshold(800, 1e-200, 0.25, "lambda2"))
+        with pytest.raises(ValueError, match="past the float range"):
+            rip_m_window(800, 1e-200, 0.5, 0.1)
 
 
 class TestCsvOutputs:

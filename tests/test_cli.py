@@ -8,6 +8,7 @@ import re
 import shlex
 import subprocess
 import sys
+import tracemalloc
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -18,27 +19,31 @@ import onebit
 import onebit.cli as cli
 import onebit.montecarlo as mc
 from onebit.cli import build_parser
-from onebit.embedding import CodeSet, draw_codes, read_code_set, write_code_set
+from onebit.embedding import CodeSet, draw_codes, embed_points, pack_bits, read_code_set, sample_map, write_code_set
 from onebit.geometry import PAIR_BLOCK_ROWS, read_point_set
-from reference import code_set, pair_table_fstring, usage_error
+from reference import check_one_to_one_dict, check_rip_loop, code_set, pair_table_fstring, usage_error
 
 SVG_NS = "{http://www.w3.org/2000/svg}"
 
 
-def run_cli(*args, cwd=None, env_seed=None):
-    # The child imports the same `onebit` as this process, whatever its cwd.
+def cli_env(env_seed=None) -> dict:
+    """The environment of a child `python -m onebit`: it imports the same `onebit` as this process, whatever its cwd."""
     env = dict(os.environ)
     package_root = str(Path(onebit.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
     env.pop("ONEBIT_SEED", None)
     if env_seed is not None:
         env["ONEBIT_SEED"] = str(env_seed)
+    return env
+
+
+def run_cli(*args, cwd=None, env_seed=None):
     return subprocess.run(
         [sys.executable, "-m", "onebit", *args],
         capture_output=True,
         text=True,
         cwd=cwd,
-        env=env,
+        env=cli_env(env_seed),
     )
 
 
@@ -234,12 +239,13 @@ class TestFlagDomains:
         # so that no such flag comes back as a bare type=int or type=float
         types = {"--n": cli._POINT_COUNT, "--m": cli._CODE_LENGTH, "--trials": cli._TRIALS, "--threads": cli._THREADS,
                  "--m-grid": cli._parse_m_grid, **dict.fromkeys(["--delta", "--eps", "--eps1", "--eps2"], cli._unit_interval)}
+        narrower = {("sweep", "--delta"): cli._rip_delta}  # every sweep row carries a rip window, defined for delta < 1/2
         subparsers = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
         seen = set()
         for command, parser in subparsers.choices.items():
             for action in parser._actions:
                 for flag in set(action.option_strings) & set(types):
-                    assert action.type is types[flag], (command, flag)
+                    assert action.type is narrower.get((command, flag), types[flag]), (command, flag)
                     seen.add(flag)
         assert seen == set(types)
 
@@ -430,6 +436,69 @@ class TestPairTableBytes:
             assert any(dev == "0" for *_, dev in rows)
 
 
+def write_embedded(tmp_path: Path, points: np.ndarray, m: int) -> tuple[Path, Path]:
+    """pts.csv holding the points and codes.bin their codes under a seeded m-direction map, both in tmp_path."""
+    pts = write_points(tmp_path / "pts.csv", "".join(",".join(map(repr, row)) + "\n" for row in points.tolist()))
+    bits = embed_points(sample_map(m, points.shape[1], seed=3), read_point_set(pts))
+    write_code_set(CodeSet(pack_bits(bits), m), tmp_path / "codes.bin")
+    return pts, tmp_path / "codes.bin"
+
+
+class TestCheckListing:
+    """check's failure listings, byte for byte, against per-pair f-strings over reference.py's loops, in bounded memory."""
+
+    def test_rip_listing_matches_fstrings(self, tmp_path, capsys):
+        pts, codes = write_embedded(tmp_path, gaussian_points(PAIR_BLOCK_ROWS + 20, 4, 12), 40)  # two geodesic blocks
+        assert cli.main(["check", "--points", str(pts), "--codes", str(codes), "--delta", "0.05"]) == cli.EXIT_CHECK_FAILED
+        violations, max_dev = check_rip_loop(read_code_set(codes), read_point_set(pts), 0.05)
+        assert violations[-1][0][0] >= PAIR_BLOCK_ROWS
+        assert capsys.readouterr().out == (
+            f"delta = 0.05, boundary = strict\nmax deviation = {max_dev:.10g}\n"
+            f"RIP check: FAIL ({len(violations)} violating pairs)\n"
+            + "".join(f"  pair {pair}: hamming={dh:.10g} geodesic={dg:.10g} deviation={dev:.10g}\n"
+                      for pair, dh, dg, dev in violations)
+        )
+
+    def test_one_to_one_listing_matches_fstrings(self, tmp_path, capsys):
+        pts, codes = write_embedded(tmp_path, gaussian_points(300, 4, 13), 3)  # at most 8 codes: groups of dozens
+        assert cli.main(["check", "--points", str(pts), "--codes", str(codes)]) == cli.EXIT_CHECK_FAILED
+        pairs = check_one_to_one_dict(read_code_set(codes))
+        assert capsys.readouterr().out == f"one-to-one check: FAIL ({len(pairs)} colliding pairs)\n" + "".join(
+            f"  codes {i} and {j} are equal\n" for i, j in pairs)
+
+    def test_failing_listing_memory_bounded(self, tmp_path):
+        # Most of the 124 750 pairs fail at delta 0.01: a list of them as named tuples took about 20 MB.
+        pts, codes = write_embedded(tmp_path, gaussian_points(500, 16, 14), 512)
+        out = tmp_path / "out.txt"
+        with open(out, "w", encoding="utf-8") as f, contextlib.redirect_stdout(f):
+            tracemalloc.start()
+            try:
+                code = cli.main(["check", "--points", str(pts), "--codes", str(codes), "--delta", "0.01"])
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert code == cli.EXIT_CHECK_FAILED
+        text = out.read_text(encoding="utf-8")
+        failing = int(re.search(r"FAIL \((\d+) violating pairs\)", text)[1])
+        assert text.count("\n") == 3 + failing and failing > 60_000
+        assert peak < 8 * 2**20
+
+
+@pytest.mark.parametrize("command, stderr", [
+    ("check --points pts.csv --codes codes.bin --delta 0.01", ""),
+    ("embed --points pts.csv --m 512 --seed 1 --codes new.bin --out -", "effective seed: 1\n"),
+], ids=["check", "embed"])
+def test_closed_stdout_ends_quietly(tmp_path, command, stderr):
+    # Tens of thousands of lines, far more than a pipe holds, so the writer is still writing when the reader goes.
+    write_embedded(tmp_path, gaussian_points(300, 16, 15), 512)
+    child = subprocess.Popen([sys.executable, "-m", "onebit", *command.split()], cwd=tmp_path, env=cli_env(),
+                             stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    assert child.stdout.readline()
+    child.stdout.close()
+    assert child.wait(timeout=120) == cli.EXIT_USAGE
+    assert child.stderr.read() == stderr
+
+
 class TestSimulateSweep:
     def test_simulate_stdout_csv(self):
         r = run_cli("simulate", "--n", "10", "--m", "7", "--trials", "5000", "--seed", "1")
@@ -492,6 +561,15 @@ class TestSimulateSweep:
                     "--seed", "1", "--threads", "1")
         assert r.returncode == 1
         assert "delta must lie in (0, 1/2)" in r.stderr
+
+    @pytest.mark.parametrize("delta", ["0.6", "0.5"])
+    def test_rip_delta_from_half_keeps_existing_out(self, delta, tmp_path, capsys):
+        out = tmp_path / "old.csv"
+        out.write_bytes(b"keep\n")
+        argv = ["sweep", "--n", "10", "--m-grid", "4:6:1", "--trials", "10", "--delta", delta, "--seed", "1", "--out", str(out)]
+        assert cli.main(argv) == cli.EXIT_USAGE
+        assert f"delta must lie in (0, 1/2), got {delta}" in capsys.readouterr().err
+        assert out.read_bytes() == b"keep\n"
 
 
 class TestOutputOpenedFirst:

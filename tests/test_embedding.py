@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 from fractions import Fraction
@@ -12,7 +13,6 @@ from onebit.embedding import (
     CodeSet,
     CodeSetFormatError,
     PAIR_SLAB_ROWS,
-    RipViolation,
     band_fails,
     band_range,
     check_one_to_one,
@@ -24,6 +24,7 @@ from onebit.embedding import (
     pack_bits,
     pair_stream,
     read_code_set,
+    rip_failures,
     sample_map,
     write_code_set,
 )
@@ -54,6 +55,20 @@ def first_pair_bits(codes: CodeSet) -> int:
 def orthogonal_codes(n: int, m: int, rng) -> CodeSet:
     """Codes of n pairwise orthogonal points: n iid uniform m-bit strings, as the simulator's fast path draws them."""
     return CodeSet(draw_codes((n,), m, rng), m)
+
+
+def collision_pairs(groups) -> list[tuple[int, int]]:
+    """The sorted colliding pairs of check_one_to_one's groups, each checked to be ascending and of two or more codes."""
+    assert all(len(g) >= 2 and (np.diff(g) > 0).all() for g in groups)
+    return sorted(pair for g in groups for pair in itertools.combinations(g.tolist(), 2))
+
+
+def failure_list(codes, points, delta, boundary="strict") -> list:
+    """rip_failures' slabs joined into one list of ((i, j), hamming, geodesic, deviation), as check_rip_loop lists them."""
+    failures = []
+    for i, j, dh, dg, _ in rip_failures(codes, points, delta, boundary):
+        failures += zip(zip(i.tolist(), j.tolist()), dh.tolist(), dg.tolist(), (dh - dg).tolist())
+    return failures
 
 
 def random_code_set(rng, n, m, duplicates):
@@ -198,8 +213,9 @@ def pair_deviation(emap: np.ndarray, x: np.ndarray, y: np.ndarray) -> float:
     """check_rip's signed deviation (Hamming distance of the images) - (geodesic distance) for one pair."""
     points = PointSet([x, y])
     # At the smallest delta every pair with a nonzero deviation is a violation.
-    report = check_rip(code_set(embed_points(emap, points)), points, delta=np.nextafter(0.0, 1.0), boundary="inclusive")
-    return report.violations[0].deviation if report.violations else report.max_deviation
+    [(i, _, dh, dg, max_dev)] = rip_failures(code_set(embed_points(emap, points)), points, np.nextafter(0.0, 1.0),
+                                             boundary="inclusive")  # two points: one slab
+    return float(dh[0] - dg[0]) if len(i) else max_dev
 
 
 class TestMetricDeviation:
@@ -240,12 +256,12 @@ class TestCheckOneToOne:
 
     def test_single_collision(self):
         cs = code_set([[0, 1], [0, 1], [1, 1]])
-        assert check_one_to_one(cs) == [(0, 1)]
+        assert collision_pairs(check_one_to_one(cs)) == [(0, 1)]
 
     def test_collision_list_complete_and_sorted(self):
         a, b = [0, 0], [1, 0]
         cs = code_set([a, a, b, a])
-        assert check_one_to_one(cs) == [(0, 1), (0, 3), (1, 3)]
+        assert collision_pairs(check_one_to_one(cs)) == [(0, 1), (0, 3), (1, 3)]
 
     def test_pigeonhole(self):
         rng = np.random.default_rng(0)
@@ -264,7 +280,7 @@ class TestCheckOneToOne:
         rng = np.random.default_rng(1000 + m)
         for duplicates in (0, 1, 5):
             codes = random_code_set(rng, 24, m, duplicates)
-            assert check_one_to_one(codes) == check_one_to_one_dict(codes)
+            assert collision_pairs(check_one_to_one(codes)) == check_one_to_one_dict(codes)
 
 
 def planted_trials(rng, n: int, m: int) -> np.ndarray:
@@ -319,7 +335,7 @@ class TestSortCodes:
             assert (keys[t][:, None] == keys[t][None, :]).tolist() == [[a == b for b in rows] for a in rows]
             assert _count_distinct(trial[None].copy()) == distinct[t]
             codes = CodeSet(trial, m)
-            assert check_one_to_one(codes) == check_one_to_one_dict(codes)
+            assert collision_pairs(check_one_to_one(codes)) == check_one_to_one_dict(codes)
         assert _count_distinct(batch.copy()) == sum(distinct)
 
 
@@ -327,18 +343,16 @@ class TestCheckRip:
     def test_pass_at_half_distance(self):
         pts = PointSet(np.eye(2, 3))
         codes = code_set([[0, 0], [0, 1]])
-        report = check_rip(codes, pts, delta=0.1)
-        assert report.max_deviation == 0.0 and report.violations == ()
+        assert check_rip(codes, pts, delta=0.1) == (0, 0.0)
 
     def test_identical_codes_violate(self):
         pts = PointSet(np.eye(2, 3))
         codes = code_set([[0, 0], [0, 0]])
-        report = check_rip(codes, pts, delta=0.4)
-        assert len(report.violations) == 1
-        v = report.violations[0]
-        assert v.pair == (0, 1)
-        assert v.deviation == pytest.approx(-0.5, abs=1e-12)
-        assert report.max_deviation == pytest.approx(0.5, abs=1e-12)
+        [(pair, _, _, deviation)] = failure_list(codes, pts, delta=0.4)
+        assert pair == (0, 1)
+        assert deviation == pytest.approx(-0.5, abs=1e-12)
+        failing, max_dev = check_rip(codes, pts, delta=0.4)
+        assert failing == 1 and max_dev == pytest.approx(0.5, abs=1e-12)
 
     def test_delta_near_one_always_passes(self):
         rng = np.random.default_rng(6)
@@ -346,20 +360,20 @@ class TestCheckRip:
         raw /= np.linalg.norm(raw, axis=1)[:, None]
         pts = PointSet(raw)
         codes = code_set(embed_points(sample_map(16, 4, seed=1), pts))
-        assert not check_rip(codes, pts, delta=0.999).violations
+        assert check_rip(codes, pts, delta=0.999)[0] == 0
 
     def test_boundary_conventions(self):
         # Deviation exactly 0.5: passes at delta=0.5 strictly, fails inclusively.
         pts = PointSet(np.eye(2, 3))
         codes = code_set([[0, 0], [1, 1]])
-        assert not check_rip(codes, pts, delta=0.5, boundary="strict").violations
-        assert check_rip(codes, pts, delta=0.5, boundary="inclusive").violations
+        assert check_rip(codes, pts, delta=0.5, boundary="strict")[0] == 0
+        assert check_rip(codes, pts, delta=0.5, boundary="inclusive")[0] == 1
 
     def test_monotone_in_delta(self):
         rng = np.random.default_rng(14)
         pts = PointSet(np.eye(4, 6))
         codes = orthogonal_codes(4, 8, rng)
-        passed_at = [not check_rip(codes, pts, d).violations for d in (0.1, 0.2, 0.3, 0.4, 0.5, 0.6)]
+        passed_at = [check_rip(codes, pts, d)[0] == 0 for d in (0.1, 0.2, 0.3, 0.4, 0.5, 0.6)]
         # once passing, stays passing at larger delta
         for earlier, later in zip(passed_at, passed_at[1:]):
             assert later or not earlier
@@ -369,16 +383,15 @@ class TestCheckRip:
         # difference is 0.19999999999999996), so inclusive fails and strict passes.
         pts = PointSet(np.eye(2, 3))
         codes = code_set([[0] * 10, [1] * 7 + [0] * 3])
-        assert not check_rip(codes, pts, delta=0.2, boundary="strict").violations
-        report = check_rip(codes, pts, delta=0.2, boundary="inclusive")
-        assert [v.pair for v in report.violations] == [(0, 1)]
+        assert check_rip(codes, pts, delta=0.2, boundary="strict")[0] == 0
+        assert [pair for pair, *_ in failure_list(codes, pts, delta=0.2, boundary="inclusive")] == [(0, 1)]
 
     def test_full_count_in_a_narrow_type(self):
         # m = 255 is the largest m whose counts are one byte each: 2h must not wrap at h = 255.
         pts = PointSet(np.eye(2, 3))
         codes = code_set([[0] * 255, [1] * 255])
-        report = check_rip(codes, pts, delta=0.45)
-        assert report.violations == (RipViolation((0, 1), 1.0, 0.5, 0.5),) and report.max_deviation == 0.5
+        assert failure_list(codes, pts, delta=0.45) == [((0, 1), 1.0, 0.5, 0.5)]
+        assert check_rip(codes, pts, delta=0.45) == (1, 0.5)
 
     @pytest.mark.parametrize("m", [1, 63, 64, 65, 130])
     @pytest.mark.parametrize("boundary", ["strict", "inclusive"])
@@ -389,10 +402,9 @@ class TestCheckRip:
         for duplicates in (0, 3):
             codes = random_code_set(rng, 14, m, duplicates)
             for delta in (0.05, 0.2, 0.45):
-                report = check_rip(codes, pts, delta, boundary)
-                assert (report.violations, report.max_deviation) == check_rip_loop(
-                    codes, pts, delta, boundary
-                )
+                violations, max_dev = check_rip_loop(codes, pts, delta, boundary)
+                assert failure_list(codes, pts, delta, boundary) == violations
+                assert check_rip(codes, pts, delta, boundary) == (len(violations), max_dev)
 
     def test_misalignment(self, tmp_path, capsys):
         (tmp_path / "pts.csv").write_text("1,0,0,0\n0,1,0,0\n0,0,1,0\n")
@@ -435,11 +447,12 @@ class TestPairStream:
         iu, ju = np.triu_indices(n, 1)
         for boundary in ("strict", "inclusive"):
             fails = band_fails(h_all[iu, ju], m, geo_all[iu, ju], delta, boundary)
-            report = check_rip(codes, points, delta, boundary)
-            assert [v.pair for v in report.violations] == list(zip(iu[fails].tolist(), ju[fails].tolist()))
-            assert max(v.pair[0] for v in report.violations) >= 2 * PAIR_BLOCK_ROWS  # the last block has violations
+            pairs = [pair for pair, *_ in failure_list(codes, points, delta, boundary)]
+            assert pairs == list(zip(iu[fails].tolist(), ju[fails].tolist()))
+            assert max(i for i, _ in pairs) >= 2 * PAIR_BLOCK_ROWS  # the last block has violations
             dev = np.abs(h_all[iu, ju] / m - geo_all[iu, ju])
-            assert report.max_deviation == pytest.approx(float(dev.max()), abs=1e-12)
+            failing, max_dev = check_rip(codes, points, delta, boundary)
+            assert failing == len(pairs) and max_dev == pytest.approx(float(dev.max()), abs=1e-12)
 
     def test_one_point_has_no_slabs(self):
         codes = code_set([[1, 0, 1]])
@@ -458,27 +471,43 @@ class TestPairStream:
         bits[-2] = ~bits[-1]  # and complements in its last pair, which fail at any delta below 1 - their geodesic
         codes = code_set(bits)
         delta = 0.3 if m < 64 else 0.05
-        report = check_rip(codes, points, delta, boundary)
         violations, max_dev = check_rip_loop(codes, points, delta, boundary)
-        assert report.violations == violations and report.max_deviation == max_dev
-        assert violations[-1].pair == (n - 2, n - 1)  # the walk's last pair, in its last slab, is reported
+        assert failure_list(codes, points, delta, boundary) == violations
+        assert check_rip(codes, points, delta, boundary) == (len(violations), max_dev)
+        assert violations[-1][0] == (n - 2, n - 1)  # the walk's last pair, in its last slab, is reported
 
     def test_check_rip_memory_bounded(self):
         # The (n, n) float64 geodesic matrix alone would take n * n * 8 = 72 MB at n = 3000.
         n = 3000
+        block = PAIR_BLOCK_ROWS * n * 8
         points = random_points(np.random.default_rng(3000), n, 16)
-        for m in (512, 2048):  # 2048 bits: a transposed word array four times as large beside the block
-            codes = code_set(embed_points(sample_map(m, 16, seed=3), points))
+
+        def peak_of(walk):
             tracemalloc.start()
             try:
-                report = check_rip(codes, points, 0.2)
-                peak = tracemalloc.get_traced_memory()[1]
+                result = walk()
+                return result, tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            assert not report.violations
-            assert peak < n * n * 8 / 4
-            # One geodesic block is live at a time: the next is computed only after the last is freed.
-            assert peak < 1.5 * PAIR_BLOCK_ROWS * n * 8, m
+
+        for m in (512, 2048):  # 2048 bits: a transposed word array four times as large beside the block
+            codes = code_set(embed_points(sample_map(m, 16, seed=3), points))
+            for delta in (0.2, 0.01):  # every pair passes at 0.2; most fail at 0.01
+                (failing, _), peak = peak_of(lambda: check_rip(codes, points, delta))
+                assert (failing == 0) == (delta == 0.2), (m, delta)
+                assert peak < n * n * 8 / 4
+                # One geodesic block is live at a time: the next is computed only after the last is freed.
+                assert peak < 1.5 * block, (m, delta)
+
+            def walk():  # as check's listing walks: one slab's failure arrays stay bound while the next is made
+                listed = 0
+                for i, j, dh, dg, _ in rip_failures(codes, points, 0.01):
+                    listed += len(i)
+                return listed
+
+            listed, peak = peak_of(walk)
+            assert listed == failing
+            assert peak < 2 * block, m
 
 
 class TestEmbedOrthogonal:
