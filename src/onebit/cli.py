@@ -156,6 +156,122 @@ def _text_out(path_or_dash):
             yield f
 
 
+# ---------------------------------------------------------------- pair rows
+#
+# A pair row is text in uint32 words: 4 ASCII bytes each, NUL-padded, so every
+# field and literal fills whole words of a row array, and dropping the NULs of
+# the array's bytes leaves the rows' text.
+
+#: Pairs per write of _write_pairs: its temporaries take 270-370 bytes a pair, so a write holds at most about 3 MB.
+_PAIRS_PER_WRITE = 1 << 13
+_ALL = np.uint32(0xFFFFFFFF)  # the mask that keeps a whole word
+
+
+def _words(text: str) -> np.ndarray:
+    raw = text.encode("ascii")
+    return np.frombuffer(raw + b"\0" * (-len(raw) % 4), dtype=np.uint32)
+
+
+def _byte_words(byte_rows) -> np.ndarray:
+    return np.ascontiguousarray(byte_rows, dtype=np.uint8).view(np.uint32)[:, 0]
+
+
+@functools.cache  # built at first use, not at import: only embed and a failing check print pair rows
+def _quads() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The words "0000".."9999"; the masks that keep each one's digits from its first nonzero one on, and up to
+    its last nonzero one; and the heads "0." and "-0." with the first of 3 zero slots filled for z = 3 (see
+    _float_words)."""
+    digits = np.arange(10_000, dtype=np.int16)[:, None] // np.array([1000, 100, 10, 1], dtype=np.int16) % 10
+    nonzero = digits != 0
+    lead = np.logical_or.accumulate(nonzero, axis=1)
+    trail = np.logical_or.accumulate(nonzero[:, ::-1], axis=1)[:, ::-1]
+    heads = np.array([_words(sign + "0." + zero)[0] for sign in ("", "-") for zero in ("\0", "\0", "\0", "0")])
+    full = np.uint8(0xFF)
+    tables = _byte_words(digits + ord("0")), _byte_words(lead * full), _byte_words(trail * full), heads
+    for table in tables:
+        table.setflags(write=False)  # cached, so every caller shares them
+    return tables
+
+
+#: Per count z of zeros after the point, the mask of the first digit word "00dd" that keeps z of its 2 zero slots.
+_ZERO_SLOTS = _byte_words([[0, 0, 255, 255], [0, 255, 255, 255], [255] * 4, [255] * 4])
+#: Per z, 10**(10 + z): scales a value 10**-(1 + z) <= |x| < 10**-z to 10 digits before the point (exact doubles).
+_TEN_DIGITS = np.array([1e10, 1e11, 1e12, 1e13])
+
+
+def _float_words(x: np.ndarray, out: np.ndarray) -> None:
+    """Write format(v, ".10g") of each double v of x, NUL-padded, into the 5 word columns of out.
+
+    For 1e-4 <= |v| < 1 with z zeros after the point, the digits are d = rint(|v| * 10**(10 + z)):
+    the scale is an exact double and the product is rounded once, so it lies on the same side of
+    every half-integer as the exact product, and d is the correctly rounded 10 digits unless the
+    product is itself a half-integer. Those, and every other v (0, -0, |v| >= 1, the exponent form,
+    d rounded up to 11 digits), are formatted by format itself.
+    """
+    quads, _, trail, heads = _quads()
+    a = np.minimum(np.abs(x), 1.0)
+    z = (a < 1e-1).view(np.int8) + (a < 1e-2).view(np.int8)
+    z += (a < 1e-3).view(np.int8)
+    y = a * _TEN_DIGITS[z]
+    d = np.rint(y)
+    fast = np.abs(y - d) != 0.5
+    fast &= d < 1e10
+    fast &= a >= 1e-4
+    d[~fast] = 1e9
+    low = d.astype(np.int64)
+    high = low // 100_000_000
+    low -= high * 100_000_000
+    mid = low // 10_000
+    low -= mid * 10_000
+    out[:, 0] = heads[(x < 0).view(np.int8) * 4 + z]
+    out[:, 1] = quads[high] & _ZERO_SLOTS[z]  # "00" and the first 2 digits
+    out[:, 2] = quads[mid]
+    out[:, 3] = quads[low] & trail[low]
+    out[:, 4] = 0
+    nonzero = low != 0
+    out[:, 2] &= np.where(nonzero, _ALL, trail[mid])
+    nonzero |= mid != 0
+    out[:, 1] &= np.where(nonzero, _ALL, trail[high])
+    slow = np.flatnonzero(~fast)
+    if slow.size:
+        text = np.array([format(v, ".10g") for v in x[slow].tolist()], dtype="S20")
+        out[slow] = text.view(np.uint32).reshape(-1, 5)
+
+
+def _int_words(v: np.ndarray, out: np.ndarray) -> None:
+    """Write the decimal digits of each nonnegative int of v into the word columns of out, 4 digits a word,
+    leading zeros NUL."""
+    quads, lead, _, _ = _quads()
+    shown = np.zeros(len(v), dtype=bool)
+    for k in range(out.shape[1]):
+        q = v // 10 ** (4 * (out.shape[1] - 1 - k)) % 10_000
+        out[:, k] = quads[q] & np.where(shown, _ALL, lead[q])
+        shown |= q != 0
+    out[~shown, -1] = quads[0] & lead[1]  # 0 prints as "0": lead[1] keeps a word's last digit
+
+
+def _write_pairs(f, literals: tuple[str, ...], i, j, dh, dg) -> None:
+    """Write one row per pair: the six literals around i, j, dh, dg and dh - dg, the floats as %.10g prints them.
+
+    The rows go out _PAIRS_PER_WRITE at a time, each chunk as one string; no pairs write nothing.
+    """
+    lits = [_words(text) for text in literals]
+    index_words = -(-len(str(int(j.max(initial=0)))) // 4)
+    fields = [(_int_words, index_words)] * 2 + [(_float_words, 5)] * 3
+    width = sum(map(len, lits)) + sum(words for _, words in fields)
+    for lo in range(0, len(i), _PAIRS_PER_WRITE):
+        p = slice(lo, lo + _PAIRS_PER_WRITE)
+        rows = np.empty((len(i[p]), width), dtype=np.uint32)
+        at = 0
+        for lit, (write, words), values in zip(lits, fields, (i[p], j[p], dh[p], dg[p], dh[p] - dg[p])):
+            rows[:, at : at + len(lit)] = lit
+            at += len(lit)
+            write(values, rows[:, at : at + words])
+            at += words
+        rows[:, at:] = lits[-1]
+        f.write(rows.tobytes().translate(None, b"\0").decode("ascii"))
+
+
 # ---------------------------------------------------------------- bounds
 
 def _cmd_bounds(args) -> int:
@@ -213,21 +329,13 @@ def _cmd_embed(args) -> int:
     write_code_set(codes, args.codes)
 
     out = args.out if args.out else str(args.codes) + ".pairs.csv"
-    # Written a row of a pair_stream slab at a time, so neither the table nor a distance matrix is held whole.
-    # The m + 1 hamming fields are formatted once; each row is one %-operation over its pairs,
-    # and %.10g prints the same digits as format(x, ".10g").
-    hamming = np.array([f"{h / codes.m:.10g}" for h in range(codes.m + 1)], dtype=object)
+    # Written as pair_stream's slabs come, so neither the table nor a distance matrix is held whole: a slab's pairs
+    # take about 50 bytes each flattened, and _write_pairs formats them _PAIRS_PER_WRITE at a time.
     with _text_out(out) as f:
         f.write("i,j,hamming,geodesic,deviation\n")
-        for lo, slab_h, slab_g in pair_stream(codes, points):
-            for r in range(len(slab_h)):
-                i, h, dg = lo + r, slab_h[r, r + 1 :], slab_g[r, r + 1 :]
-                fields = [None] * (4 * len(h))
-                fields[0::4] = range(i + 1, codes.n)
-                fields[1::4] = hamming[h].tolist()
-                fields[2::4] = dg.tolist()
-                fields[3::4] = (h / codes.m - dg).tolist()
-                f.write(f"{i},%d,%s,%.10g,%.10g\n" * len(h) % tuple(fields))
+        for lo, h, g in pair_stream(codes, points):
+            r, c = np.nonzero(np.arange(h.shape[1]) > np.arange(len(h))[:, None])
+            _write_pairs(f, ("", ",", ",", ",", ",", "\n"), lo + r, lo + c, h[r, c] / codes.m, g[r, c])
     print(f"wrote {codes.n} codes of length {codes.m} to {args.codes}; pair table to {out}", file=sys.stderr)
     if args.hexdump:
         sys.stdout.write(code_set_hexdump(codes))
@@ -250,10 +358,9 @@ def _cmd_check(args) -> int:
             print("RIP check: PASS")
             return EXIT_OK
         print(f"RIP check: FAIL ({failing} violating pairs)")
-        line = "  pair (%d, %d): hamming=%.10g geodesic=%.10g deviation=%.10g\n"  # %.10g prints format(x, ".10g")
+        row = ("  pair (", ", ", "): hamming=", " geodesic=", " deviation=", "\n")
         for i, j, dh, dg, _ in rip_failures(codes, points, args.delta, boundary=args.boundary):
-            fields = zip(i.tolist(), j.tolist(), dh.tolist(), dg.tolist(), (dh - dg).tolist())
-            sys.stdout.write("".join(map(line.__mod__, fields)))
+            _write_pairs(sys.stdout, row, i, j, dh, dg)
         return EXIT_CHECK_FAILED
 
     groups = check_one_to_one(codes)

@@ -170,7 +170,9 @@ def rip_failures(codes: CodeSet, points: PointSet, delta: float, boundary: str =
         fails = band_fails(h, codes.m, g, delta, boundary)
         fails[:, : len(h)][below] = False
         r, c = np.nonzero(fails)
+        del dev, fails  # freed before the caller's turn
         yield lo + r, lo + c, h[r, c] / codes.m, g[r, c], max_dev
+        del r, c  # freed before pair_stream makes the next slab
 
 
 def check_rip(codes: CodeSet, points: PointSet, delta: float, boundary: str = "strict") -> tuple[int, float]:

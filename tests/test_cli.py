@@ -14,6 +14,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import onebit
 import onebit.cli as cli
@@ -482,6 +484,74 @@ class TestCheckListing:
         failing = int(re.search(r"FAIL \((\d+) violating pairs\)", text)[1])
         assert text.count("\n") == 3 + failing and failing > 60_000
         assert peak < 8 * 2**20
+
+
+def formatted(values) -> list[str]:
+    """cli._float_words' text of each value, its NUL padding dropped."""
+    words = np.zeros((len(values), 5), dtype=np.uint32)
+    cli._float_words(np.asarray(values, dtype=np.float64), words)
+    return [row.tobytes().replace(b"\0", b"").decode("ascii") for row in words]
+
+
+def float_edges() -> list[float]:
+    """Doubles next to the rounding and notation edges of %.10g."""
+    fixed = [0.0, -0.0, 1.0, -1.0, 0.1, 1e-4, math.nextafter(1e-4, 0), math.nextafter(1e-4, 1), 9.9999999994e-5,
+             9.9999999995e-5, 0.99999999995, 0.099999999995, 5e-324, -5e-324, 1e-310, -1e300, 12.5, 2.0**60]
+    # 2000 decimal ties d.ddddddddd5 * 10**-(1 + z) of the fixed notation, z = 0..3 zeros after the point
+    rng = np.random.default_rng(29)
+    ties = np.array([float(f"{10 * d + 5}e-{11 + z}") for d, z in zip(
+        rng.integers(10**9, 10**10, 2000).tolist(), rng.integers(0, 4, 2000).tolist())])
+    near = np.concatenate([ties, np.nextafter(ties, 0), np.nextafter(ties, 1)])
+    return fixed + np.concatenate([near, -near]).tolist() + [h / m for m in (3, 512, 20000) for h in range(m + 1)]
+
+
+class TestPairRowFormat:
+    """The pair rows' numpy formatter prints every double as format(v, ".10g") does, and every index as str."""
+
+    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=40))
+    @settings(max_examples=300)
+    def test_any_finite_double(self, values):
+        assert formatted(values) == [format(v, ".10g") for v in values]
+
+    def test_seeded_unit_interval(self):
+        values = np.random.default_rng(27).uniform(-1.0, 1.0, 100_000).tolist()
+        assert formatted(values) == [format(v, ".10g") for v in values]
+
+    def test_edges(self):
+        values = float_edges()
+        assert len(values) > 32_000
+        assert formatted(values) == [format(v, ".10g") for v in values]
+
+    def test_rows_match_fstrings(self):
+        i = np.array([0, 0, 9, 9999, 10_000, 10_001, 99_999_999, 123_456_789])
+        j = i + np.array([1, 9_999, 1, 1, 1, 100_000_000, 1, 1_000_000_000])
+        dh, dg = np.array(float_edges()[: len(i)]), np.linspace(0.0, 1.0, len(i))
+        out = io.StringIO()
+        cli._write_pairs(out, ("<", "|", ":", "", "=", ">\n"), i, j, dh, dg)
+        assert out.getvalue() == "".join(
+            f"<{a}|{b}:{x:.10g}{y:.10g}={x - y:.10g}>\n" for a, b, x, y in zip(i.tolist(), j.tolist(), dh, dg))
+
+    def test_no_pairs_write_nothing(self):
+        out = io.StringIO()
+        none = np.zeros(0, dtype=np.int64)
+        cli._write_pairs(out, ("", ",", ",", ",", ",", "\n"), none, none, none / 1.0, none / 1.0)
+        assert out.getvalue() == ""
+
+    def test_chunks_join_seamlessly(self, monkeypatch):
+        rng = np.random.default_rng(28)
+        i, dh, dg = rng.integers(0, 10, 50).tolist(), rng.uniform(0, 1, 50), rng.uniform(0, 1, 50)
+        monkeypatch.setattr(cli, "_PAIRS_PER_WRITE", 7)  # 8 writes, the last of one pair
+        out = io.StringIO()
+        cli._write_pairs(out, ("", ",", ",", ",", ",", "\n"), np.array(i), np.array(i) + 1, dh, dg)
+        assert out.getvalue() == "".join(f"{a},{a + 1},{x:.10g},{y:.10g},{x - y:.10g}\n" for a, x, y in zip(i, dh, dg))
+
+
+def test_import_builds_no_digit_tables():
+    # Every command imports cli: the formatter's tables wait for the first pair row, and numpy.random for a draw.
+    probe = "import sys, onebit.cli as c; print(c._quads.cache_info().currsize, 'numpy.random' in sys.modules)"
+    child = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=cli_env())
+    assert child.returncode == 0, child.stderr
+    assert child.stdout.split() == ["0", "False"]
 
 
 @pytest.mark.parametrize("command, stderr", [
