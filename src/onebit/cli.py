@@ -102,6 +102,26 @@ def _rip_delta(text: str) -> float:
     return value
 
 
+def _path(text: str) -> str:
+    """The type of every --points, --codes and --out: a path, which "" is not."""
+    if not text:
+        raise argparse.ArgumentTypeError("must name a file, got ''")
+    return text
+
+
+def _refuse_shared_paths(args) -> None:
+    """A command's --points, --codes and --out must be different files: one output would replace another file
+    of the same command. "-" and unset flags name no file."""
+    named = {}
+    for flag in ("points", "codes", "out"):
+        path = getattr(args, flag, None)
+        if path is None or path == "-":
+            continue
+        other = named.setdefault(os.path.realpath(path), flag)
+        if other != flag:
+            raise ValueError(f"--{other} and --{flag} name the same file: {path}")
+
+
 def _default_trials(n: int) -> int:
     return 100_000 if n <= 100 else 200
 
@@ -328,15 +348,17 @@ def _cmd_embed(args) -> int:
     codes = CodeSet(pack_bits(embed_points(sample_map(args.m, points.dim, seed), points)), args.m)
     write_code_set(codes, args.codes)
 
-    out = args.out if args.out else str(args.codes) + ".pairs.csv"
-    # Written as pair_stream's slabs come, so neither the table nor a distance matrix is held whole: a slab's pairs
-    # take about 50 bytes each flattened, and _write_pairs formats them _PAIRS_PER_WRITE at a time.
-    with _text_out(out) as f:
-        f.write("i,j,hamming,geodesic,deviation\n")
-        for lo, h, g in pair_stream(codes, points):
-            r, c = np.nonzero(np.arange(h.shape[1]) > np.arange(len(h))[:, None])
-            _write_pairs(f, ("", ",", ",", ",", ",", "\n"), lo + r, lo + c, h[r, c] / codes.m, g[r, c])
-    print(f"wrote {codes.n} codes of length {codes.m} to {args.codes}; pair table to {out}", file=sys.stderr)
+    wrote = f"wrote {codes.n} codes of length {codes.m} to {args.codes}"
+    if args.out is not None:
+        # Written as pair_stream's slabs come, so neither the table nor a distance matrix is held whole: a slab's
+        # pairs take about 50 bytes each flattened, and _write_pairs formats them _PAIRS_PER_WRITE at a time.
+        with _text_out(args.out) as f:
+            f.write("i,j,hamming,geodesic,deviation\n")
+            for lo, h, g in pair_stream(codes, points):
+                r, c = np.nonzero(np.arange(h.shape[1]) > np.arange(len(h))[:, None])
+                _write_pairs(f, ("", ",", ",", ",", ",", "\n"), lo + r, lo + c, h[r, c] / codes.m, g[r, c])
+        wrote += f"; pair table to {args.out}"
+    print(wrote, file=sys.stderr)  # after the table: a reader that closes stdout early sees only the seed line
     if args.hexdump:
         sys.stdout.write(code_set_hexdump(codes))
     return EXIT_OK
@@ -548,7 +570,7 @@ def _add_common_sim_flags(p: _Parser) -> None:
                    help="worker threads (output is thread-count independent)")
     p.add_argument("--boundary", choices=BOUNDARIES, default="strict",
                    help="does a deviation exactly equal to delta pass (strict) or fail (inclusive)")
-    p.add_argument("--out", default=None, help="output CSV path (default: stdout)")
+    p.add_argument("--out", type=_path, default=None, help="output CSV path (default: stdout)")
 
 
 @functools.cache  # built once per process: building it is most of a short command's time
@@ -564,22 +586,22 @@ def build_parser() -> _Parser:
     p.add_argument("--eps2", type=_unit_interval, default=None)
     p.add_argument("--m", type=_CODE_LENGTH, default=None, help="also print the probability window at this m")
     p.add_argument("--force", action="store_true", help="evaluate transition formulas below their proven n")
-    p.add_argument("--out", default=None, help="also write the table as CSV")
+    p.add_argument("--out", type=_path, default=None, help="also write the table as CSV")
     p.set_defaults(func=_cmd_bounds)
 
     p = sub.add_parser("embed", help="embed a points CSV through a seeded random map")
-    p.add_argument("--points", required=True)
+    p.add_argument("--points", type=_path, required=True)
     p.add_argument("--m", type=_CODE_LENGTH, required=True)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--codes", required=True, help="output path for the binary code set")
-    p.add_argument("--out", default=None, help="pairwise-distance CSV path (default: CODES.pairs.csv)")
+    p.add_argument("--codes", type=_path, required=True, help="output path for the binary code set")
+    p.add_argument("--out", type=_path, default=None, help="also write the O(n^2) pair table CSV ('-' for stdout)")
     p.add_argument("--normalize", action="store_true", help="rescale input rows to unit norm")
     p.add_argument("--hexdump", action="store_true", help="also print codes as hex")
     p.set_defaults(func=_cmd_embed)
 
     p = sub.add_parser("check", help="check codes against points: band isometry (--delta) or one-to-one")
-    p.add_argument("--points", required=True)
-    p.add_argument("--codes", required=True)
+    p.add_argument("--points", type=_path, required=True)
+    p.add_argument("--codes", type=_path, required=True)
     p.add_argument("--delta", type=_unit_interval, default=None)
     p.add_argument("--boundary", choices=BOUNDARIES, default="strict")
     p.add_argument("--normalize", action="store_true")
@@ -589,7 +611,7 @@ def build_parser() -> _Parser:
     p.add_argument("--n", type=_POINT_COUNT, default=None)
     p.add_argument("--m", type=_CODE_LENGTH, required=True)
     p.add_argument("--delta", type=_unit_interval, default=None)
-    p.add_argument("--points", default=None, help="explicit point set (default: orthogonal fast path)")
+    p.add_argument("--points", type=_path, default=None, help="explicit point set (default: orthogonal fast path)")
     p.add_argument("--normalize", action="store_true")
     _add_common_sim_flags(p)
     p.set_defaults(func=_cmd_simulate)
@@ -598,7 +620,7 @@ def build_parser() -> _Parser:
     p.add_argument("--n", type=_POINT_COUNT, default=None)
     p.add_argument("--m-grid", type=_parse_m_grid, required=True, help="lo:hi:step, inclusive")
     p.add_argument("--delta", type=_rip_delta, default=None)
-    p.add_argument("--points", default=None)
+    p.add_argument("--points", type=_path, default=None)
     p.add_argument("--normalize", action="store_true")
     p.add_argument("--eta-form", choices=bnd.ETA_FORMS, default=None,
                    help="window width form for injectivity sweeps (default pairwise)")
@@ -616,7 +638,7 @@ def build_parser() -> _Parser:
     p.add_argument("--threads", type=_THREADS, default=_default_threads())
     p.add_argument("--boundary", choices=BOUNDARIES, default="strict")
     p.add_argument("--force", action="store_true")
-    p.add_argument("--out", default="phase_figure", help="output base path (writes BASE.csv and BASE.svg)")
+    p.add_argument("--out", type=_path, default="phase_figure", help="output base path (writes BASE.csv and BASE.svg)")
     p.set_defaults(func=_cmd_figure)
 
     p = sub.add_parser("oracle", help="exact probabilities as fractions and decimals")
@@ -637,6 +659,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
+        _refuse_shared_paths(args)
         return args.func(args)
     except ValidityRangeError as exc:
         print(f"onebit: validity range: {exc}", file=sys.stderr)

@@ -38,19 +38,16 @@ class ExactProbability:
 
 
 def birthday_exact(n: int, m: int) -> ExactProbability:
-    """P(n iid uniform m-bit codes are all distinct) = prod_{k=1}^{n-1} (1 - k/2^m).
+    """P(n iid uniform m-bit codes are all distinct) = prod_{k=1}^{n-1} (1 - k/2^m) = perm(2^m - 1, n - 1) / 2^(m(n-1)).
 
     This is the exact injectivity probability of the one-bit map on n pairwise
     orthogonal points, whose codes are iid uniform.  Zero when n > 2^m by
-    pigeonhole.
+    pigeonhole, returned before the (2^m)^(n-1) denominator is built.
     """
     space = 1 << m
     if n > space:
         return ExactProbability(Fraction(0))
-    num = 1
-    for k in range(1, n):
-        num *= space - k
-    return ExactProbability(Fraction(num, space ** (n - 1)))
+    return ExactProbability(Fraction(math.perm(space - 1, n - 1), space ** (n - 1)))
 
 
 def rip_exact_three(m: int, delta: float, boundary: str = "strict") -> ExactProbability:

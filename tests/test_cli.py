@@ -175,7 +175,8 @@ VALID_RUNS = (
     "oracle rip_three --m 10 --delta 0.2",
 )
 BAD_VALUES = {"--n": ["1"], "--m": ["0"], "--trials": ["0"], "--threads": ["0"], "--delta": ["0", "1", "nan", "inf"],
-              "--eps": ["1"], "--eps1": ["1"], "--eps2": ["1"], "--m-grid": ["0:4:1"]}
+              "--eps": ["1"], "--eps1": ["1"], "--eps2": ["1"], "--m-grid": ["0:4:1"],
+              "--points": [""], "--codes": [""], "--out": [""]}
 
 
 class TestFlagDomains:
@@ -235,12 +236,33 @@ class TestFlagDomains:
         pts = write_points(tmp_path / "pts.csv", "1,0,0\n")
         assert cli.main(["embed", "--points", str(pts), "--m", "8", "--seed", "1", "--codes", str(tmp_path / "c.bin")]) == 0
         assert read_code_set(tmp_path / "c.bin").n == 1
-        assert (tmp_path / "c.bin.pairs.csv").read_text() == "i,j,hamming,geodesic,deviation\n"
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["c.bin", "pts.csv"]
+
+    def test_shared_paths_leave_every_file_alone(self, tmp_path, monkeypatch, capsys):
+        # An output that names another file of its command would replace it; refused before any file is read.
+        monkeypatch.chdir(tmp_path)
+        write_points(tmp_path / "p.csv", "1,0,0\n0,1,0\n0,0,1\n")
+        (tmp_path / "same.bin").write_bytes(b"old")
+        os.symlink("p.csv", tmp_path / "link.csv")
+        files = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
+        for argv, flags in (
+            ("embed --points p.csv --m 8 --seed 1 --codes same.bin --out same.bin", "--codes and --out"),
+            ("embed --points p.csv --m 8 --seed 1 --codes c.bin --out p.csv", "--points and --out"),
+            ("embed --points p.csv --m 8 --seed 1 --codes ./link.csv --out -", "--points and --codes"),
+            ("check --points p.csv --codes p.csv", "--points and --codes"),
+            ("simulate --points p.csv --m 8 --seed 1 --threads 1 --out p.csv", "--points and --out"),
+            ("sweep --points p.csv --m-grid 4:8:4 --seed 1 --threads 1 --out link.csv", "--points and --out"),
+        ):
+            assert cli.main(argv.split()) == cli.EXIT_USAGE, argv
+            out, err = capsys.readouterr()
+            assert out == "" and err.startswith(f"onebit: error: {flags} name the same file"), (argv, err)
+            assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == files, argv
 
     def test_every_domain_flag_has_its_type(self):
         # so that no such flag comes back as a bare type=int or type=float
         types = {"--n": cli._POINT_COUNT, "--m": cli._CODE_LENGTH, "--trials": cli._TRIALS, "--threads": cli._THREADS,
-                 "--m-grid": cli._parse_m_grid, **dict.fromkeys(["--delta", "--eps", "--eps1", "--eps2"], cli._unit_interval)}
+                 "--m-grid": cli._parse_m_grid, **dict.fromkeys(["--delta", "--eps", "--eps1", "--eps2"], cli._unit_interval),
+                 **dict.fromkeys(["--points", "--codes", "--out"], cli._path)}
         narrower = {("sweep", "--delta"): cli._rip_delta}  # every sweep row carries a rip window, defined for delta < 1/2
         subparsers = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
         seen = set()
@@ -366,6 +388,19 @@ class TestEmbedAndCheck:
             "  codes 2 and 6 are equal\n"
             "  codes 5 and 7 are equal\n"
         )
+
+    def test_embed_writes_only_the_files_it_is_named(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        write_points(tmp_path / "pts.csv", "1,0,0\n0,1,0\n0,0,1\n")
+        embed = "embed --points pts.csv --m 8 --seed 1 --codes c.bin".split()
+        assert cli.main(embed) == 0
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["c.bin", "pts.csv"]
+        assert capsys.readouterr() == ("", "effective seed: 1\nwrote 3 codes of length 8 to c.bin\n")
+        assert cli.main([*embed, "--out", "t.csv"]) == 0
+        assert capsys.readouterr().err.endswith("to c.bin; pair table to t.csv\n")
+        assert cli.main([*embed, "--out", "-"]) == 0
+        table = (tmp_path / "t.csv").read_text()
+        assert capsys.readouterr().out == table and len(table.splitlines()) == 1 + 3
 
     def test_embed_hexdump(self, tmp_path):
         pts = write_points(tmp_path / "pts.csv", "1,0,0\n0,1,0\n")
@@ -761,6 +796,7 @@ def readme_commands():
 def test_readme_commands_parse():
     commands = list(readme_commands())
     assert len(commands) >= 10
+    assert {argv[0] for argv in commands} == {"bounds", "embed", "check", "simulate", "sweep", "figure", "oracle"}
     parser = build_parser()
     for argv in commands:
         parser.parse_args(argv)  # a usage error exits

@@ -1,10 +1,13 @@
 """The package builds a PointSet or a CodeSet only where a file's checks have run, or from values it made itself.
 
-PointSet and CodeSet keep no checks of their own: ``read_point_set`` checks
-each row of a points file, and ``read_code_set`` each field of a code-set file,
-before either builds one, and ``cli._cmd_embed`` packs the codes of a map it
-drew itself.  A new call elsewhere in ``src/onebit`` would build one from values
-nothing has checked, so this test names every call's enclosing function.
+PointSet keeps no checks of its own, and CodeSet keeps one: it refuses a code
+with nonzero padding bits past m, since ``code_keys`` compares whole words and
+so needs equal codes to be equal rows.  Every other check is the readers':
+``read_point_set`` checks each row of a points file, and ``read_code_set`` each
+field of a code-set file, before either builds one, and ``cli._cmd_embed``
+packs the codes of a map it drew itself.  A new call elsewhere in
+``src/onebit`` would build one from values nothing has checked, so this test
+names every call's enclosing function.
 """
 
 import ast
