@@ -295,6 +295,8 @@ def _write_pairs(f, literals: tuple[str, ...], i, j, dh, dg) -> None:
 # ---------------------------------------------------------------- bounds
 
 def _cmd_bounds(args) -> int:
+    if args.out == "-":
+        raise ValueError("--out - would write the CSV to stdout, which already carries the table or the --m window")
     n = args.n
     rip_delta = args.delta if args.delta is not None and args.delta < 0.5 else None  # rip formulas need delta < 1/2
     reports: list[bnd.BoundsReport] = []
@@ -586,7 +588,7 @@ def build_parser() -> _Parser:
     p.add_argument("--eps2", type=_unit_interval, default=None)
     p.add_argument("--m", type=_CODE_LENGTH, default=None, help="also print the probability window at this m")
     p.add_argument("--force", action="store_true", help="evaluate transition formulas below their proven n")
-    p.add_argument("--out", type=_path, default=None, help="also write the table as CSV")
+    p.add_argument("--out", type=_path, default=None, help="also write the table as CSV to this file (not '-')")
     p.set_defaults(func=_cmd_bounds)
 
     p = sub.add_parser("embed", help="embed a points CSV through a seeded random map")

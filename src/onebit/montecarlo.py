@@ -14,10 +14,14 @@ every trial embeds it through a fresh random map, by embedding.embed_points.
 Every path walks a chunk one block of trials at a time, each block drawn
 from the chunk's stream, so that memory stays bounded as n grows.
 
-One kernel decides the band on both paths and at every n.  For ±1 code rows
-<s_i, s_j> = m - 2H, so embedding.band_range turns each pair's geodesic into
-a range of that inner product; a trial succeeds iff its ±1 Gram matrix (one batched
-matmul) lies in those ranges off its diagonal, as band_fails decides check_rip.
+Both paths decide the band alike.  For ±1 code rows <s_i, s_j> = m - 2H,
+so embedding.band_range turns each pair's geodesic into a range of that inner
+product, and a trial succeeds iff every pair lies in its range, as band_fails
+decides check_rip.  Two kernels count the pairs, chosen by a trial's C(n, 2)*m
+pair bits: a small trial's differing bits are counted pair by pair along the
+trial axis of its block, a larger trial's inner products are its ±1 Gram
+matrix (one batched matmul).  Both counts are exact, so the choice moves no
+output byte.
 """
 
 from __future__ import annotations
@@ -43,6 +47,11 @@ PAIR_WORD_BUDGET = 10**10
 #: which numpy asks Linux for huge pages.  At 2 MiB the fast rip path at n=100 took 1.4 times as long as here; at
 #: 1 MiB no path measured took over 3% longer than at 8 MiB (BENCH_blockbytes.json).
 _BLOCK_BYTES = 1 << 20
+
+#: Largest C(n, 2) * m pair bits of a rip trial that _count_band_ok counts trial-major; a larger trial takes the
+#: Gram product.  On a grid of n = 2..16 and m = 1..4096, in _run_chunk's blocks, the trial-major kernel took at
+#: most 0.78 of the Gram product's time at or under it, on either path (BENCH_smallband.json).
+_TRIAL_MAJOR_PAIR_BITS = 128
 
 #: Largest byte count of one trial, as _trial_bytes counts it, that an estimate accepts.  That count is at least
 #: the 8n^2 bytes of an explicit rip estimate's (2, n, n) band and of a fast trial's Gram matrix and masks.
@@ -147,18 +156,37 @@ def _count_distinct(words: np.ndarray) -> int:
     return int(np.count_nonzero((keys[:, 1:] != keys[:, :-1]).all(axis=-1)))
 
 
+def _trial_major(n: int, m: int) -> bool:
+    """Does a rip trial of n points and m bits take _count_band_ok's trial-major kernel?"""
+    return math.comb(n, 2) * m <= _TRIAL_MAJOR_PAIR_BITS
+
+
 def _count_band_ok(bits: np.ndarray, g_lo: np.ndarray, g_hi: np.ndarray) -> int:
     """Trials of a (T, n, m) block of 0/1 bits whose ±1 Gram matrix lies in [g_lo, g_hi] off its diagonal.
 
     g_lo and g_hi are n x n or one number each; the diagonal (always m) passes here, so no band holds it.
-    One call per block frees the block's Gram matrix before the next block is drawn.
+    A small trial (_trial_major) has its block copied trial-major, to (n, m, T): each row's differing
+    bits against the rows after it are counted for all T trials at once, in the narrowest count type,
+    and compared with the band's row in h = (m - Gram) / 2, which is exact.  A larger trial's Gram
+    matrix is one batched matmul; at n = 3 that is one tiny BLAS product per trial, several times
+    slower.  One call per block frees the block's arrays before the next block is drawn.
     """
+    t, n, m = bits.shape
+    if _trial_major(n, m):
+        h_lo, h_hi = (m - g_hi) / 2, (m - g_lo) / 2
+        b = np.ascontiguousarray(bits.transpose(1, 2, 0)).view(np.uint8)  # explicit bits are bool: XOR them as bytes
+        count_type = np.min_scalar_type(m)
+        ok = np.ones(t, dtype=bool)
+        for i in range(n - 1):
+            h = np.add.reduce(b[i] ^ b[i + 1 :], axis=1, dtype=count_type)
+            lo, hi = (h_lo, h_hi) if h_lo.ndim == 0 else (h_lo[i, i + 1 :, None], h_hi[i, i + 1 :, None])
+            ok &= ((h >= lo) & (h <= hi)).all(axis=0)
+        return int(np.count_nonzero(ok))
     s = bits.astype(g_lo.dtype)
     s *= 2
     s -= 1
     gram = np.matmul(s, s.transpose(0, 2, 1))
     inside = (gram >= g_lo) & (gram <= g_hi)
-    t, n, _ = bits.shape
     inside.reshape(t, -1)[:, :: n + 1] = True
     return int(np.count_nonzero(inside.all(axis=(1, 2))))
 

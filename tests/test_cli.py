@@ -97,6 +97,12 @@ class TestBounds:
         assert lines[0] == "formula_id,n,delta,eps1,eps2,m_value,m_int,validity_note"
         assert any(line.startswith("rip_union,800,") for line in lines)
 
+    @pytest.mark.parametrize("extra", [["--eps", "0.01"], ["--m", "150"]])
+    def test_stdout_csv_is_usage_error(self, capsys, extra):
+        # stdout carries the text table or the --m window, so a CSV there would follow it in one stream.
+        err = usage_error(capsys, "bounds", "--n", "800", "--delta", "0.2", *extra, "--out", "-")
+        assert "--out -" in err
+
     def test_window_printed_with_m(self):
         r = run_cli("bounds", "--n", "10", "--m", "7")
         assert r.returncode == 0

@@ -28,7 +28,7 @@ from reference import usage_error
 
 
 def count_band_ok_pairwise(config: TrialConfig) -> int:
-    """Reference: the per-pair band rule the Gram kernel replaced, on the chunk streams run_trials draws.
+    """Reference: the per-pair band rule both of _count_band_ok's kernels replace, on the chunk streams run_trials draws.
 
     Every chunk's bits come from one draw (the fair coins, or the full
     projection of the chunk's normals), and each pair i < j is decided by
@@ -279,22 +279,44 @@ class TestRipAgainstExactThree:
         assert lo <= 1.0 - p
 
 
+#: The point counts and paths of TestBandKernel.test_matches_pairwise_reference; every path but "fast" is explicit.
+BAND_KERNEL_NS = [2, 3, 8, 9, 10, 30]
+BAND_KERNEL_PATHS = ["fast", "orthonormal", "random"]
+
+
+def band_kernel_cells(n: int) -> list[tuple[int, float]]:
+    """The (m, delta) cells test_matches_pairwise_reference runs at n.
+
+    m=10, delta=0.2 puts orthogonal pairs on the band edge (H = 3 or 7); the second cell sits near each
+    n's transition.  n=2 adds one bit, n=3 the largest m the trial-major kernel takes and the first past
+    it, so both kernels meet the band edge of a small trial, and n=8 a trial-major cell of seven rows.
+    """
+    edges = {2: [(1, 0.2)], 3: [(42, 0.2), (43, 0.2)], 8: [(4, 0.25)]}
+    return [(10, 0.2), (8 * n.bit_length() + 8, 0.25), *edges.get(n, [])]
+
+
 class TestBandKernel:
     @pytest.mark.parametrize("boundary", ["strict", "inclusive"])
-    @pytest.mark.parametrize("path", ["fast", "orthonormal", "random"])
-    @pytest.mark.parametrize("n", [2, 3, 8, 9, 10, 30])
+    @pytest.mark.parametrize("path", BAND_KERNEL_PATHS)
+    @pytest.mark.parametrize("n", BAND_KERNEL_NS)
     def test_matches_pairwise_reference(self, n, path, boundary):
-        # m=10, delta=0.2 puts orthogonal pairs on the band edge (H = 3 or 7);
-        # the second cell sits near each n's transition.
         points = None
         if path == "orthonormal":
             points = PointSet(np.eye(n, n + 2))
         elif path == "random":
             raw = np.random.default_rng(n).standard_normal((n, 6))
             points = PointSet(raw / np.linalg.norm(raw, axis=1)[:, None])
-        for m, delta in ((10, 0.2), (8 * n.bit_length() + 8, 0.25)):
+        for m, delta in band_kernel_cells(n):
             cfg = rip_config(n, m, delta, 1_500, seed=70 + n, boundary=boundary, points=points)
             assert run_trials(cfg).successes == count_band_ok_pairwise(cfg), (m, delta)
+
+    def test_reference_cells_take_both_kernels(self):
+        # Each kernel meets the pairwise reference on the fast path and on an explicit one, and the n=3
+        # cells straddle the rule: a change to _TRIAL_MAJOR_PAIR_BITS that breaks either must move the cells.
+        cells = [(n, m) for n in BAND_KERNEL_NS for m, _ in band_kernel_cells(n)]
+        taken = {(path == "fast", mc._trial_major(n, m)) for path in BAND_KERNEL_PATHS for n, m in cells}
+        assert taken == {(True, True), (True, False), (False, True), (False, False)}
+        assert mc._trial_major(3, 42) and not mc._trial_major(3, 43)
 
     @pytest.mark.parametrize("path", ["fast", "signed"])
     def test_matches_pairwise_reference_at_a_block_boundary(self, path):
@@ -333,12 +355,17 @@ class TestBandKernel:
             tracemalloc.stop()
         assert peak < max(mc._BLOCK_BYTES, mc._trial_bytes(cfg))
 
-    @pytest.mark.parametrize("path", ["explicit rip", "explicit injectivity", "fast injectivity"])
+    @pytest.mark.parametrize("path", ["explicit rip", "explicit injectivity", "fast injectivity", "fast rip"])
     def test_chunk_walked_under_block_budget(self, path):
         # A full chunk whose arrays total well over the budget, of trials far under it: the explicit
         # chunk's (4096, 24, 8) normals alone take 6.3 MB, the fast one's (174, 3000, 1) words 4.2 MB.
+        # Both rip chunks take the trial-major kernel; the fast one, at n=2 and the largest m it takes,
+        # would hold 2.6 MB of coins, their trial-major copy and XOR bytes.
         if path == "fast injectivity":
             cfg = inj_config(3000, 64, 174, seed=65)
+        elif path == "fast rip":
+            cfg = rip_config(2, 128, 0.2, 4096, seed=65)
+            assert mc._trial_major(2, 128) and not mc._trial_major(2, 129)
         else:
             delta = 0.2 if path == "explicit rip" else None
             cfg = TrialConfig(n=3, m=24, trials=4096, base_seed=65, delta=delta, points=PointSet(np.eye(3, 8)))
