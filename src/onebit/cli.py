@@ -44,7 +44,7 @@ from .montecarlo import (
     run_trials,
     sweep,
 )
-from .oracles import birthday_exact, eta_comparison, rip_exact_three
+from .oracles import RIP_THREE_MAX_M, birthday_exact, eta_comparison, rip_exact_three
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -182,7 +182,8 @@ def _text_out(path_or_dash):
 # field and literal fills whole words of a row array, and dropping the NULs of
 # the array's bytes leaves the rows' text.
 
-#: Pairs per write of _write_pairs: its temporaries take 270-370 bytes a pair, so a write holds at most about 3 MB.
+#: Pairs per write of _write_pairs, and the rows of its one row buffer: with the formatter's temporaries and the
+#: text, a write holds 240-380 bytes a pair, at most about 3 MB, whatever the sizes of the slabs it gathers.
 _PAIRS_PER_WRITE = 1 << 13
 _ALL = np.uint32(0xFFFFFFFF)  # the mask that keeps a whole word
 
@@ -196,18 +197,20 @@ def _byte_words(byte_rows) -> np.ndarray:
     return np.ascontiguousarray(byte_rows, dtype=np.uint8).view(np.uint32)[:, 0]
 
 
+def _spelled(texts: list[str]) -> np.ndarray:
+    """The ASCII texts as the rows of a uint32 array, NUL-padded to as many words as the longest takes."""
+    raw = np.array(texts, dtype=np.bytes_)
+    return raw.astype(f"S{-(-raw.itemsize // 4) * 4}").view(np.uint32).reshape(len(texts), -1)
+
+
 @functools.cache  # built at first use, not at import: only embed and a failing check print pair rows
-def _quads() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The words "0000".."9999"; the masks that keep each one's digits from its first nonzero one on, and up to
-    its last nonzero one; and the heads "0." and "-0." with the first of 3 zero slots filled for z = 3 (see
-    _float_words)."""
+def _quads() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The words "0000".."9999"; the masks that keep each one's digits up to its last nonzero one; and the heads
+    "0." and "-0." with the first of 3 zero slots filled for z = 3 (see _float_words)."""
     digits = np.arange(10_000, dtype=np.int16)[:, None] // np.array([1000, 100, 10, 1], dtype=np.int16) % 10
-    nonzero = digits != 0
-    lead = np.logical_or.accumulate(nonzero, axis=1)
-    trail = np.logical_or.accumulate(nonzero[:, ::-1], axis=1)[:, ::-1]
+    trail = np.logical_or.accumulate(digits[:, ::-1] != 0, axis=1)[:, ::-1]
     heads = np.array([_words(sign + "0." + zero)[0] for sign in ("", "-") for zero in ("\0", "\0", "\0", "0")])
-    full = np.uint8(0xFF)
-    tables = _byte_words(digits + ord("0")), _byte_words(lead * full), _byte_words(trail * full), heads
+    tables = _byte_words(digits + ord("0")), _byte_words(trail * np.uint8(0xFF)), heads
     for table in tables:
         table.setflags(write=False)  # cached, so every caller shares them
     return tables
@@ -228,7 +231,7 @@ def _float_words(x: np.ndarray, out: np.ndarray) -> None:
     product is itself a half-integer. Those, and every other v (0, -0, |v| >= 1, the exponent form,
     d rounded up to 11 digits), are formatted by format itself.
     """
-    quads, _, trail, heads = _quads()
+    quads, trail, heads = _quads()
     a = np.minimum(np.abs(x), 1.0)
     z = (a < 1e-1).view(np.int8) + (a < 1e-2).view(np.int8)
     z += (a < 1e-3).view(np.int8)
@@ -258,38 +261,56 @@ def _float_words(x: np.ndarray, out: np.ndarray) -> None:
         out[slow] = text.view(np.uint32).reshape(-1, 5)
 
 
-def _int_words(v: np.ndarray, out: np.ndarray) -> None:
-    """Write the decimal digits of each nonnegative int of v into the word columns of out, 4 digits a word,
-    leading zeros NUL."""
-    quads, lead, _, _ = _quads()
-    shown = np.zeros(len(v), dtype=bool)
-    for k in range(out.shape[1]):
-        q = v // 10 ** (4 * (out.shape[1] - 1 - k)) % 10_000
-        out[:, k] = quads[q] & np.where(shown, _ALL, lead[q])
-        shown |= q != 0
-    out[~shown, -1] = quads[0] & lead[1]  # 0 prints as "0": lead[1] keeps a word's last digit
+def _write_pairs(f, literals: tuple[str, ...], n: int, m: int, slabs) -> None:
+    """Write one row per pair of the slabs (i, j, h, g), arrays of indices below n, differing-bit counts of m
+    and geodesics: the six literals around i, j, h/m, g and h/m - g, the floats as %.10g prints them.
 
-
-def _write_pairs(f, literals: tuple[str, ...], i, j, dh, dg) -> None:
-    """Write one row per pair: the six literals around i, j, dh, dg and dh - dg, the floats as %.10g prints them.
-
-    The rows go out _PAIRS_PER_WRITE at a time, each chunk as one string; no pairs write nothing.
+    The indices and h/m are spelled once each, with the literals around them, into tables the pairs index;
+    only g and h/m - g are formatted per pair. The rows are gathered into one buffer of _PAIRS_PER_WRITE rows,
+    which goes out as one string whenever it is full, a slab split across writes if it does not fit; no pairs
+    write nothing.
     """
-    lits = [_words(text) for text in literals]
-    index_words = -(-len(str(int(j.max(initial=0)))) // 4)
-    fields = [(_int_words, index_words)] * 2 + [(_float_words, 5)] * 3
-    width = sum(map(len, lits)) + sum(words for _, words in fields)
-    for lo in range(0, len(i), _PAIRS_PER_WRITE):
-        p = slice(lo, lo + _PAIRS_PER_WRITE)
-        rows = np.empty((len(i[p]), width), dtype=np.uint32)
-        at = 0
-        for lit, (write, words), values in zip(lits, fields, (i[p], j[p], dh[p], dg[p], dh[p] - dg[p])):
-            rows[:, at : at + len(lit)] = lit
-            at += len(lit)
-            write(values, rows[:, at : at + words])
-            at += words
-        rows[:, at:] = lits[-1]
-        f.write(rows.tobytes().translate(None, b"\0").decode("ascii"))
+    head, after_i, after_j, after_h, after_g, end = literals
+    # The m + 1 rows of h/m are spelled as counts first occur: all of them would be m + 1 format calls, 10**6 for a
+    # failing check of a few long codes. %.10g of a value in [0, 1] takes at most 15 characters.
+    tables = [_spelled([f"{head}{k}{after_i}" for k in range(n)]), _spelled([f"{k}{after_j}" for k in range(n)]),
+              np.zeros((m + 1, -(-(15 + len(after_h)) // 4)), dtype=np.uint32)]
+    spelled = np.zeros(m + 1, dtype=bool)
+    tail, end = _words(after_g), _words(end)
+    at = np.cumsum([0] + [t.shape[1] for t in tables] + [5, len(tail), 5, len(end)])  # each field's first column
+    rows = np.empty((_PAIRS_PER_WRITE, at[-1]), dtype=np.uint32)
+    rows[:, at[4] : at[5]], rows[:, at[6] :] = tail, end
+    # Each table row, and its columns of the buffer, as one item of that many bytes: a gather moves whole items.
+    items = [(t.view(f"V{4 * (b - a)}")[:, 0], rows[:, a:b].view(f"V{4 * (b - a)}")[:, 0])
+             for t, a, b in zip(tables, at, at[1:])]
+    floats = np.empty((2, _PAIRS_PER_WRITE))  # g and h/m - g
+
+    def flush(k: int) -> None:
+        for x, a in zip(floats, at[[3, 5]]):
+            _float_words(x[:k], rows[:k, a : a + 5])
+        f.write(rows[:k].tobytes().translate(None, b"\0").decode("ascii"))
+
+    filled = 0
+    for i, j, h, g in slabs:
+        lo = 0
+        while lo < len(i):
+            k = min(_PAIRS_PER_WRITE - filled, len(i) - lo)
+            part, to = slice(lo, lo + k), slice(filled, filled + k)
+            known = spelled[h[part]]
+            if not known.all():
+                new = list(set(h[part][~known].tolist()))  # not np.unique: its first call imports numpy.ma
+                words = _spelled([f"{c / m:.10g}{after_h}" for c in new])
+                tables[2][new, : words.shape[1]] = words
+                spelled[new] = True
+            for (table, column), v in zip(items, (i, j, h)):
+                column[to] = table[v[part]]
+            floats[:, to] = g[part], h[part] / m - g[part]
+            lo, filled = lo + k, filled + k
+            if filled == _PAIRS_PER_WRITE:
+                flush(filled)
+                filled = 0
+    if filled:
+        flush(filled)
 
 
 # ---------------------------------------------------------------- bounds
@@ -353,12 +374,15 @@ def _cmd_embed(args) -> int:
     wrote = f"wrote {codes.n} codes of length {codes.m} to {args.codes}"
     if args.out is not None:
         # Written as pair_stream's slabs come, so neither the table nor a distance matrix is held whole: a slab's
-        # pairs take about 50 bytes each flattened, and _write_pairs formats them _PAIRS_PER_WRITE at a time.
-        with _text_out(args.out) as f:
-            f.write("i,j,hamming,geodesic,deviation\n")
+        # pairs take about 50 bytes each flattened, and _write_pairs gathers them into its bounded row buffer.
+        def pairs():
             for lo, h, g in pair_stream(codes, points):
                 r, c = np.nonzero(np.arange(h.shape[1]) > np.arange(len(h))[:, None])
-                _write_pairs(f, ("", ",", ",", ",", ",", "\n"), lo + r, lo + c, h[r, c] / codes.m, g[r, c])
+                yield lo + r, lo + c, h[r, c], g[r, c]
+
+        with _text_out(args.out) as f:
+            f.write("i,j,hamming,geodesic,deviation\n")
+            _write_pairs(f, ("", ",", ",", ",", ",", "\n"), codes.n, codes.m, pairs())
         wrote += f"; pair table to {args.out}"
     print(wrote, file=sys.stderr)  # after the table: a reader that closes stdout early sees only the seed line
     if args.hexdump:
@@ -383,8 +407,8 @@ def _cmd_check(args) -> int:
             return EXIT_OK
         print(f"RIP check: FAIL ({failing} violating pairs)")
         row = ("  pair (", ", ", "): hamming=", " geodesic=", " deviation=", "\n")
-        for i, j, dh, dg, _ in rip_failures(codes, points, args.delta, boundary=args.boundary):
-            _write_pairs(sys.stdout, row, i, j, dh, dg)
+        slabs = rip_failures(codes, points, args.delta, boundary=args.boundary)
+        _write_pairs(sys.stdout, row, codes.n, codes.m, (slab[:4] for slab in slabs))
         return EXIT_CHECK_FAILED
 
     groups = check_one_to_one(codes)
@@ -547,6 +571,8 @@ def _cmd_oracle(args) -> int:
     needed = _ORACLE_FLAGS[args.which]
     if any(getattr(args, flag) is None for flag in needed):
         raise ValueError(f"oracle {args.which} needs " + " and ".join(f"--{flag}" for flag in needed))
+    if args.which == "rip_three" and args.m > RIP_THREE_MAX_M:  # --m is shared with birthday and eta, which take any m
+        raise ValueError(f"oracle rip_three needs --m <= {RIP_THREE_MAX_M}, got {args.m}")
     if args.which == "birthday":
         p = birthday_exact(args.n, args.m)
         print(f"{p.float_value:.10g} = {p.fraction_string()}")

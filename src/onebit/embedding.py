@@ -158,8 +158,9 @@ def check_one_to_one(codes: CodeSet) -> list[np.ndarray]:
 
 
 def rip_failures(codes: CodeSet, points: PointSet, delta: float, boundary: str = "strict") -> Iterator[tuple]:
-    """Per slab of pair_stream, the arrays (i, j, h/m, geodesic) of its pairs band_fails fails, in (i, j) order, and
-    the slab's max deviation |h/m - geodesic|.  Every slab is yielded, with empty arrays where no pair fails.
+    """Per slab of pair_stream, the arrays (i, j, h, geodesic) of its pairs band_fails fails, in (i, j) order, h
+    their differing-bit counts, and the slab's max deviation |h/m - geodesic|.  Every slab is yielded, with empty
+    arrays where no pair fails.
     """
     for lo, h, g in pair_stream(codes, points):
         below = np.tri(len(h), dtype=bool)  # c <= r among the slab's first columns: not pairs
@@ -171,7 +172,7 @@ def rip_failures(codes: CodeSet, points: PointSet, delta: float, boundary: str =
         fails[:, : len(h)][below] = False
         r, c = np.nonzero(fails)
         del dev, fails  # freed before the caller's turn
-        yield lo + r, lo + c, h[r, c] / codes.m, g[r, c], max_dev
+        yield lo + r, lo + c, h[r, c], g[r, c], max_dev
         del r, c  # freed before pair_stream makes the next slab
 
 

@@ -13,7 +13,7 @@ from fractions import Fraction
 import numpy as np
 
 from onebit import cli
-from onebit.embedding import WORD_BITS, CodeSet, band_fails, pack_bits
+from onebit.embedding import WORD_BITS, CodeSet, band_fails, band_range, pack_bits
 from onebit.geometry import geodesic_blocks
 
 
@@ -109,6 +109,17 @@ def check_one_to_one_dict(codes):
     return collisions
 
 
+def rip_three_triple_loop(m: int, delta: float, boundary: str) -> Fraction:
+    """rip_exact_three as a triple loop over the pattern counts (a, b, c), one C(m - a - b, c) term at a time."""
+    h_lo, h_hi = (int(h) for h in band_range(m, 0.5, delta, boundary))
+    count = 0
+    for a in range(m + 1):
+        for b in range(max(0, h_lo - a), min(m - a, h_hi - a) + 1):
+            for c in range(max(0, h_lo - a, h_lo - b), min(m - a - b, h_hi - a, h_hi - b) + 1):
+                count += math.comb(m, a) * math.comb(m - a, b) * math.comb(m - a - b, c)
+    return Fraction(count, 4**m)
+
+
 def _first_failing_count(m: int, delta: float) -> int:
     """The first count from m/2 up that fails band_fails' inclusive band at g = 1/2, found one count at a time.
 
@@ -131,6 +142,34 @@ def p_delta_logsum(m: int, delta: float) -> float:
     logs = [lgm - math.lgamma(k + 1) - math.lgamma(m - k + 1) for k in range(_first_failing_count(m, delta), m + 1)]
     peak = max(logs)
     return math.exp(math.log(2.0) + peak + math.log(sum(math.exp(v - peak) for v in logs)) - m * math.log(2.0))
+
+
+def m_values_decimal(n: int, delta: float, eps: float, eps2: float) -> dict:
+    """Every m_value bounds prints but the crossings, per formula_id, to 50 digits, as the bounds docstrings write them.
+
+    injective and injective_orthogonal read eps and delta as they print; the others take the doubles given, and
+    the one_to_one rows their c = 1.01 and 0.99 as doubles.  The precision grows with 1/eps, so that 1 - eps/c
+    is exact enough for its logarithm.
+    """
+    with localcontext() as ctx:
+        ctx.prec = 60 + max(0, -Decimal(min(eps, eps2)).adjusted())
+        d, ln2 = Decimal(delta), Decimal(2).ln()
+        pairs = Decimal(n * (n - 1) // 2)
+
+        def injective(sep: float) -> Decimal:
+            return (Decimal(n) ** 2 / (2 * Decimal(str(eps)))).ln() / (1 / Decimal(str(sep))).ln()
+
+        def one_to_one(e: float, c: float) -> Decimal:
+            return (pairs.ln() - (-(1 - Decimal(e) / Decimal(c)).ln()).ln()) / ln2
+
+        return {
+            "injective": injective(delta),
+            "injective_orthogonal": injective(0.5),
+            "rip_union": (Decimal(n) ** 2 / Decimal(eps)).ln() / (2 * d * d),
+            "linear_jl": 4 * Decimal(n).ln() / (d * d / 2 - d**3 / 3),
+            "one_to_one_m_lower": one_to_one(eps, 1.01),
+            "one_to_one_m_upper": one_to_one(eps2, 0.99),
+        }
 
 
 PI_60 = Decimal("3.14159265358979323846264338327950288419716939937510582097494459")

@@ -28,7 +28,7 @@ from onebit.bounds import (
     window_csv,
 )
 from onebit.embedding import band_range
-from reference import envelope_root_decimal, p_delta_logsum, usage_error
+from reference import envelope_root_decimal, m_values_decimal, p_delta_logsum, usage_error
 
 
 class TestMInjective:
@@ -460,6 +460,29 @@ class TestSolveThreshold:
         assert math.isnan(solve_threshold(800, 1e-200, 0.25, "lambda2"))
         with pytest.raises(ValueError, match="past the float range"):
             rip_m_window(800, 1e-200, 0.5, 0.1)
+
+
+class TestMValueDigits:
+    """Every printed digit of the closed-form m_values, against their 50-digit decimal values (the crossings'
+    check is TestSolveThreshold.test_crossings_match_decimal_roots)."""
+
+    @pytest.mark.parametrize("n", [2, 3, 10, 800, 10**4, 10**6, 10**12, 10**100, 10**400])
+    def test_m_values_match_decimal(self, n):
+        deltas = (1e-9, 0.01, 0.05, 0.1, 0.2, 0.3, 0.45, 0.49999)
+        epsilons = (1e-300, 1e-17, 0.001, 0.01, 0.1, 0.5, 0.9)
+        cells = 0
+        for delta, eps in itertools.product(deltas, epsilons):
+            exact = m_values_decimal(n, delta, eps, eps)
+            for r in (m_injective(n, eps, delta), m_injective_orthogonal(n, eps), m_rip_union(n, eps, delta),
+                      m_linear_jl(n, delta)):
+                assert f"{r.m_value:.10g}" == f"{float(exact[r.formula_id]):.10g}", (r.formula_id, delta, eps)
+                cells += 1
+        for eps1, eps2 in itertools.combinations(reversed(epsilons), 2):  # eps2 < eps1
+            exact = m_values_decimal(n, 0.2, eps1, eps2)
+            for r in one_to_one_m_window(n, eps1, eps2, force=True):
+                assert f"{r.m_value:.10g}" == f"{float(exact[r.formula_id]):.10g}", (r.formula_id, eps1, eps2)
+                cells += 1
+        assert cells == 4 * len(deltas) * len(epsilons) + 2 * 21
 
 
 class TestCsvOutputs:

@@ -310,6 +310,20 @@ class TestOracle:
             assert cli.main(["oracle", *argv]) == 1
             assert capsys.readouterr() == ("", f"onebit: error: {message}\n")
 
+    def test_rip_three_cap_refused_before_work(self, monkeypatch, capsys):
+        # --m is shared with birthday and eta, which take any m: rip_three alone refuses one past its cap, unrun.
+        from onebit.oracles import birthday_exact
+
+        calls = []
+        monkeypatch.setattr(cli, "rip_exact_three", lambda m, delta, boundary: calls.append(m) or birthday_exact(2, 1))
+        cap = cli.RIP_THREE_MAX_M
+        assert cli.main(["oracle", "rip_three", "--m", str(cap + 1), "--delta", "0.2"]) == cli.EXIT_USAGE
+        assert capsys.readouterr() == ("", f"onebit: error: oracle rip_three needs --m <= {cap}, got {cap + 1}\n")
+        assert calls == []
+        assert cli.main(["oracle", "rip_three", "--m", str(cap), "--delta", "0.2"]) == cli.EXIT_OK
+        assert calls == [cap] and capsys.readouterr().out == "0.5 = 1/2\n"
+        assert cli.main(["oracle", "birthday", "--n", "3", "--m", str(cap + 1)]) == cli.EXIT_OK
+
     @pytest.mark.parametrize("kind", ["birthday", "eta"])
     def test_fraction_beyond_int_digit_limit(self, kind):
         # At n=100, m=200 the exact fraction has more than 4300 digits, Python's default int-to-str limit.
@@ -407,6 +421,12 @@ class TestEmbedAndCheck:
         assert cli.main([*embed, "--out", "-"]) == 0
         table = (tmp_path / "t.csv").read_text()
         assert capsys.readouterr().out == table and len(table.splitlines()) == 1 + 3
+
+    def test_one_point_table_is_the_header(self, tmp_path, capsys):
+        pts = write_points(tmp_path / "pts.csv", "1,0,0\n")
+        assert cli.main(["embed", "--points", str(pts), "--m", "8", "--seed", "1", "--codes", str(tmp_path / "c.bin"),
+                         "--out", "-"]) == 0
+        assert capsys.readouterr().out == "i,j,hamming,geodesic,deviation\n"
 
     def test_embed_hexdump(self, tmp_path):
         pts = write_points(tmp_path / "pts.csv", "1,0,0\n0,1,0\n")
@@ -546,6 +566,16 @@ def float_edges() -> list[float]:
     return fixed + np.concatenate([near, -near]).tolist() + [h / m for m in (3, 512, 20000) for h in range(m + 1)]
 
 
+class WriteCounter(io.StringIO):
+    """A text stream that counts its write calls."""
+
+    writes = 0
+
+    def write(self, text):
+        self.writes += 1
+        return super().write(text)
+
+
 class TestPairRowFormat:
     """The pair rows' numpy formatter prints every double as format(v, ".10g") does, and every index as str."""
 
@@ -563,28 +593,87 @@ class TestPairRowFormat:
         assert len(values) > 32_000
         assert formatted(values) == [format(v, ".10g") for v in values]
 
+    def test_speller_widths(self):
+        # Indices across 4-digit word edges up to 1.1e9, and texts of 4, 8 and 9 characters with their literal.
+        i = [0, 0, 9, 999, 9999, 10_000, 10_001, 9_999_999, 99_999_999, 123_456_789]
+        j = [a + b for a, b in zip(i, [1, 9_999, 1, 1, 1, 1, 100_000_000, 1, 1, 1_000_000_000])]
+        for literal in ("", ",", "): hamming="):
+            texts = [f"{k}{literal}" for k in i + j]
+            table = cli._spelled(texts)
+            assert table.dtype == np.uint32 and table.shape == (len(texts), -(-max(map(len, texts)) // 4))
+            assert [row.tobytes().replace(b"\0", b"").decode("ascii") for row in table] == texts
+        for k, words in ((999, 1), (9_999_999, 2), (99_999_999, 3)):  # "999," "9999999," "99999999,"
+            assert cli._spelled([f"{k},"]).shape == (1, words)
+
     def test_rows_match_fstrings(self):
-        i = np.array([0, 0, 9, 9999, 10_000, 10_001, 99_999_999, 123_456_789])
-        j = i + np.array([1, 9_999, 1, 1, 1, 100_000_000, 1, 1_000_000_000])
-        dh, dg = np.array(float_edges()[: len(i)]), np.linspace(0.0, 1.0, len(i))
-        out = io.StringIO()
-        cli._write_pairs(out, ("<", "|", ":", "", "=", ">\n"), i, j, dh, dg)
-        assert out.getvalue() == "".join(
-            f"<{a}|{b}:{x:.10g}{y:.10g}={x - y:.10g}>\n" for a, b, x, y in zip(i.tolist(), j.tolist(), dh, dg))
+        # In situ: indices across the 4-digit word edge at 9999/10000, counts from 0 to m in both notations, and
+        # the longest h/m texts: 1/3001 prints as 0.0003332222592 and 1/30001 as 3.333222226e-05, 15 characters.
+        i = np.array([0, 0, 9, 9998, 9999, 9999, 10_000])
+        j = np.array([1, 9999, 10, 9999, 10_000, 10_001, 10_001])
+        g = np.linspace(0.0, 1.0, len(i))
+        for m, h in ((20_000, [0, 1, 2, 3, 19_999, 20_000, 12_345]), (3001, [0, 1, 2, 3, 3000, 3001, 1500]),
+                     (30_001, [0, 1, 3, 4, 29_999, 30_001, 12_345])):
+            out = io.StringIO()
+            cli._write_pairs(out, ("<", "|", ":", "", "=", ">\n"), 10_002, m, [(i, j, np.array(h), g)])
+            assert out.getvalue() == "".join(f"<{a}|{b}:{x / m:.10g}{y:.10g}={x / m - y:.10g}>\n"
+                                             for a, b, x, y in zip(i.tolist(), j.tolist(), h, g)), m
 
     def test_no_pairs_write_nothing(self):
-        out = io.StringIO()
+        out = WriteCounter()
         none = np.zeros(0, dtype=np.int64)
-        cli._write_pairs(out, ("", ",", ",", ",", ",", "\n"), none, none, none / 1.0, none / 1.0)
-        assert out.getvalue() == ""
+        cli._write_pairs(out, ("", ",", ",", ",", ",", "\n"), 3, 5, [])
+        cli._write_pairs(out, ("", ",", ",", ",", ",", "\n"), 3, 5, [(none, none, none, none / 1.0)] * 2)
+        assert out.getvalue() == "" and out.writes == 0
 
     def test_chunks_join_seamlessly(self, monkeypatch):
+        # Slabs of 0, 1, 7 and 20 pairs (and 0 and 5 more) through a 7-row buffer: 33 pairs in 5 writes.
         rng = np.random.default_rng(28)
-        i, dh, dg = rng.integers(0, 10, 50).tolist(), rng.uniform(0, 1, 50), rng.uniform(0, 1, 50)
-        monkeypatch.setattr(cli, "_PAIRS_PER_WRITE", 7)  # 8 writes, the last of one pair
-        out = io.StringIO()
-        cli._write_pairs(out, ("", ",", ",", ",", ",", "\n"), np.array(i), np.array(i) + 1, dh, dg)
-        assert out.getvalue() == "".join(f"{a},{a + 1},{x:.10g},{y:.10g},{x - y:.10g}\n" for a, x, y in zip(i, dh, dg))
+        sizes = [0, 1, 7, 20, 0, 5]
+        slabs = [(i, i + 1, rng.integers(0, 41, k), rng.uniform(0, 1, k))
+                 for k in sizes for i in [rng.integers(0, 10, k)]]
+        monkeypatch.setattr(cli, "_PAIRS_PER_WRITE", 7)
+        out = WriteCounter()
+        cli._write_pairs(out, ("", ",", ",", ",", ",", "\n"), 11, 40, slabs)
+        assert out.getvalue() == "".join(f"{a},{a + 1},{h / 40:.10g},{y:.10g},{h / 40 - y:.10g}\n"
+                                         for i, _, hs, g in slabs for a, h, y in zip(i.tolist(), hs.tolist(), g))
+        assert out.writes == math.ceil(sum(sizes) / 7) == 5
+
+
+@pytest.mark.parametrize("per_write", [None, 1000], ids=["default", "1000"])
+def test_embed_writes_one_string_per_buffer(tmp_path, monkeypatch, per_write):
+    # The writer fills its row buffer across slabs: P pairs go out in ceil(P / _PAIRS_PER_WRITE) writes after the
+    # header, where one write per slab or more would make at least one per 16-row slab (19 here).
+    if per_write is not None:
+        monkeypatch.setattr(cli, "_PAIRS_PER_WRITE", per_write)
+    pts, _ = write_embedded(tmp_path, gaussian_points(300, 8, 16), 64)
+    out = WriteCounter()
+    monkeypatch.setattr(sys, "stdout", out)
+    argv = ["embed", "--points", str(pts), "--m", "64", "--seed", "1", "--codes", str(tmp_path / "c.bin"), "--out", "-"]
+    assert cli.main(argv) == cli.EXIT_OK
+    pairs = 300 * 299 // 2
+    assert out.getvalue().count("\n") == 1 + pairs
+    assert out.writes == 1 + math.ceil(pairs / cli._PAIRS_PER_WRITE)
+
+
+def test_embed_table_memory_bounded(tmp_path):
+    # At n=1000 a 16-row slab holds 16 000 pairs, more than the row buffer's 8192: the buffer is not sized by the
+    # slab. With numpy 2.4 this run peaked at 4.72 MiB, and at 5.09 MiB when each slab was formatted on its own; a
+    # buffer of 8192 + 16 000 rows would add 1.7 MB.
+    assert 16 * 1000 > cli._PAIRS_PER_WRITE
+    pts, _ = write_embedded(tmp_path, gaussian_points(1000, 16, 16), 512)
+    argv = ["embed", "--points", str(pts), "--m", "512", "--seed", "3", "--codes", str(tmp_path / "c.bin"),
+            "--out", str(tmp_path / "pairs.csv")]
+    with contextlib.redirect_stderr(io.StringIO()):
+        assert cli.main(argv) == cli.EXIT_OK  # warm: the parser and the formatter's tables are built once
+        tracemalloc.start()
+        try:
+            assert cli.main(argv) == cli.EXIT_OK
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    with open(tmp_path / "pairs.csv", encoding="utf-8") as table:
+        assert sum(1 for _ in table) == 1 + 1000 * 999 // 2
+    assert peak < 5.1 * 2**20
 
 
 def test_import_builds_no_digit_tables():

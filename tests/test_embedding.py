@@ -66,7 +66,8 @@ def collision_pairs(groups) -> list[tuple[int, int]]:
 def failure_list(codes, points, delta, boundary="strict") -> list:
     """rip_failures' slabs joined into one list of ((i, j), hamming, geodesic, deviation), as check_rip_loop lists them."""
     failures = []
-    for i, j, dh, dg, _ in rip_failures(codes, points, delta, boundary):
+    for i, j, h, dg, _ in rip_failures(codes, points, delta, boundary):
+        dh = h / codes.m
         failures += zip(zip(i.tolist(), j.tolist()), dh.tolist(), dg.tolist(), (dh - dg).tolist())
     return failures
 
@@ -213,9 +214,9 @@ def pair_deviation(emap: np.ndarray, x: np.ndarray, y: np.ndarray) -> float:
     """check_rip's signed deviation (Hamming distance of the images) - (geodesic distance) for one pair."""
     points = PointSet([x, y])
     # At the smallest delta every pair with a nonzero deviation is a violation.
-    [(i, _, dh, dg, max_dev)] = rip_failures(code_set(embed_points(emap, points)), points, np.nextafter(0.0, 1.0),
-                                             boundary="inclusive")  # two points: one slab
-    return float(dh[0] - dg[0]) if len(i) else max_dev
+    [(i, _, h, dg, max_dev)] = rip_failures(code_set(embed_points(emap, points)), points, np.nextafter(0.0, 1.0),
+                                            boundary="inclusive")  # two points: one slab
+    return float(h[0] / len(emap) - dg[0]) if len(i) else max_dev
 
 
 class TestMetricDeviation:
@@ -501,7 +502,7 @@ class TestPairStream:
 
             def walk():  # as check's listing walks: one slab's failure arrays stay bound while the next is made
                 listed = 0
-                for i, j, dh, dg, _ in rip_failures(codes, points, 0.01):
+                for i, j, h, dg, _ in rip_failures(codes, points, 0.01):
                     listed += len(i)
                 return listed
 

@@ -16,7 +16,7 @@ from onebit.oracles import (
     eta_comparison,
     rip_exact_three,
 )
-from reference import p_delta_twice_upper_tail, usage_error
+from reference import p_delta_twice_upper_tail, rip_three_triple_loop, usage_error
 
 
 def brute_birthday(n: int, m: int) -> Fraction:
@@ -146,6 +146,13 @@ class TestRipExactThree:
     @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
     def test_brute_force_equivalence_small(self, m, delta, boundary):
         assert rip_exact_three(m, delta, boundary).value == brute_rip_three(m, delta, boundary)
+
+    @pytest.mark.parametrize("boundary", ["strict", "inclusive"])
+    @pytest.mark.parametrize("delta", [0.05, 0.2, 0.3, 0.45])
+    @pytest.mark.parametrize("m", [1, 2, 3, 10, 17, 24, 33, 64, 101])
+    def test_prefix_sums_match_triple_loop(self, m, delta, boundary):
+        # crosscheck's m = 10, 17 and 24, odd and even m, and bands from empty (m = 1 at 0.05) to nearly full
+        assert rip_exact_three(m, delta, boundary).value == rip_three_triple_loop(m, delta, boundary)
 
 
 class TestEtaComparison:
