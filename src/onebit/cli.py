@@ -3,7 +3,7 @@
 Exit codes: 0 success / property holds, 1 usage error, or stdout closed
 by its reader (as by `| head`; nothing more is printed), 2 property-check
 failure, 3 validity-range error (point count below a formula's proven
-range without --force).
+range without --force), 130 interrupted (as by Ctrl-C).
 """
 
 from __future__ import annotations
@@ -50,6 +50,7 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_CHECK_FAILED = 2
 EXIT_VALIDITY = 3
+EXIT_INTERRUPTED = 130  # 128 + SIGINT, as a shell reports a command it interrupted
 
 SEED_ENV_VAR = "ONEBIT_SEED"
 
@@ -167,13 +168,34 @@ def _point_set(args):
 
 
 @contextlib.contextmanager
-def _text_out(path_or_dash):
-    """A text stream to the file, or to stdout for None or "-"."""
-    if path_or_dash is None or path_or_dash == "-":
-        yield sys.stdout
-    else:
-        with open(path_or_dash, "w", encoding="utf-8") as f:
+def _output(path, mode: str):
+    """A text ("w") or binary ("wb") stream to path, or stdout for None or "-". A path is written to .<name>.<pid>.tmp
+    beside it, which replaces it (a symlink's target, keeping its mode bits) when the block ends and is deleted if the
+    block raises, so a failed run leaves it as it was; one that exists but is not a regular file is written in place."""
+    encoding = None if "b" in mode else "utf-8"
+    if path is None or path == "-":
+        yield sys.stdout.buffer if encoding is None else sys.stdout
+        return
+    target = os.path.realpath(path)
+    if os.path.exists(target) and not os.path.isfile(target):
+        with open(path, mode, encoding=encoding) as f:
             yield f
+        return
+    tmp = os.path.join(os.path.dirname(target), f".{os.path.basename(target)}.{os.getpid()}.tmp")
+    try:
+        f = open(tmp, mode.replace("w", "x"), encoding=encoding)
+    except OSError as exc:
+        # Named as given, unless it is a temporary file a killed run of the same pid left behind.
+        raise OSError(exc.errno, exc.strerror, tmp if isinstance(exc, FileExistsError) else path) from None
+    try:
+        with f:
+            if os.path.isfile(target):
+                os.chmod(f.fileno(), os.stat(target).st_mode & 0o7777)
+            yield f
+        os.replace(tmp, target)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 # ---------------------------------------------------------------- pair rows
@@ -343,6 +365,9 @@ def _cmd_bounds(args) -> int:
         raise ValueError("nothing to evaluate: pass --eps and/or --delta (and --eps1/--eps2 for transition windows)")
     window = None if args.m is None else bnd.window_csv(n, args.m, args.delta)  # before any output: it may refuse delta
 
+    if args.out:  # before the table is printed: a file that cannot be written leaves stdout empty
+        with _output(args.out, "w") as f:
+            f.write(bnd.bounds_reports_csv(reports))
     if reports:
         width = max(len(r.formula_id) for r in reports)
         lines = []
@@ -350,10 +375,6 @@ def _cmd_bounds(args) -> int:
             note = f"  ({r.validity_note})" if r.validity_note else ""
             lines.append(f"{r.formula_id:<{width}}  m_value = {r.m_value:<16.10g} m_int = {r.m_int}{note}")
         print("\n".join(lines + trailer))
-
-    if args.out:
-        with _text_out(args.out) as f:
-            f.write(bnd.bounds_reports_csv(reports))
     if window is not None:
         if reports:
             print()
@@ -364,26 +385,26 @@ def _cmd_bounds(args) -> int:
 # ---------------------------------------------------------------- embed
 
 def _cmd_embed(args) -> int:
-    if args.out == "-" and args.hexdump:
-        raise ValueError("--out - and --hexdump would both write to stdout: the pair table would end in non-CSV lines")
+    if [args.codes, args.out, args.hexdump and "-"].count("-") > 1:
+        raise ValueError("--codes -, --out - and --hexdump all write to stdout: only one of them can be given")
     seed = _resolve_seed(args)
     points = read_point_set(args.points, normalize=args.normalize)
-    codes = CodeSet(pack_bits(embed_points(sample_map(args.m, points.dim, seed), points)), args.m)
-    write_code_set(codes, args.codes)
+    table = _output(args.out, "w") if args.out else contextlib.nullcontext()
+    with _output(args.codes, "wb") as codes_file, table as f:
+        codes = CodeSet(pack_bits(embed_points(sample_map(args.m, points.dim, seed), points)), args.m)
+        write_code_set(codes, codes_file)
+        wrote = f"wrote {codes.n} codes of length {codes.m} to {args.codes}"
+        if f:
+            # Written as pair_stream's slabs come, so neither the table nor a distance matrix is held whole: a slab's
+            # pairs take about 50 bytes each flattened, and _write_pairs gathers them into its bounded row buffer.
+            def pairs():
+                for lo, h, g in pair_stream(codes, points):
+                    r, c = np.nonzero(np.arange(h.shape[1]) > np.arange(len(h))[:, None])
+                    yield lo + r, lo + c, h[r, c], g[r, c]
 
-    wrote = f"wrote {codes.n} codes of length {codes.m} to {args.codes}"
-    if args.out is not None:
-        # Written as pair_stream's slabs come, so neither the table nor a distance matrix is held whole: a slab's
-        # pairs take about 50 bytes each flattened, and _write_pairs gathers them into its bounded row buffer.
-        def pairs():
-            for lo, h, g in pair_stream(codes, points):
-                r, c = np.nonzero(np.arange(h.shape[1]) > np.arange(len(h))[:, None])
-                yield lo + r, lo + c, h[r, c], g[r, c]
-
-        with _text_out(args.out) as f:
             f.write("i,j,hamming,geodesic,deviation\n")
             _write_pairs(f, ("", ",", ",", ",", ",", "\n"), codes.n, codes.m, pairs())
-        wrote += f"; pair table to {args.out}"
+            wrote += f"; pair table to {args.out}"
     print(wrote, file=sys.stderr)  # after the table: a reader that closes stdout early sees only the seed line
     if args.hexdump:
         sys.stdout.write(code_set_hexdump(codes))
@@ -425,7 +446,7 @@ def _cmd_check(args) -> int:
 # ---------------------------------------------------------------- simulate / sweep
 
 def _build_config(args, grid: list[int], seed: int) -> TrialConfig:
-    """The config of grid[0]; an estimate over budget at any m of grid is refused here, before an output file is opened."""
+    """The config of grid[0]; an estimate over budget at any m of grid is refused here, before any trial runs."""
     points = None
     n = args.n
     if getattr(args, "points", None):
@@ -453,7 +474,7 @@ def _build_config(args, grid: list[int], seed: int) -> TrialConfig:
 def _cmd_simulate(args) -> int:
     seed = _resolve_seed(args)
     config = _build_config(args, [args.m], seed)
-    with _text_out(args.out) as f:  # opened first, so an unwritable path fails before any trial runs
+    with _output(args.out, "w") as f:
         row = run_trials(config, threads=args.threads)
         f.write(rows_csv((row,)))
     print(f"p_hat = {row.p_hat:.6g} [{row.ci_lo:.6g}, {row.ci_hi:.6g}] in {row.wall_time:.2f}s", file=sys.stderr)
@@ -465,7 +486,7 @@ def _cmd_sweep(args) -> int:
         raise ValueError("rip windows exist only in the general form")
     seed = _resolve_seed(args)
     config = _build_config(args, args.m_grid, seed)
-    with _text_out(args.out) as f:
+    with _output(args.out, "w") as f:
         f.write(rows_csv(sweep(config, args.m_grid, threads=args.threads, eta_form=args.eta_form)))
     return EXIT_OK
 
@@ -541,14 +562,10 @@ def _cmd_figure(args) -> int:
     grid = args.m_grid or default_phase_grid(m_eps1, m_eps2)
     config = _build_config(args, grid, seed)
 
-    base = str(args.out)
-    for suffix in (".svg", ".csv"):
-        if base.endswith(suffix):
-            base = base[: -len(suffix)]
+    base = args.out.removesuffix(".svg").removesuffix(".csv")
     csv_path = base + ".csv"
     svg_path = base + ".svg"
-    # Both files are opened before the sweep, so an unwritable path fails before any trial runs.
-    with open(csv_path, "w", encoding="utf-8") as csv_file, open(svg_path, "w", encoding="utf-8") as svg_file:
+    with _output(csv_path, "w") as csv_file, _output(svg_path, "w") as svg_file:
         rows = sweep(config, grid, threads=args.threads)
         csv_file.write(rows_csv(rows))
         title = f"delta-band isometry probability, n={args.n}, delta={args.delta}, {config.trials} trials/m"
@@ -692,6 +709,9 @@ def main(argv=None) -> int:
     except ValidityRangeError as exc:
         print(f"onebit: validity range: {exc}", file=sys.stderr)
         return EXIT_VALIDITY
+    except KeyboardInterrupt:
+        print("onebit: interrupted", file=sys.stderr)
+        return EXIT_INTERRUPTED
     except BrokenPipeError:  # an OSError, but the reader has stopped reading: not an error to report
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())  # so the flush at exit writes nowhere
         return EXIT_USAGE

@@ -10,7 +10,7 @@ from __future__ import annotations
 import functools
 from fractions import Fraction
 from pathlib import Path
-from typing import Iterator
+from typing import BinaryIO, Iterator
 
 import numpy as np
 
@@ -232,10 +232,10 @@ def band_range(m: int, geodesic, delta: float, boundary: str) -> tuple[np.ndarra
     return np.where(empty, m + 1, np.maximum(h_lo, 0)), np.where(empty, m, np.minimum(h_hi, m))
 
 
-def write_code_set(codes: CodeSet, path: str | Path) -> None:
-    """Serialize a code set in the binary format (see CODESET_MAGIC)."""
+def write_code_set(codes: CodeSet, f: BinaryIO) -> None:
+    """Serialize a code set in the binary format (see CODESET_MAGIC) to the binary stream f."""
     header = CODESET_MAGIC + bytes([CODESET_VERSION]) + codes.n.to_bytes(8, "little") + codes.m.to_bytes(8, "little")
-    Path(path).write_bytes(header + codes.words.astype("<u8", copy=False).tobytes())
+    f.write(header + codes.words.astype("<u8", copy=False).tobytes())
 
 
 def read_code_set(path: str | Path) -> CodeSet:

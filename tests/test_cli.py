@@ -6,6 +6,7 @@ import math
 import os
 import re
 import shlex
+import stat
 import subprocess
 import sys
 import tracemalloc
@@ -192,8 +193,10 @@ class TestFlagDomains:
         monkeypatch.chdir(tmp_path)
         write_points(tmp_path / "pts.csv", "1,0,0\n0,1,0\n0,0,1\n")
         write_points(tmp_path / "one.csv", "1,0,0\n")
-        write_code_set(code_set([[0, 0, 0, 0, 1, 1, 1, 1], [0, 0, 1, 1, 0, 0, 1, 1], [0, 1, 0, 1, 0, 1, 0, 1]]), "codes.bin")
-        write_code_set(code_set([[1]]), "one.bin")
+        with open("codes.bin", "wb") as f:
+            write_code_set(code_set([[0, 0, 0, 0, 1, 1, 1, 1], [0, 0, 1, 1, 0, 0, 1, 1], [0, 1, 0, 1, 0, 1, 0, 1]]), f)
+        with open("one.bin", "wb") as f:
+            write_code_set(code_set([[1]]), f)
         for line in VALID_RUNS:
             assert cli.main(line.split()) == cli.EXIT_OK, line
         capsys.readouterr()
@@ -218,7 +221,8 @@ class TestFlagDomains:
     def test_bad_row_named_wherever_points_are_read(self, tmp_path, monkeypatch, capsys):
         # read_point_set is the one check of a row: every command that reads --points refuses it, naming the row.
         monkeypatch.chdir(tmp_path)
-        write_code_set(code_set([[0, 1], [1, 0]]), "codes.bin")
+        with open("codes.bin", "wb") as f:
+            write_code_set(code_set([[0, 1], [1, 0]]), f)
         write_points(tmp_path / "short.csv", "1,0\n0.5,0.5\n")
         write_points(tmp_path / "nan.csv", "1,0\nnan,0\n")
         files = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
@@ -373,7 +377,8 @@ class TestEmbedAndCheck:
         pts = write_points(tmp_path / "pts.csv", "1,0,0\n0,1,0\n")
         codes = tmp_path / "same.bin"
         same = [0, 1, 1, 0]
-        write_code_set(code_set([same, same]), codes)
+        with open(codes, "wb") as f:
+            write_code_set(code_set([same, same]), f)
         r = run_cli("check", "--points", str(pts), "--codes", str(codes), "--delta", "0.4")
         assert r.returncode == 2
         assert "FAIL" in r.stdout
@@ -383,11 +388,13 @@ class TestEmbedAndCheck:
         pts = write_points(tmp_path / "pts.csv", "1,0,0\n0,1,0\n")
         dup = [1, 0, 1]
         codes = tmp_path / "dup.bin"
-        write_code_set(code_set([dup, dup]), codes)
+        with open(codes, "wb") as f:
+            write_code_set(code_set([dup, dup]), f)
         r = run_cli("check", "--points", str(pts), "--codes", str(codes))
         assert r.returncode == 2
         distinct = tmp_path / "ok.bin"
-        write_code_set(code_set([dup, [0, 1, 0]]), distinct)
+        with open(distinct, "wb") as f:
+            write_code_set(code_set([dup, [0, 1, 0]]), f)
         r2 = run_cli("check", "--points", str(pts), "--codes", str(distinct))
         assert r2.returncode == 0
 
@@ -398,7 +405,8 @@ class TestEmbedAndCheck:
         words[5] = words[7] = words[1]
         words[6] = words[2]
         codes = tmp_path / "dup.bin"
-        write_code_set(CodeSet(words, 130), codes)
+        with open(codes, "wb") as f:
+            write_code_set(CodeSet(words, 130), f)
         r = run_cli("check", "--points", str(pts), "--codes", str(codes))
         assert r.returncode == 2
         assert r.stdout == (
@@ -503,7 +511,8 @@ def write_embedded(tmp_path: Path, points: np.ndarray, m: int) -> tuple[Path, Pa
     """pts.csv holding the points and codes.bin their codes under a seeded m-direction map, both in tmp_path."""
     pts = write_points(tmp_path / "pts.csv", "".join(",".join(map(repr, row)) + "\n" for row in points.tolist()))
     bits = embed_points(sample_map(m, points.shape[1], seed=3), read_point_set(pts))
-    write_code_set(CodeSet(pack_bits(bits), m), tmp_path / "codes.bin")
+    with open(tmp_path / "codes.bin", "wb") as f:
+        write_code_set(CodeSet(pack_bits(bits), m), f)
     return pts, tmp_path / "codes.bin"
 
 
@@ -824,6 +833,133 @@ class TestBudgetRefusedFirst:
         assert cli.main(argv) == 1
         assert f"over budget {mc.TRIAL_BYTES_BUDGET}" in capsys.readouterr().err
         assert [(tmp_path / name).read_bytes() for name in outs] == [b"keep\n"] * len(outs)
+
+
+def listing(directory: Path) -> dict:
+    """Every file of the directory by name, with its bytes; a symlink's are its target's."""
+    return {path.name: path.read_bytes() for path in directory.iterdir()}
+
+
+class TestOutputWholeOrNot:
+    """Each output file is written to a temporary file beside it and moved into place when the command succeeds, so
+    a run that fails, however it fails, leaves every file as it was and no temporary file behind."""
+
+    SIMULATE = ["simulate", "--n", "10", "--m", "7", "--trials", "100", "--seed", "1", "--threads", "1"]
+
+    @pytest.mark.parametrize("argv, outs, patched", [
+        (["figure", "--n", "800", "--m-grid", "100:110:10", "--trials", "2", "--seed", "1", "--threads", "1",
+          "--out", "old"], ["old.csv", "old.svg"], (mc, "run_trials")),
+        (["embed", "--points", "pts.csv", "--m", "8", "--seed", "1", "--codes", "c.bin", "--out", "t.csv"],
+         ["c.bin", "t.csv"], (cli, "pair_stream")),
+    ], ids=["figure", "embed"])
+    def test_interrupt_keeps_every_file(self, argv, outs, patched, tmp_path, monkeypatch, capsys):
+        def interrupt(*args, **kwargs):
+            raise KeyboardInterrupt
+
+        monkeypatch.chdir(tmp_path)
+        write_points(tmp_path / "pts.csv", "1,0,0\n0,1,0\n0,0,1\n")
+        for name in outs:
+            (tmp_path / name).write_bytes(b"keep " + name.encode())
+        files = listing(tmp_path)
+        monkeypatch.setattr(*patched, interrupt)
+        assert cli.main(argv) == cli.EXIT_INTERRUPTED
+        out, err = capsys.readouterr()
+        assert out == "" and err.endswith("\nonebit: interrupted\n") and "Traceback" not in err
+        assert listing(tmp_path) == files
+
+    def test_bounds_opens_out_before_printing(self, tmp_path, capsys):
+        out = str(tmp_path / "missing" / "b.csv")
+        err = usage_error(capsys, "bounds", "--n", "800", "--delta", "0.2", "--eps", "0.01", "--out", out)
+        assert f"No such file or directory: {out!r}" in err
+
+    @pytest.mark.parametrize("old", [None, b"old codes"], ids=["new", "existing"])
+    def test_embed_unwritable_out_writes_no_codes(self, old, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        write_points(tmp_path / "p.csv", "1,0,0\n0,1,0\n0,0,1\n")
+        if old is not None:
+            (tmp_path / "c.bin").write_bytes(old)
+        files = listing(tmp_path)
+        usage_error(capsys, "embed", "--points", "p.csv", "--m", "8", "--seed", "1", "--codes", "c.bin",
+                    "--out", "missing/t.csv")
+        assert listing(tmp_path) == files
+
+    @pytest.mark.parametrize("argv", [
+        ["bounds", "--n", "800", "--delta", "0.2", "--eps", "0.01"],
+        ["embed", "--points", "pts.csv", "--m", "8", "--seed", "1", "--codes", "c.bin"],
+        SIMULATE,
+        ["sweep", "--n", "10", "--m-grid", "4:8:4", "--trials", "10", "--seed", "1", "--threads", "1"],
+        ["figure", "--n", "800", "--m-grid", "100:110:10", "--trials", "2", "--seed", "1", "--threads", "1"],
+    ], ids=["bounds", "embed", "simulate", "sweep", "figure"])
+    def test_error_names_the_given_path(self, argv, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        write_points(tmp_path / "pts.csv", "1,0,0\n0,1,0\n0,0,1\n")
+        given = str(tmp_path / "missing" / "out.csv")
+        err = usage_error(capsys, *argv, "--out", given)
+        assert given in err and ".tmp" not in err
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["pts.csv"]
+
+    def test_stale_temporary_file_named_and_kept(self, tmp_path, capsys):
+        # Left by a killed run that had this pid: refused, as the file it is, not written over or deleted.
+        stale = tmp_path / f".out.csv.{os.getpid()}.tmp"
+        stale.write_bytes(b"stale\n")
+        err = usage_error(capsys, *self.SIMULATE, "--out", str(tmp_path / "out.csv"))
+        assert f"File exists: {str(stale)!r}" in err
+        assert listing(tmp_path) == {stale.name: b"stale\n"}
+
+    def test_existing_mode_kept(self, tmp_path, capsys):
+        out = tmp_path / "out.csv"
+        out.write_bytes(b"old\n")
+        out.chmod(0o600)
+        assert cli.main([*self.SIMULATE, "--out", str(out)]) == cli.EXIT_OK
+        assert out.read_bytes().startswith(b"m,trials,") and out.stat().st_mode & 0o7777 == 0o600
+
+    def test_new_file_mode_follows_umask(self, tmp_path, capsys):
+        old = os.umask(0o027)
+        try:
+            assert cli.main([*self.SIMULATE, "--out", str(tmp_path / "out.csv")]) == cli.EXIT_OK
+        finally:
+            os.umask(old)
+        assert (tmp_path / "out.csv").stat().st_mode & 0o7777 == 0o640
+
+    def test_symlink_stays_a_link(self, tmp_path, capsys):
+        (tmp_path / "real.csv").write_bytes(b"old\n")
+        os.symlink("real.csv", tmp_path / "link.csv")
+        assert cli.main(self.SIMULATE) == cli.EXIT_OK
+        expected = capsys.readouterr().out.encode()
+        assert cli.main([*self.SIMULATE, "--out", str(tmp_path / "link.csv")]) == cli.EXIT_OK
+        assert (tmp_path / "link.csv").is_symlink() and (tmp_path / "real.csv").read_bytes() == expected
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["link.csv", "real.csv"]
+
+    def test_device_written_in_place(self, tmp_path, capsys):
+        pts = write_points(tmp_path / "pts.csv", "1,0,0\n0,1,0\n0,0,1\n")
+        argv = ["embed", "--points", str(pts), "--m", "8", "--seed", "1", "--codes", str(tmp_path / "c.bin"),
+                "--out", os.devnull]
+        assert cli.main(argv) == cli.EXIT_OK
+        assert stat.S_ISCHR(os.stat(os.devnull).st_mode)
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["c.bin", "pts.csv"]
+
+    def test_closed_stdout_writes_no_codes(self, tmp_path):
+        # As in test_closed_stdout_ends_quietly, the reader goes while the table is being written: embed fails, and
+        # so --codes is not written either.
+        write_embedded(tmp_path, gaussian_points(300, 16, 15), 512)
+        files = listing(tmp_path)
+        child = subprocess.Popen([sys.executable, "-m", "onebit", "embed", "--points", "pts.csv", "--m", "512",
+                                  "--seed", "1", "--codes", "new.bin", "--out", "-"], cwd=tmp_path, env=cli_env(),
+                                 stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+        assert child.stdout.readline()
+        child.stdout.close()
+        assert child.wait(timeout=120) == cli.EXIT_USAGE
+        child.stderr.close()
+        assert listing(tmp_path) == files
+
+    def test_codes_to_stdout(self, tmp_path, capsys):
+        pts = write_points(tmp_path / "pts.csv", "1,0,0\n0,1,0\n0,0,1\n")
+        argv = ["embed", "--points", str(pts), "--m", "8", "--seed", "1", "--codes"]
+        assert cli.main([*argv, str(tmp_path / "c.bin")]) == cli.EXIT_OK
+        child = run_cli(*argv, "-", "--out", "-")
+        assert child.returncode == cli.EXIT_USAGE and "only one of them" in child.stderr
+        child = subprocess.run([sys.executable, "-m", "onebit", *argv, "-"], capture_output=True, env=cli_env())
+        assert child.returncode == cli.EXIT_OK and child.stdout == (tmp_path / "c.bin").read_bytes()
 
 
 class TestFigure:

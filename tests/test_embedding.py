@@ -119,7 +119,8 @@ class TestBitCode:
     def test_bytes_roundtrip(self, tmp_path_factory, bits):
         codes = code_set([bits])
         path = tmp_path_factory.mktemp("roundtrip") / "codes.ob1j"
-        write_code_set(codes, path)
+        with open(path, "wb") as f:
+            write_code_set(codes, f)
         back = read_code_set(path)
         assert np.array_equal(back.words, codes.words)
         assert code_bits(back, 0) == bits
@@ -272,7 +273,8 @@ class TestCheckOneToOne:
     def test_needs_two(self, tmp_path, capsys):
         # a one-point set has no pair: check refuses a --points file of fewer than 2 rows
         (tmp_path / "pts.csv").write_text("1,0\n")
-        write_code_set(code_set([[1]]), tmp_path / "codes.bin")
+        with open(tmp_path / "codes.bin", "wb") as f:
+            write_code_set(code_set([[1]]), f)
         err = usage_error(capsys, "check", "--points", str(tmp_path / "pts.csv"), "--codes", str(tmp_path / "codes.bin"))
         assert "--points needs at least 2 rows, got 1" in err
 
@@ -409,7 +411,8 @@ class TestCheckRip:
 
     def test_misalignment(self, tmp_path, capsys):
         (tmp_path / "pts.csv").write_text("1,0,0,0\n0,1,0,0\n0,0,1,0\n")
-        write_code_set(code_set([[0], [1]]), tmp_path / "codes.bin")
+        with open(tmp_path / "codes.bin", "wb") as f:
+            write_code_set(code_set([[0], [1]]), f)
         err = usage_error(capsys, "check", "--points", str(tmp_path / "pts.csv"), "--codes", str(tmp_path / "codes.bin"),
                           "--delta", "0.2")
         assert "--codes has 2 codes but --points has 3 points" in err
@@ -609,7 +612,8 @@ class TestSerialization:
         rng = np.random.default_rng(1)
         cs = orthogonal_codes(5, 77, rng)
         path = tmp_path / "codes.bin"
-        write_code_set(cs, path)
+        with open(path, "wb") as f:
+            write_code_set(cs, f)
         back = read_code_set(path)
         assert back.n == cs.n and back.m == cs.m
         assert np.array_equal(back.words, cs.words)
@@ -617,7 +621,8 @@ class TestSerialization:
     def test_header_layout(self, tmp_path):
         cs = code_set([[1, 0, 1]])
         path = tmp_path / "codes.ob1j"
-        write_code_set(cs, path)
+        with open(path, "wb") as f:
+            write_code_set(cs, f)
         data = path.read_bytes()
         assert data[:4] == CODESET_MAGIC == b"OB1J"
         assert data[4] == 1
@@ -633,14 +638,16 @@ class TestSerialization:
 
     def test_truncation(self, tmp_path):
         path = tmp_path / "codes.ob1j"
-        write_code_set(code_set([[1, 0, 1]]), path)
+        with open(path, "wb") as f:
+            write_code_set(code_set([[1, 0, 1]]), f)
         path.write_bytes(path.read_bytes()[:-1])
         with pytest.raises(CodeSetFormatError, match="expected"):
             read_code_set(path)
 
     def test_nonzero_padding_rejected(self, tmp_path):
         path = tmp_path / "codes.ob1j"
-        write_code_set(code_set([[1, 0, 1]]), path)
+        with open(path, "wb") as f:
+            write_code_set(code_set([[1, 0, 1]]), f)
         data = bytearray(path.read_bytes())
         data[22] = 0xFF  # bits past m=3 in the first word
         path.write_bytes(bytes(data))
