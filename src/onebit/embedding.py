@@ -31,10 +31,6 @@ BOUNDARIES = ("strict", "inclusive")
 PAIR_SLAB_ROWS = 16
 
 
-class CodeSetFormatError(ValueError):
-    """A serialized code set is malformed or truncated."""
-
-
 def words_needed(m: int) -> int:
     return (m + WORD_BITS - 1) // WORD_BITS
 
@@ -239,27 +235,24 @@ def write_code_set(codes: CodeSet, f: BinaryIO) -> None:
 
 
 def read_code_set(path: str | Path) -> CodeSet:
-    """Parse the binary code-set format, validating header and padding bits."""
+    """Parse the binary code-set format, validating its header and size; CodeSet refuses nonzero padding bits."""
     data = Path(path).read_bytes()
     if len(data) < 21:
-        raise CodeSetFormatError("truncated header")
+        raise ValueError("truncated header")
     if data[:4] != CODESET_MAGIC:
-        raise CodeSetFormatError(f"bad magic {data[:4]!r}")
+        raise ValueError(f"bad magic {data[:4]!r}")
     if data[4] != CODESET_VERSION:
-        raise CodeSetFormatError(f"unsupported version {data[4]}")
+        raise ValueError(f"unsupported version {data[4]}")
     n = int.from_bytes(data[5:13], "little")
     m = int.from_bytes(data[13:21], "little")
     if n < 1 or m < 1:
-        raise CodeSetFormatError(f"invalid counts n={n}, m={m}")
+        raise ValueError(f"invalid counts n={n}, m={m}")
     nw = words_needed(m)
     expect = 21 + 8 * nw * n
     if len(data) != expect:
-        raise CodeSetFormatError(f"expected {expect} bytes for n={n}, m={m}, got {len(data)}")
+        raise ValueError(f"expected {expect} bytes for n={n}, m={m}, got {len(data)}")
     words = np.frombuffer(data, dtype="<u8", offset=21).reshape(n, nw)
-    try:
-        return CodeSet(words, m)
-    except ValueError as exc:  # the shape is right by construction, so only padding bits can be wrong
-        raise CodeSetFormatError(str(exc)) from None
+    return CodeSet(words, m)
 
 
 def code_set_hexdump(codes: CodeSet) -> str:

@@ -23,10 +23,6 @@ UNIT_NORM_TOL = 1e-9
 PAIR_BLOCK_ROWS = 256
 
 
-class PointSetParseError(ValueError):
-    """A points CSV file is malformed; the message names the offending row."""
-
-
 @dataclass(frozen=True, eq=False)
 class PointSet:
     """An ordered set of n >= 1 points on a common sphere of dimension >= 2, stored as an (n, dim) matrix."""
@@ -76,12 +72,12 @@ def read_point_set(path: str | Path, normalize: bool = False) -> PointSet:
     rejected); without it, rows whose norm deviates from 1 by more than
     ``UNIT_NORM_TOL`` are rejected.  Errors name the offending 1-based row.
     """
-    text = Path(path).read_text(encoding="utf-8")  # universal newlines: \r\n and a lone \r end a row, as \n does
+    text = Path(path).read_text(encoding="utf-8-sig")  # drops a leading BOM; universal newlines: \r\n and a lone \r end a row, as \n does
     lines = text.split("\n")
     while lines and lines[-1] == "":
         lines.pop()
     if not lines:  # here, before np.loadtxt, which warns on a file without data
-        raise PointSetParseError("empty points file")
+        raise ValueError("empty points file")
 
     # numpy's C reader converts each component with PyOS_string_to_double, as float() does.  But it skips
     # blank lines, takes non-finite values and one-component rows, and strips U+001C..U+001F around a
@@ -99,13 +95,13 @@ def read_point_set(path: str | Path, normalize: bool = False) -> PointSet:
     if normalize:
         zero = np.nonzero(norms < 1e-12)[0]
         if zero.size:
-            raise PointSetParseError(f"row {int(zero[0]) + 1}: zero-norm vector cannot be normalized")
+            raise ValueError(f"row {int(zero[0]) + 1}: zero-norm vector cannot be normalized")
         mat = mat / norms[:, None]
     else:
         bad = np.nonzero(np.abs(norms - 1.0) > UNIT_NORM_TOL)[0]
         if bad.size:
             i = int(bad[0])
-            raise PointSetParseError(f"row {i + 1}: norm {float(norms[i])!r} is not 1 within {UNIT_NORM_TOL} (pass normalize to rescale)")
+            raise ValueError(f"row {i + 1}: norm {float(norms[i])!r} is not 1 within {UNIT_NORM_TOL} (pass normalize to rescale)")
     return PointSet(mat)
 
 
@@ -118,14 +114,14 @@ def _parse_rows(lines: list[str]) -> np.ndarray:
         try:
             values = list(map(float, parts))
         except ValueError:
-            raise PointSetParseError(f"row {lineno}: cannot parse components {line!r}") from None
+            raise ValueError(f"row {lineno}: cannot parse components {line!r}") from None
         if len(values) < 2:
-            raise PointSetParseError(f"row {lineno}: need at least 2 components, got {len(values)}")
+            raise ValueError(f"row {lineno}: need at least 2 components, got {len(values)}")
         if not all(map(math.isfinite, values)):
-            raise PointSetParseError(f"row {lineno}: components must be finite")
+            raise ValueError(f"row {lineno}: components must be finite")
         if width is None:
             width = len(values)
         elif len(values) != width:
-            raise PointSetParseError(f"row {lineno}: ragged row, expected {width} components, got {len(values)}")
+            raise ValueError(f"row {lineno}: ragged row, expected {width} components, got {len(values)}")
         rows.append(values)
     return np.array(rows, dtype=np.float64)

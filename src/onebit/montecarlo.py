@@ -61,10 +61,6 @@ TRIAL_BYTES_BUDGET = 1 << 30
 Z95 = 1.9599639845400536
 
 
-class ResourceBudgetError(ValueError):
-    """The requested simulation exceeds the configured work budget."""
-
-
 @dataclass(frozen=True)
 class TrialConfig:
     """Parameters of one Monte Carlo estimate.
@@ -213,11 +209,11 @@ def check_budget(config: TrialConfig) -> None:
     units, unit = (math.comb(config.n, 2), "pairs") if config.delta is not None else (config.n, "codes")
     cost = units * config.trials * words_needed(config.m)
     if cost > PAIR_WORD_BUDGET:
-        raise ResourceBudgetError(f"{unit}*trials*words = {cost} exceeds budget {PAIR_WORD_BUDGET}; reduce trials")
+        raise ValueError(f"{unit}*trials*words = {cost} exceeds budget {PAIR_WORD_BUDGET}; reduce trials")
     need = _trial_bytes(config)
     if need > TRIAL_BYTES_BUDGET:
         held = "codes, band and Gram matrix" if config.delta is not None else "draws and codes"
-        raise ResourceBudgetError(f"the {held} of a trial need up to {need} bytes, over budget {TRIAL_BYTES_BUDGET}; reduce n or m")
+        raise ValueError(f"the {held} of a trial need up to {need} bytes, over budget {TRIAL_BYTES_BUDGET}; reduce n or m")
 
 
 def _run_chunk(config: TrialConfig, chunk_index: int, count: int, band) -> int:

@@ -398,6 +398,21 @@ class TestEmbedAndCheck:
         r2 = run_cli("check", "--points", str(pts), "--codes", str(distinct))
         assert r2.returncode == 0
 
+    @pytest.mark.parametrize("delta", [[], ["--delta", "0.4"]], ids=["one-to-one", "rip"])
+    def test_check_refuses_malformed_code_set(self, tmp_path, capsys, delta):
+        pts = write_points(tmp_path / "pts.csv", "1,0,0\n0,1,0\n")
+        codes = tmp_path / "codes.bin"
+        with open(codes, "wb") as f:
+            write_code_set(code_set([[1, 0, 1], [0, 1, 0]]), f)
+        good = codes.read_bytes()
+        for data, message in (
+            (good[:22] + b"\xff" + good[23:], "code 0: padding bits past m must be zero"),  # bits past m=3 of code 0
+            (good[:20], "truncated header"),
+        ):
+            codes.write_bytes(data)
+            assert cli.main(["check", "--points", str(pts), "--codes", str(codes), *delta]) == cli.EXIT_USAGE
+            assert capsys.readouterr() == ("", f"onebit: error: {message}\n")
+
     def test_check_one_to_one_lists_multiword_collisions(self, tmp_path):
         # m = 130 codes fill three words; codes 1, 5, 7 are equal and so are 2, 6.
         pts = write_points(tmp_path / "pts.csv", "".join(",".join("1" if j == i else "0" for j in range(8)) + "\n" for i in range(8)))

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from onebit.embedding import embed_points, pair_stream, sample_map
-from onebit.geometry import PointSet, PointSetParseError, geodesic_matrix, read_point_set
+from onebit.geometry import PointSet, geodesic_matrix, read_point_set
 from reference import code_set, usage_error
 
 
@@ -188,36 +188,36 @@ class TestReadPointSet:
         assert np.allclose(ps.matrix, [[1.0, 0.0]])
 
     def test_zero_norm_under_normalize(self, tmp_path):
-        with pytest.raises(PointSetParseError, match="row 1"):
+        with pytest.raises(ValueError, match="^row 1: zero-norm vector cannot be normalized$"):
             read_point_set(_points_file(tmp_path, b"0,0,0\n"), normalize=True)
 
     def test_ragged_rows_named(self, tmp_path):
-        with pytest.raises(PointSetParseError, match="row 2"):
+        with pytest.raises(ValueError, match="^row 2: ragged row, expected 3 components, got 2$"):
             read_point_set(_points_file(tmp_path, b"1,0,0\n0,1\n"))
 
     def test_non_unit_row_without_normalize(self, tmp_path):
-        with pytest.raises(PointSetParseError, match="row 2"):
+        with pytest.raises(ValueError, match=r"^row 2: norm 0\.7071\d* is not 1 within 1e-09"):
             read_point_set(_points_file(tmp_path, b"1,0\n0.5,0.5\n"))
 
     def test_unparseable_component(self, tmp_path):
-        with pytest.raises(PointSetParseError, match="row 1"):
+        with pytest.raises(ValueError, match="^row 1: cannot parse components '1,zebra'$"):
             read_point_set(_points_file(tmp_path, b"1,zebra\n"))
 
     def test_single_component_row(self, tmp_path):
-        with pytest.raises(PointSetParseError, match="at least 2"):
+        with pytest.raises(ValueError, match="^row 1: need at least 2 components, got 1$"):
             read_point_set(_points_file(tmp_path, b"1\n"))
 
     def test_empty_file(self, tmp_path):
-        with pytest.raises(PointSetParseError, match="empty"):
+        with pytest.raises(ValueError, match="^empty points file$"):
             read_point_set(_points_file(tmp_path, b""))
 
     @pytest.mark.parametrize("token", ["inf", "nan", "1e400"])
     def test_non_finite_component_named(self, tmp_path, token):
-        with pytest.raises(PointSetParseError, match="row 2: components must be finite"):
+        with pytest.raises(ValueError, match="row 2: components must be finite"):
             read_point_set(_points_file(tmp_path, f"1,0\n0,{token}\n".encode()))
 
     def test_non_finite_reported_before_later_ragged_row(self, tmp_path):
-        with pytest.raises(PointSetParseError, match="row 2: components must be finite"):
+        with pytest.raises(ValueError, match="row 2: components must be finite"):
             read_point_set(_points_file(tmp_path, b"1,0\nnan,0\n1,0,0\n"))
 
     def test_components_parse_as_float_does(self, tmp_path):
@@ -233,6 +233,13 @@ class TestReadPointSet:
         path.write_text("".join(",".join(repr(float(v)) for v in row) + "\n" for row in raw), encoding="utf-8")
         back = read_point_set(path)
         assert np.array_equal(back.matrix, raw)
+
+    def test_byte_order_mark_dropped(self, tmp_path):
+        # A UTF-8 byte-order mark, as spreadsheets write before a "CSV UTF-8" file, is not part of row 1.
+        data = b"1.0,0.0\r\n0.6,0.8\r\n"
+        plain = read_point_set(_points_file(tmp_path, data)).matrix
+        marked = read_point_set(_points_file(tmp_path, b"\xef\xbb\xbf" + data)).matrix
+        assert np.array_equal(marked, plain)
 
 
 #: Each (name, file) malformed in some row, and the exact message the float()-per-row reader gives it.
@@ -259,7 +266,7 @@ MALFORMED = [
 
 @pytest.mark.parametrize("data, message", [case[1:] for case in MALFORMED], ids=[case[0] for case in MALFORMED])
 def test_malformed_file_message(tmp_path, data, message):
-    with pytest.raises(PointSetParseError, match=f"^{re.escape(message)}$"):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         read_point_set(_points_file(tmp_path, data))
 
 

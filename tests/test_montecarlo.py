@@ -14,7 +14,6 @@ from onebit.montecarlo import (
     CSV_HEADER,
     Z95,
     EstimateRow,
-    ResourceBudgetError,
     TrialConfig,
     default_phase_grid,
     first_upward_crossing,
@@ -599,16 +598,16 @@ class TestDefaultGrid:
 class TestResourceGuard:
     def test_budget_exceeded(self):
         cfg = rip_config(800, 224, 0.2, 100_000, seed=1)
-        with pytest.raises(ResourceBudgetError):
+        with pytest.raises(ValueError, match=r"^pairs\*trials\*words = \d+ exceeds budget \d+; reduce trials$"):
             run_trials(cfg)
 
     def test_band_bytes_capped(self):
         # 2e8 pair-words pass the work budget, but a fast trial's 20000 x 20000 Gram matrix and masks
         # would take up to 3.2 GB, as would the explicit path's band.
-        with pytest.raises(ResourceBudgetError, match="Gram matrix of a trial"):
+        with pytest.raises(ValueError, match="^the codes, band and Gram matrix of a trial need up to"):
             run_trials(rip_config(20_000, 1, 0.2, 1, seed=1))
         points = PointSet(np.tile([[1.0, 0.0]], (20_000, 1)))
-        with pytest.raises(ResourceBudgetError, match="band"):
+        with pytest.raises(ValueError, match="^the codes, band and Gram matrix of a trial need up to"):
             run_trials(rip_config(20_000, 1, 0.2, 1, seed=1, points=points))
 
     def test_trial_bytes_capped_before_any_draw(self, monkeypatch):
@@ -618,7 +617,7 @@ class TestResourceGuard:
         monkeypatch.setattr(mc, "_run_chunk", lambda *args: pytest.fail("a chunk ran"))
         for cfg in (rip_config(2, 1 << 17, 0.2, 1, seed=1), inj_config(2, 1 << 17, 1, seed=1, points=PointSet(np.eye(2)))):
             assert mc._trial_bytes(cfg) > mc.TRIAL_BYTES_BUDGET
-            with pytest.raises(ResourceBudgetError, match="reduce n or m"):
+            with pytest.raises(ValueError, match=r"bytes, over budget 1048576; reduce n or m$"):
                 run_trials(cfg)
 
     def test_injectivity_priced_per_code(self):
@@ -630,7 +629,7 @@ class TestResourceGuard:
     def test_custom_budget(self, monkeypatch):
         cfg = inj_config(10, 7, 1_000, seed=1)
         monkeypatch.setattr(mc, "PAIR_WORD_BUDGET", 10)
-        with pytest.raises(ResourceBudgetError):
+        with pytest.raises(ValueError, match=r"^codes\*trials\*words = 10000 exceeds budget 10; reduce trials$"):
             run_trials(cfg)
         monkeypatch.setattr(mc, "PAIR_WORD_BUDGET", 100_000)
         row = run_trials(cfg)
